@@ -1,8 +1,8 @@
 """Command-line front end: coeff, oracle, identity, verify, suite.
 
-Exit codes: 0 all-pass, 1 mathematical violation, 2 usage or config error,
-3 vacuous result under --strict.  REGULUS_BUDGET_N overrides the default
-series order.
+Exit codes: 0 all-pass, 1 mathematical violation, 2 usage or config error
+(and any unexpected crash), 3 vacuous result under --strict.
+REGULUS_BUDGET_N overrides the default series order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ def _default_order() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
-    if value < 64:
+        value = None
+    if value is None or value < 64:
+        print(f"REGULUS_BUDGET_N must be an integer >= 64, got {raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return value
 
@@ -224,19 +225,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_count(args) -> str | None:
+    for name in ("n", "n_max"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            return f"--{name.replace('_', '-')} must be nonnegative, got {value}"
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # the parser reads REGULUS_BUDGET_N, which may reject its value
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return EXIT_USAGE if exc.code else EXIT_PASS
+    problem = _negative_count(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a crash is never a mathematical violation (exit 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

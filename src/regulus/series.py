@@ -3,8 +3,17 @@
 A series is a finite coefficient prefix; every binary operation truncates to
 the minimum of the operands' orders so precision loss is always explicit.
 Coefficients are Python ints (arbitrary precision over Z, canonical residues
-in [0, m) over Z/m).  Convolutions route through numpy int64 whenever a cheap
-bound shows no overflow is possible, and fall back to big-int loops otherwise.
+in [0, m) over Z/m).
+
+Over Z/m every product, including the two inside Newton inversion, is one
+Kronecker substitution: each operand is packed into a single Python int with
+``nbytes`` bytes per coefficient, the two ints are multiplied once, and the
+slots of the product are read back and reduced mod m.  A product coefficient
+is a sum of at most min(len_a, len_b) products of two residues, so whenever
+``(m-1)**2 * min(len_a, len_b) < 256**nbytes`` no carry crosses a slot and
+every slot holds its exact sum; ``nbytes`` is chosen from that bound.  Over Z,
+convolutions route through numpy int64 whenever a cheap bound shows no
+overflow is possible, and fall back to big-int loops otherwise.
 """
 
 from __future__ import annotations
@@ -154,23 +163,60 @@ def _py_convolve(la, lb, n_out: int) -> list[int]:
     return out
 
 
-def _convolve(la, lb, n_out: int, modulus: int) -> list[int]:
-    if modulus:
-        la = [x % modulus for x in la[: n_out + 1]]
-        lb = [x % modulus for x in lb[: n_out + 1]]
-        if (modulus - 1) ** 2 * (n_out + 1) < _INT64_BUDGET:
-            return [x % modulus for x in _np_convolve(la, lb, n_out)]
-        return [x % modulus for x in _py_convolve(la, lb, n_out)]
+def _convolve(la, lb, n_out: int) -> list[int]:
     if _np_fits(la[: n_out + 1], lb[: n_out + 1], n_out):
         return _np_convolve(la, lb, n_out)
     return _py_convolve(la, lb, n_out)
+
+
+def _pack(coeffs, nbytes: int) -> int:
+    """Residues as one little-endian int, nbytes bytes per coefficient."""
+    if nbytes <= 8:
+        lanes = np.array(coeffs, dtype="<u8").view(np.uint8).reshape(-1, 8)
+        return int.from_bytes(lanes[:, :nbytes].tobytes(), "little")
+    raw = b"".join(c.to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(x: int, slots: int, n_keep: int, nbytes: int, m: int) -> list[int]:
+    """The first n_keep nbytes-wide slots of x (which spans `slots` slots), mod m."""
+    raw = x.to_bytes(slots * nbytes, "little")
+    if nbytes <= 8:
+        lanes = np.zeros((n_keep, 8), dtype=np.uint8)
+        kept = np.frombuffer(raw, dtype=np.uint8, count=n_keep * nbytes)
+        lanes[:, :nbytes] = kept.reshape(n_keep, nbytes)
+        return (lanes.view("<u8").ravel() % m).tolist()
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little") % m
+        for i in range(0, n_keep * nbytes, nbytes)
+    ]
+
+
+def _kronecker(la, lb, n_out: int, m: int) -> list[int]:
+    """Product of two residue sequences mod m, truncated at n_out.
+
+    Passing the same sequence twice packs it once and squares the int.
+    """
+    square = lb is la
+    la = la[: n_out + 1]
+    lb = la if square else lb[: n_out + 1]
+    # every slot sum is at most (m-1)**2 * min(len) < bound, so no carry crosses a slot
+    bound = (m - 1) ** 2 * min(len(la), len(lb)) + 1
+    nbytes = (bound.bit_length() + 7) // 8
+    x = _pack(la, nbytes)
+    prod = x * x if square else x * _pack(lb, nbytes)
+    return _unpack(prod, len(la) + len(lb) - 1, n_out + 1, nbytes, m)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(order(a), order(b))."""
     _check_rings(a, b)
     n = min(a.order, b.order)
-    out = _convolve(list(a.coeffs), list(b.coeffs), n, a.ring.modulus)
+    m = a.ring.modulus
+    if m:
+        out = _kronecker(a.coeffs, b.coeffs, n, m)
+    else:
+        out = _convolve(list(a.coeffs), list(b.coeffs), n)
     return TruncatedSeries(a.ring, tuple(out))
 
 
@@ -221,33 +267,14 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
         inv0 = pow(a0, -1, m)
     except ValueError as exc:
         raise NonUnitError(f"constant term {a0} is not a unit mod {m}") from exc
-    if (m - 1) ** 2 * (n_out + 1) < _INT64_BUDGET:
-        return _invert_newton(a, inv0)
-    nz = [(k, a.coeffs[k]) for k in range(1, n_out + 1) if a.coeffs[k]]
-    b = [inv0] + [0] * n_out
-    for n in range(1, n_out + 1):
-        s = 0
-        for k, c in nz:
-            if k > n:
-                break
-            s += c * b[n - k]
-        b[n] = (-inv0 * s) % m
-    return TruncatedSeries(a.ring, tuple(b))
-
-
-def _invert_newton(a: TruncatedSeries, inv0: int) -> TruncatedSeries:
-    # b <- b * (2 - a*b), doubling the known precision each step
-    m = a.ring.modulus
-    n_out = a.order
-    ac = [x % m for x in a.coeffs]
-    b = [inv0 % m]
+    # Newton: b <- b * (2 - a*b), doubling the known precision each step
+    b = [inv0]
     prec = 1
     while prec <= n_out:
         prec = min(2 * prec, n_out + 1)
-        ab = _np_convolve(ac[:prec], b, prec - 1)
-        t = [(-x) % m for x in ab]
+        t = [(-x) % m for x in _kronecker(a.coeffs, b, prec - 1, m)]
         t[0] = (t[0] + 2) % m
-        b = [x % m for x in _np_convolve(b, t, prec - 1)]
+        b = _kronecker(b, t, prec - 1, m)
     return TruncatedSeries(a.ring, tuple(b))
 
 

@@ -209,3 +209,39 @@ def test_budget_env_var(monkeypatch, capsys):
     from regulus.cli import _default_order
 
     assert _default_order() == 128
+
+
+def test_bad_budget_env_var_exits_usage(monkeypatch, capsys):
+    for raw in ("abc", "12"):
+        monkeypatch.setenv("REGULUS_BUDGET_N", raw)
+        code, _, err = run(capsys, "suite", "--all")
+        assert code == EXIT_USAGE
+        assert "REGULUS_BUDGET_N" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeff", "--ell", "3", "--r", "2", "--n", "-1"),
+        ("coeff", "--ell", "3", "--r", "2", "--n-max", "-4"),
+        ("oracle", "--profile", "3,3", "--n", "-1"),
+        ("verify", "--family", "thm1.i", "--n-max", "-1"),
+    ],
+)
+def test_negative_count_exits_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "nonnegative" in err
+
+
+def test_unexpected_exception_exits_usage(monkeypatch, capsys):
+    import regulus.cli as cli
+
+    def crash(*args):
+        raise IndexError("boom")
+
+    monkeypatch.setattr(cli, "regular_quotient", crash)
+    code, _, err = run(capsys, "coeff", "--ell", "3", "--r", "2", "--n", "4")
+    assert code == EXIT_USAGE
+    assert "IndexError" in err

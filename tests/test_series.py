@@ -1,9 +1,15 @@
 """Core series arithmetic against naive in-test oracles."""
 
+import random
+from functools import lru_cache
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regulus.families import default_registry
+from regulus.oracle import regular_multipartition_counts
 from regulus.series import (
     ZZ,
     EtaQuotientSpec,
@@ -28,6 +34,7 @@ from regulus.series import (
     sub,
     truncate,
 )
+from regulus.series import _kronecker
 
 
 def naive_poly_mul(a, b, order):
@@ -298,6 +305,82 @@ def test_frobenius_small():
         lhs = euler_E(k * p, 120, Zmod(p))
         rhs = power(euler_E(k, 120, Zmod(p)), p)
         assert lhs == rhs
+
+
+# --- the Z/m Kronecker kernel against a schoolbook product ---
+
+KERNEL_MODULI = (2, 3, 10, 55, 2**31 - 1, 2**61 - 1, 10**30 + 57)
+
+
+def naive_mod_mul(a, b, order, m):
+    return [x % m for x in naive_poly_mul(a, b, order)]
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+@pytest.mark.parametrize("la,lb", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 5), (40, 40), (64, 33)])
+def test_kernel_matches_schoolbook(m, la, lb):
+    rng = random.Random(f"{m}-{la}-{lb}")
+    a = [rng.randrange(m) for _ in range(la)]
+    b = [rng.randrange(m) for _ in range(lb)]
+    # every truncation, up to the full product of la + lb - 1 coefficients
+    for n_out in sorted({0, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2}):
+        assert _kronecker(a, b, n_out, m) == naive_mod_mul(a, b, n_out, m)
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+@pytest.mark.parametrize("length", [1, 2, 31, 257])
+def test_kernel_at_slot_bound(m, length):
+    # all-(m-1) operands make every slot sum reach (m-1)**2 * min(len_a, len_b)
+    top = [m - 1] * length
+    assert _kronecker(top, top, length - 1, m) == naive_mod_mul(top, top, length - 1, m)
+    assert _kronecker(top, [m - 1], length - 1, m) == naive_mod_mul(top, [m - 1], length - 1, m)
+    a = series(top, Zmod(m))
+    assert list(mul(a, a).coeffs) == naive_mod_mul(top, top, length - 1, m)
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+def test_mul_unequal_orders_and_squaring_mod_m(m):
+    rng = random.Random(m)
+    a = series([rng.randrange(m) for _ in range(50)], Zmod(m))
+    b = series([rng.randrange(m) for _ in range(23)], Zmod(m))
+    expected = naive_mod_mul(list(a.coeffs), list(b.coeffs), 22, m)
+    assert list(mul(a, b).coeffs) == list(mul(b, a).coeffs) == expected
+    assert list(mul(a, a).coeffs) == naive_mod_mul(list(a.coeffs), list(a.coeffs), 49, m)
+    assert mul(a, a) == mul(a, series(a.coeffs, Zmod(m)))
+    assert power(a, 5) == mul(mul(mul(a, a), mul(a, a)), a)
+
+
+@pytest.mark.parametrize("m", KERNEL_MODULI)
+@pytest.mark.parametrize("order", [0, 1, 5, 100])
+def test_invert_mod_m_is_two_sided(m, order):
+    rng = random.Random(f"{m}-{order}")
+    a0 = next(x for x in iter(lambda: rng.randrange(1, m), None) if gcd(x, m) == 1)
+    a = series([a0] + [rng.randrange(m) for _ in range(order)], Zmod(m))
+    b = invert(a)
+    assert mul(a, b) == mul(b, a) == one(order, Zmod(m))
+
+
+def _registry_quotient_keys():
+    """Every (ell, r, m) a progression family of the registry builds at t in {0, 1}."""
+    return sorted(
+        {
+            (fam.ell, fam.r_value(t), fam.modulus)
+            for fam in default_registry().values()
+            if fam.kind == "progression"
+            for t in (0, 1)
+        }
+    )
+
+
+@lru_cache(maxsize=None)
+def _oracle_counts(ell, r, n_max):
+    return tuple(regular_multipartition_counts(ell, r, n_max).values)
+
+
+@pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
+def test_regular_quotient_mod_m_matches_oracle(ell, r, m):
+    got = regular_quotient(ell, r, 300, m)
+    assert list(got.coeffs) == [c % m for c in _oracle_counts(ell, r, 300)]
 
 
 # --- property tests ---
