@@ -23,6 +23,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_VACUOUS = 3
 
+# the smallest series order accepted from --order or REGULUS_BUDGET_N
+MIN_ORDER = 64
+
 
 def _default_order() -> int:
     raw = os.environ.get("REGULUS_BUDGET_N")
@@ -32,19 +35,19 @@ def _default_order() -> int:
         value = int(raw)
     except ValueError:
         value = None
-    if value is None or value < 64:
-        print(f"REGULUS_BUDGET_N must be an integer >= 64, got {raw!r}", file=sys.stderr)
+    if value is None or value < MIN_ORDER:
+        print(f"REGULUS_BUDGET_N must be an integer >= {MIN_ORDER}, got {raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return value
 
 
+def _profile_bounds(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 def _parse_profile(args) -> tuple[int, ...]:
     if args.profile:
-        try:
-            ells = tuple(int(x) for x in args.profile.split(","))
-        except ValueError:
-            raise SystemExit(EXIT_USAGE)
-        return ells
+        return _profile_bounds(args.profile)
     if args.ell is None or args.r is None:
         print("need --profile or both --ell and --r", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -225,11 +228,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _negative_count(args) -> str | None:
+def _argument_problem(args) -> str | None:
+    """One line naming the first out-of-range argument, or None."""
     for name in ("n", "n_max"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             return f"--{name.replace('_', '-')} must be nonnegative, got {value}"
+    mod = getattr(args, "mod", 0)
+    if mod < 0 or mod == 1:
+        return f"--mod must be 0 (exact) or at least 2, got {mod}"
+    ell = getattr(args, "ell", None)
+    if ell is not None and ell < 2:
+        return f"--ell must be at least 2, got {ell}"
+    profile = getattr(args, "profile", None)
+    if profile is not None:
+        try:
+            bounds = _profile_bounds(profile)
+        except ValueError:
+            return f"--profile must be comma-separated integers, got {profile!r}"
+        if min(bounds) < 2:
+            return f"--profile entries must be at least 2, got {profile!r}"
+    order = getattr(args, "order", None)
+    if order is not None and order < MIN_ORDER:
+        return f"--order must be at least {MIN_ORDER}, got {order}"
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        return f"--jobs must be at least 1, got {jobs}"
     return None
 
 
@@ -240,7 +264,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return EXIT_USAGE if exc.code else EXIT_PASS
-    problem = _negative_count(args)
+    problem = _argument_problem(args)
     if problem:
         print(problem, file=sys.stderr)
         return EXIT_USAGE

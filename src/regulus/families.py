@@ -400,11 +400,8 @@ def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 200
             report.notes.append(f"p={p}: conclusion out of series budget")
             continue
         conclusion = _verify_thm2_conclusion(part, p, conclusion_budget)
-        report.indices_checked += conclusion.indices_checked
+        report.absorb(conclusion)
         verified_any = verified_any or conclusion.indices_checked > 0
-        if conclusion.status == FAIL:
-            report.status = FAIL
-            report.violations.extend(conclusion.violations)
         report.notes.append(f"p={p}: conclusion checked at t=1, {conclusion.indices_checked} indices")
     if report.status != FAIL and not verified_any:
         report.status = VACUOUS
@@ -446,17 +443,10 @@ def verify_thm2(family: CongruenceFamily, budget: GridBudget) -> VerificationRep
     n_caps = {"i": {2: 100, 3: 20}, "ii": {3: 3, 5: 1}}[part]
     report = VerificationReport(id=f"family.{family.id}", params_swept={"primes": list(primes)})
     for p in primes:
-        sub = verify_thm2_unconditional(part, p, n_caps[p])
-        report.indices_checked += sub.indices_checked
-        if sub.status == FAIL:
-            report.status = FAIL
-            report.violations.extend(sub.violations)
+        report.absorb(verify_thm2_unconditional(part, p, n_caps[p]))
     search = search_hypothesis_primes(part, 100, budget.order)
-    report.indices_checked += search.indices_checked
+    report.absorb(search)
     report.notes.extend(search.notes)
     report.params_swept["hypothesis_primes"] = search.params_swept["hypothesis_primes"]
-    if search.status == FAIL:
-        report.status = FAIL
-        report.violations.extend(search.violations)
     report.ms = (time.perf_counter() - start) * 1000.0
     return report.finish()

@@ -5,25 +5,26 @@ the minimum of the operands' orders so precision loss is always explicit.
 Coefficients are Python ints (arbitrary precision over Z, canonical residues
 in [0, m) over Z/m).
 
-Over Z/m every product, including the two inside Newton inversion, is one
-Kronecker substitution: each operand is packed into a single Python int with
-``nbytes`` bytes per coefficient, the two ints are multiplied once, and the
-slots of the product are read back and reduced mod m.  A product coefficient
-is a sum of at most min(len_a, len_b) products of two residues, so whenever
-``(m-1)**2 * min(len_a, len_b) < 256**nbytes`` no carry crosses a slot and
-every slot holds its exact sum; ``nbytes`` is chosen from that bound.  Over Z,
-convolutions route through numpy int64 whenever a cheap bound shows no
-overflow is possible, and fall back to big-int loops otherwise.
+Every product, over either ring and including the two inside Newton
+inversion, is one Kronecker substitution: each operand is packed into a
+single Python int with ``nbytes`` bytes per coefficient, the two ints are
+multiplied once, and the slots of the product are read back.  If every
+coefficient of a has absolute value at most ``ma`` and every one of b at most
+``mb``, a product coefficient is a sum of at most min(len_a, len_b) terms, so
+its absolute value is at most ``bound = max(ma*mb*min(len_a, len_b), ma, mb)``
+(the last two terms let a slot hold the operands' own coefficients).  Over
+Z/m, ``ma = mb = m - 1`` and the slots are unsigned: ``bound < 256**nbytes``.
+Over Z, ``ma`` and ``mb`` are the operands' largest ``|c|`` and a slot also
+carries a sign: ``2 * bound < 256**nbytes``.  Either way no carry or borrow
+crosses a slot and every slot holds its exact sum; ``nbytes`` is the least
+width that meets the bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
-
-_INT64_BUDGET = 1 << 62
 
 
 class RingMismatchError(ValueError):
@@ -47,10 +48,6 @@ class CoefficientRing:
     def __post_init__(self) -> None:
         if self.modulus < 0 or self.modulus == 1:
             raise ValueError(f"invalid modulus {self.modulus}")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.modulus == 0
 
     def reduce(self, x: int) -> int:
         return x if self.modulus == 0 else x % self.modulus
@@ -129,48 +126,8 @@ def scale(a: TruncatedSeries, c: int) -> TruncatedSeries:
     return TruncatedSeries(a.ring, tuple(red(c * x) for x in a.coeffs))
 
 
-def _np_fits(la, lb, n_out: int) -> bool:
-    ma = max((abs(x) for x in la), default=0)
-    mb = max((abs(x) for x in lb), default=0)
-    if ma >= _INT64_BUDGET or mb >= _INT64_BUDGET:
-        return False
-    return ma * mb * (min(len(la), len(lb))) < _INT64_BUDGET
-
-
-def _np_convolve(la, lb, n_out: int) -> list[int]:
-    out = np.convolve(
-        np.asarray(la[: n_out + 1], dtype=np.int64),
-        np.asarray(lb[: n_out + 1], dtype=np.int64),
-    )[: n_out + 1]
-    return [int(x) for x in out]
-
-
-def _py_convolve(la, lb, n_out: int) -> list[int]:
-    # iterate the sparser operand on the outside
-    nza = sum(1 for x in la[: n_out + 1] if x)
-    nzb = sum(1 for x in lb[: n_out + 1] if x)
-    if nzb < nza:
-        la, lb = lb, la
-    out = [0] * (n_out + 1)
-    lb = lb[: n_out + 1]
-    for i, c in enumerate(la[: n_out + 1]):
-        if not c:
-            continue
-        hi = min(len(lb), n_out + 1 - i)
-        for j in range(hi):
-            if lb[j]:
-                out[i + j] += c * lb[j]
-    return out
-
-
-def _convolve(la, lb, n_out: int) -> list[int]:
-    if _np_fits(la[: n_out + 1], lb[: n_out + 1], n_out):
-        return _np_convolve(la, lb, n_out)
-    return _py_convolve(la, lb, n_out)
-
-
 def _pack(coeffs, nbytes: int) -> int:
-    """Residues as one little-endian int, nbytes bytes per coefficient."""
+    """Nonnegative coefficients below 256**nbytes as one little-endian int, nbytes bytes each."""
     if nbytes <= 8:
         lanes = np.array(coeffs, dtype="<u8").view(np.uint8).reshape(-1, 8)
         return int.from_bytes(lanes[:, :nbytes].tobytes(), "little")
@@ -178,46 +135,62 @@ def _pack(coeffs, nbytes: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def _unpack(x: int, slots: int, n_keep: int, nbytes: int, m: int) -> list[int]:
-    """The first n_keep nbytes-wide slots of x (which spans `slots` slots), mod m."""
-    raw = x.to_bytes(slots * nbytes, "little")
+def _pack_signed(coeffs, nbytes: int) -> int:
+    """sum(c_i * 256**(nbytes*i)) for signed |c_i| < 256**nbytes."""
+    pos = _pack([c if c > 0 else 0 for c in coeffs], nbytes)
+    return pos - _pack([-c if c < 0 else 0 for c in coeffs], nbytes)
+
+
+def _unpack(x: int, n_keep: int, nbytes: int, m: int) -> list[int]:
+    """The first n_keep nbytes-wide slots of x: reduced mod m, or signed when m == 0.
+
+    A signed slot lies in [-half, half) with half = 2**(8*nbytes - 1); adding half
+    to every slot turns x into unsigned slots with no borrow between them.
+    """
+    half = 1 << (8 * nbytes - 1)
+    if not m:
+        x += int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * n_keep, "little")
+    raw = (x & ((1 << (8 * nbytes * n_keep)) - 1)).to_bytes(n_keep * nbytes, "little")
     if nbytes <= 8:
         lanes = np.zeros((n_keep, 8), dtype=np.uint8)
-        kept = np.frombuffer(raw, dtype=np.uint8, count=n_keep * nbytes)
-        lanes[:, :nbytes] = kept.reshape(n_keep, nbytes)
-        return (lanes.view("<u8").ravel() % m).tolist()
-    return [
-        int.from_bytes(raw[i : i + nbytes], "little") % m
-        for i in range(0, n_keep * nbytes, nbytes)
-    ]
+        lanes[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(n_keep, nbytes)
+        slots = lanes.view("<u8").ravel()
+        if m:
+            return (slots % m).tolist()
+        # uint64 subtraction wraps mod 2**64; read as int64 it is the signed slot
+        return (slots - np.uint64(half)).view(np.int64).tolist()
+    slots = (int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes))
+    return [c % m for c in slots] if m else [c - half for c in slots]
 
 
 def _kronecker(la, lb, n_out: int, m: int) -> list[int]:
-    """Product of two residue sequences mod m, truncated at n_out.
+    """Product of two coefficient sequences truncated at n_out, over Z/m, or over Z when m == 0.
 
     Passing the same sequence twice packs it once and squares the int.
     """
     square = lb is la
     la = la[: n_out + 1]
     lb = la if square else lb[: n_out + 1]
-    # every slot sum is at most (m-1)**2 * min(len) < bound, so no carry crosses a slot
-    bound = (m - 1) ** 2 * min(len(la), len(lb)) + 1
-    nbytes = (bound.bit_length() + 7) // 8
-    x = _pack(la, nbytes)
-    prod = x * x if square else x * _pack(lb, nbytes)
-    return _unpack(prod, len(la) + len(lb) - 1, n_out + 1, nbytes, m)
+    if m:
+        ma = mb = m - 1
+    else:
+        ma = max(map(abs, la))
+        mb = ma if square else max(map(abs, lb))
+    # |slot sum| <= ma*mb*min(len), and a slot must also hold each operand coefficient
+    bound = max(ma * mb * min(len(la), len(lb)), ma, mb)
+    # over Z one more bit carries the sign
+    nbytes = (bound.bit_length() + (not m) + 7) // 8
+    pack = _pack if m else _pack_signed
+    x = pack(la, nbytes)
+    prod = x * x if square else x * pack(lb, nbytes)
+    return _unpack(prod, n_out + 1, nbytes, m)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(order(a), order(b))."""
     _check_rings(a, b)
     n = min(a.order, b.order)
-    m = a.ring.modulus
-    if m:
-        out = _kronecker(a.coeffs, b.coeffs, n, m)
-    else:
-        out = _convolve(list(a.coeffs), list(b.coeffs), n)
-    return TruncatedSeries(a.ring, tuple(out))
+    return TruncatedSeries(a.ring, tuple(_kronecker(a.coeffs, b.coeffs, n, a.ring.modulus)))
 
 
 def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -226,13 +199,6 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
         raise ValueError("exponent must be nonnegative")
     if e == 0:
         return one(a.order, a.ring)
-    nz = sum(1 for c in a.coeffs if c)
-    if a.ring.is_exact and nz <= 4 * isqrt(a.order + 1) + 8:
-        # sparse base: sequential products keep one operand sparse throughout
-        acc = a
-        for _ in range(e - 1):
-            acc = mul(acc, a)
-        return acc
     acc = None
     sq = a
     k = e
@@ -253,27 +219,20 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     if m == 0:
         if a0 not in (1, -1):
             raise NonUnitError(f"constant term {a0} is not a unit in Z")
-        nz = [(k, a.coeffs[k]) for k in range(1, n_out + 1) if a.coeffs[k]]
-        b = [a0] + [0] * n_out
-        for n in range(1, n_out + 1):
-            s = 0
-            for k, c in nz:
-                if k > n:
-                    break
-                s += c * b[n - k]
-            b[n] = -a0 * s
-        return TruncatedSeries(a.ring, tuple(b))
-    try:
-        inv0 = pow(a0, -1, m)
-    except ValueError as exc:
-        raise NonUnitError(f"constant term {a0} is not a unit mod {m}") from exc
+        inv0 = a0
+    else:
+        try:
+            inv0 = pow(a0, -1, m)
+        except ValueError as exc:
+            raise NonUnitError(f"constant term {a0} is not a unit mod {m}") from exc
     # Newton: b <- b * (2 - a*b), doubling the known precision each step
     b = [inv0]
     prec = 1
     while prec <= n_out:
         prec = min(2 * prec, n_out + 1)
-        t = [(-x) % m for x in _kronecker(a.coeffs, b, prec - 1, m)]
-        t[0] = (t[0] + 2) % m
+        # -x mod m over Z/m, and -x over Z (m == 0)
+        t = [m - x if x else 0 for x in _kronecker(a.coeffs, b, prec - 1, m)]
+        t[0] = a.ring.reduce(t[0] + 2)
         b = _kronecker(b, t, prec - 1, m)
     return TruncatedSeries(a.ring, tuple(b))
 

@@ -98,11 +98,7 @@ def check_newman_all(n_max: int = 2000) -> VerificationReport:
     pairs = co.admissible_newman_pairs(13)
     report.params_swept["pairs"] = [[p.r, p.p] for p in pairs]
     for params in pairs:
-        sub = co.newman_check(params, n_max)
-        report.indices_checked += sub.indices_checked
-        if sub.status == FAIL:
-            report.status = FAIL
-            report.violations.extend(sub.violations)
+        report.absorb(co.newman_check(params, n_max))
     report.ms = (time.perf_counter() - start) * 1000.0
     return report.finish()
 
@@ -111,11 +107,7 @@ def check_newman_four_step(n_max: int = 2000) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(id="newman.fourstep", params_swept={"cases": [list(c) for c in FOUR_STEP_CASES]})
     for r, p in FOUR_STEP_CASES:
-        sub = co.newman_four_step(r, p, n_max)
-        report.indices_checked += sub.indices_checked
-        if sub.status == FAIL:
-            report.status = FAIL
-            report.violations.extend(sub.violations)
+        report.absorb(co.newman_four_step(r, p, n_max))
     report.ms = (time.perf_counter() - start) * 1000.0
     return report.finish()
 
@@ -124,11 +116,7 @@ def check_hecke(form: co.EtaPowerForm, n_max: int = 1500) -> VerificationReport:
     start = time.perf_counter()
     report = VerificationReport(id=f"hecke.{form.id}", params_swept={"n_max": n_max})
     for p in co.primes_upto(13):
-        sub = co.hecke_eigen_check(form, p, n_max)
-        report.indices_checked += sub.indices_checked
-        if sub.status == FAIL:
-            report.status = FAIL
-            report.violations.extend(sub.violations)
+        report.absorb(co.hecke_eigen_check(form, p, n_max))
     report.ms = (time.perf_counter() - start) * 1000.0
     return report.finish()
 
@@ -138,11 +126,7 @@ def check_vanishing(form: co.EtaPowerForm, n_max: int = 1500) -> VerificationRep
     primes = co.admissible_vanishing_primes(form, 3)
     report = VerificationReport(id=f"vanishing.{form.id}", params_swept={"primes": primes})
     for p in primes:
-        sub = co.vanishing_consequence_check(form, p, n_max)
-        report.indices_checked += sub.indices_checked
-        if sub.status == FAIL:
-            report.status = FAIL
-            report.violations.extend(sub.violations)
+        report.absorb(co.vanishing_consequence_check(form, p, n_max))
     report.ms = (time.perf_counter() - start) * 1000.0
     return report.finish()
 

@@ -235,6 +235,27 @@ def test_negative_count_exits_usage(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("oracle", "--ell", "3", "--r", "2", "--n", "5", "--mod", "-3"), "--mod"),
+        (("coeff", "--profile", "3,5", "--n", "4", "--mod", "1"), "--mod"),
+        (("coeff", "--ell", "3", "--r", "2", "--n", "4", "--mod", "1"), "--mod"),
+        (("coeff", "--ell", "1", "--r", "2", "--n", "4"), "--ell"),
+        (("oracle", "--profile", "3,1", "--n", "4"), "--profile"),
+        (("coeff", "--profile", "3,,5", "--n", "4"), "--profile"),
+        (("identity", "--name", "5diss", "--order", "10"), "--order"),
+        (("verify", "--family", "thm1.i", "--order", "63"), "--order"),
+        (("suite", "--all", "--jobs", "0"), "--jobs"),
+    ],
+)
+def test_bad_argument_exits_usage(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and flag in err
+
+
 def test_unexpected_exception_exits_usage(monkeypatch, capsys):
     import regulus.cli as cli
 

@@ -7,6 +7,7 @@ import pytest
 
 from regulus import families as fam
 from regulus.expr import NonExactDivisionError
+from regulus.report import FAIL, PASS, VACUOUS, VerificationReport
 from regulus.families import (
     GridBudget,
     PrimeConstraint,
@@ -202,6 +203,21 @@ def test_thm2_combined_reports():
         report = verify_family(get_family(fid), GridBudget(order=2000))
         assert report.status == "pass"
         assert "hypothesis_primes" in report.params_swept
+
+
+def test_report_absorb_sums_indices_and_keeps_violation_order():
+    report = VerificationReport(id="outer")
+    first = VerificationReport(id="a", indices_checked=2)
+    second = VerificationReport(id="c", indices_checked=4)
+    first.record(5, 1)
+    second.record(7, 2)
+    for sub in (first, VerificationReport(id="b", indices_checked=3), second):
+        report.absorb(sub)
+    assert report.status == FAIL and report.indices_checked == 9
+    assert [v["index"] for v in report.violations] == [5, 7]
+    clean = VerificationReport(id="clean")
+    clean.absorb(VerificationReport(id="d", status=VACUOUS, indices_checked=1))
+    assert clean.status == PASS and clean.indices_checked == 1 and not clean.violations
 
 
 def test_series_cache_returns_same_object():

@@ -158,6 +158,12 @@ def test_pow_e1_24_coefficient():
         acc = naive_poly_mul(acc, e1, 4)
     assert acc[4] == 4830
     assert power(euler_E(1, 4, ZZ), 24)[4] == 4830
+    # a sparse base at a larger order, against repeated schoolbook products
+    e1 = euler_E(1, 300, ZZ)
+    acc = list(one(300, ZZ).coeffs)
+    for e in range(1, 25):
+        acc = naive_poly_mul(list(e1.coeffs), acc, 300)
+        assert list(power(e1, e).coeffs) == acc
 
 
 def test_pow_e1_squared_prefix():
@@ -196,6 +202,10 @@ def test_invert_unit_mod_m():
 def test_mul_inverse_is_identity():
     e1 = euler_E(1, 50, ZZ)
     assert mul(e1, invert(e1)) == one(50, ZZ)
+    # constant term -1, coefficients wider than 64 bits
+    rng = random.Random(50)
+    a = series([-1] + [rng.randrange(-(2**80), 2**80) for _ in range(50)], ZZ)
+    assert mul(a, invert(a)) == mul(invert(a), a) == one(50, ZZ)
 
 
 # --- eta quotients ---
@@ -307,35 +317,50 @@ def test_frobenius_small():
         assert lhs == rhs
 
 
-# --- the Z/m Kronecker kernel against a schoolbook product ---
+# --- the Kronecker kernel against a schoolbook product, over Z (m == 0) and Z/m ---
 
 KERNEL_MODULI = (2, 3, 10, 55, 2**31 - 1, 2**61 - 1, 10**30 + 57)
 
 
 def naive_mod_mul(a, b, order, m):
-    return [x % m for x in naive_poly_mul(a, b, order)]
+    return [x % m if m else x for x in naive_poly_mul(a, b, order)]
 
 
-@pytest.mark.parametrize("m", KERNEL_MODULI)
+def kernel_operand(rng, m, length):
+    """Residues mod m, or signed integers of a random width up to 100 bits when m == 0."""
+    if m:
+        return [rng.randrange(m) for _ in range(length)]
+    top = 1 << rng.randrange(1, 101)
+    return [rng.randrange(-top, top + 1) for _ in range(length)]
+
+
+@pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
 @pytest.mark.parametrize("la,lb", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 5), (40, 40), (64, 33)])
 def test_kernel_matches_schoolbook(m, la, lb):
     rng = random.Random(f"{m}-{la}-{lb}")
-    a = [rng.randrange(m) for _ in range(la)]
-    b = [rng.randrange(m) for _ in range(lb)]
+    a = kernel_operand(rng, m, la)
+    b = kernel_operand(rng, m, lb)
     # every truncation, up to the full product of la + lb - 1 coefficients
     for n_out in sorted({0, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2}):
         assert _kronecker(a, b, n_out, m) == naive_mod_mul(a, b, n_out, m)
+        assert _kronecker(a, a, n_out, m) == naive_mod_mul(a, a, n_out, m)
 
 
-@pytest.mark.parametrize("m", KERNEL_MODULI)
+@pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
 @pytest.mark.parametrize("length", [1, 2, 31, 257])
 def test_kernel_at_slot_bound(m, length):
-    # all-(m-1) operands make every slot sum reach (m-1)**2 * min(len_a, len_b)
-    top = [m - 1] * length
-    assert _kronecker(top, top, length - 1, m) == naive_mod_mul(top, top, length - 1, m)
-    assert _kronecker(top, [m - 1], length - 1, m) == naive_mod_mul(top, [m - 1], length - 1, m)
-    a = series(top, Zmod(m))
-    assert list(mul(a, a).coeffs) == naive_mod_mul(top, top, length - 1, m)
+    # all-(m-1) residues, or all -(2**b) integers over Z, make every slot sum reach
+    # the bound ma*mb*min(len_a, len_b); over Z, b = 31 at length 1 fills all 8
+    # bytes of a numpy lane, and b = 100 takes the int.to_bytes path
+    ring = Zmod(m) if m else ZZ
+    for c in (m - 1,) if m else (-(2**31), -(2**100)):
+        top = [c] * length
+        assert _kronecker(top, top, length - 1, m) == naive_mod_mul(top, top, length - 1, m)
+        assert _kronecker(top, [abs(c)], length - 1, m) == naive_mod_mul(top, [abs(c)], length - 1, m)
+        # the slot width must still fit the coefficients of the nonzero operand
+        assert _kronecker([0] * length, top, length - 1, m) == [0] * length
+        a = series(top, ring)
+        assert list(mul(a, a).coeffs) == naive_mod_mul(top, top, length - 1, m)
 
 
 @pytest.mark.parametrize("m", KERNEL_MODULI)
