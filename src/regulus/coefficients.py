@@ -5,16 +5,27 @@ composed four-step version of it, the three fixed eta powers (q E_3^8,
 q E_4^6, q^5 E_12^10) with their Hecke eigen-relations and support classes,
 the congruence bridges linking multipartition counts to these tables, and
 the p^2-scaling congruences along extracted progressions.
+
+Each fact is one row, and the checks derive from the rows.  A form's row
+gives its weight w, character chi, support class and inert class; at an
+inert prime p (in the class, chi(p) != 0) a(pn) + chi(p) p^(w-1) a(n/p) = 0,
+and a(p) = 0 for an eigenform.  A ``BRIDGES`` row (ell, r, step, offset,
+table, factor) states s(step n + offset) = factor * table(n) mod ell for
+s = E_ell^r / E_1^r, where table(n) is a_k(n) for E_1^k or a(support_mod n +
+support_residue) for an eta power.  A ``SCALINGS`` row (bridge, p, n_max)
+reads the two-term relation at an inert p != ell through the bridge: n moves
+to p^2 n + support_residue (p^2 - 1) / support_mod, times -chi(p) p^(w-1).
 """
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator
 
 from .oracle import CoefficientTable
-from .report import VerificationReport
+from .report import SKIPPED, VerificationReport, timed
 from .series import ZZ, EtaQuotientSpec, eta_quotient, euler_E, power, regular_quotient
 
 
@@ -28,6 +39,9 @@ class EtaPowerForm:
     character: str  # "trivial" or "odd" (chi(p) = (-1)^((p-1)/2))
     support_mod: int
     support_residue: int
+    inert_mod: int
+    inert_residue: int
+    eigenform: bool  # a Hecke eigenform, so a(p) = 0 at every inert p
 
     def chi(self, p: int) -> int:
         if self.level % p == 0:
@@ -36,10 +50,18 @@ class EtaPowerForm:
             return 1
         return -1 if (p - 1) // 2 % 2 else 1
 
+    def hecke_factor(self, p: int) -> int:
+        """chi(p) p^(w-1), the coefficient of a(n/p) in the Hecke relation."""
+        return self.chi(p) * p ** (self.weight - 1)
 
-ETA8_3Z = EtaPowerForm("eta8_3z", 3, 8, 4, 9, "trivial", 3, 1)
-ETA6_4Z = EtaPowerForm("eta6_4z", 4, 6, 3, 16, "odd", 4, 1)
-ETA10_12Z = EtaPowerForm("eta10_12z", 12, 10, 5, 144, "odd", 12, 5)
+    def inert(self, p: int) -> bool:
+        """p is a prime in the inert class with chi(p) != 0."""
+        return _is_prime(p) and p % self.inert_mod == self.inert_residue and self.chi(p) != 0
+
+
+ETA8_3Z = EtaPowerForm("eta8_3z", 3, 8, 4, 9, "trivial", 3, 1, 3, 2, eigenform=True)
+ETA6_4Z = EtaPowerForm("eta6_4z", 4, 6, 3, 16, "odd", 4, 1, 4, 3, eigenform=True)
+ETA10_12Z = EtaPowerForm("eta10_12z", 12, 10, 5, 144, "odd", 12, 5, 4, 3, eigenform=False)
 
 FORMS = {f.id: f for f in (ETA8_3Z, ETA6_4Z, ETA10_12Z)}
 
@@ -58,6 +80,15 @@ class NewmanParams:
     @property
     def delta(self) -> int:
         return self.r * (self.p - 1) // 24
+
+    @property
+    def delta4(self) -> int:
+        return self.r * (self.p**4 - 1) // 24
+
+    @property
+    def w(self) -> int:
+        """p^(r/2-1), the coefficient of the recurrence's third term."""
+        return self.p ** (self.r // 2 - 1)
 
 
 @lru_cache(maxsize=None)
@@ -95,13 +126,12 @@ def eta_power_coeffs(form: EtaPowerForm, n_max: int) -> CoefficientTable:
     return CoefficientTable(form.id, list(_eta_table(form.id, n_max)), provenance="series")
 
 
+@timed
 def newman_check(params: NewmanParams, n_max: int) -> VerificationReport:
     """a_r(pn + d) = a_r(d) a_r(n) - p^(r/2-1) a_r((n-d)/p), d = r(p-1)/24."""
-    r, p, delta = params.r, params.p, params.delta
-    start = time.perf_counter()
+    r, p, delta, w = params.r, params.p, params.delta, params.w
     a = _e1_power(r, n_max)
     ad = a[delta]
-    weight = p ** (r // 2 - 1)
     report = VerificationReport(
         id=f"newman.r{r}.p{p}", params_swept={"r": r, "p": p, "delta": delta}
     )
@@ -110,46 +140,47 @@ def newman_check(params: NewmanParams, n_max: int) -> VerificationReport:
         third = 0
         if (n - delta) >= 0 and (n - delta) % p == 0:
             third = a[(n - delta) // p]
-        expected = ad * a[n] - weight * third
+        expected = ad * a[n] - w * third
         if a[p * n + delta] != expected:
             report.record(p * n + delta, a[p * n + delta], n=n, expected=expected)
         report.indices_checked += 1
         n += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+def four_step_terms(a: Callable[[int], int], params: NewmanParams, n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(n, a(p^4 n + d4), A(A^2 - 2w) a(pn + d) - w(A^2 - w) a(n)) for 0 <= n <= n_max, A = a(d).
+
+    The two sides agree for a = a_r: Newman's recurrence composed four times.
+    """
+    p, d, d4, w = params.p, params.delta, params.delta4, params.w
+    A = a(d)
+    for n in range(n_max + 1):
+        yield n, a(p**4 * n + d4), A * (A * A - 2 * w) * a(p * n + d) - w * (A * A - w) * a(n)
+
+
+@timed
 def newman_four_step(r: int, p: int, n_max_index: int) -> VerificationReport:
     """Composed recurrence expressing a_r(p^4 n + d4) via a_r(pn + d) and a_r(n)."""
     params = NewmanParams(r, p)
-    delta = params.delta
-    delta4 = r * (p**4 - 1) // 24
-    start = time.perf_counter()
     a = _e1_power(r, n_max_index)
-    A = a[delta]
-    s = p ** (r // 2 - 1)
     report = VerificationReport(
         id=f"newman4.r{r}.p{p}",
-        params_swept={"r": r, "p": p, "delta4": delta4},
+        params_swept={"r": r, "p": p, "delta4": params.delta4},
     )
-    n = 0
-    while p**4 * n + delta4 <= n_max_index:
-        lhs = a[p**4 * n + delta4]
-        rhs = A * (A * A - 2 * s) * a[p * n + delta] - s * (A * A - s) * a[n]
+    for n, lhs, rhs in four_step_terms(a.__getitem__, params, (n_max_index - params.delta4) // p**4):
         if lhs != rhs:
-            report.record(p**4 * n + delta4, lhs, n=n, expected=rhs)
+            report.record(p**4 * n + params.delta4, lhs, n=n, expected=rhs)
         report.indices_checked += 1
-        n += 1
     if report.indices_checked == 0:
-        report.status = "skipped"
+        report.status = SKIPPED
         report.notes.append("smallest index exceeds the coefficient budget")
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+@timed
 def support_check(form: EtaPowerForm, n_max: int) -> VerificationReport:
     """All coefficients outside the form's residue class vanish."""
-    start = time.perf_counter()
     a = _eta_table(form.id, n_max)
     report = VerificationReport(
         id=f"support.{form.id}",
@@ -159,18 +190,17 @@ def support_check(form: EtaPowerForm, n_max: int) -> VerificationReport:
     for n, c in enumerate(a):
         if c and n % form.support_mod != form.support_residue:
             report.record(n, c)
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+@timed
 def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
     """a(pn) + chi(p) p^(w-1) a(n/p) = a(p) a(n) for 1 <= n <= n_max/p."""
-    if form.id == ETA10_12Z.id:
-        raise ValueError("the eigen relation for the weight-5 combination is out of scope")
-    start = time.perf_counter()
+    if not form.eigenform:
+        raise ValueError(f"{form.id} is not an eigenform; its eigen relation is out of scope")
     a = _eta_table(form.id, n_max)
     ap = a[p] if p <= n_max else 0
-    weight = form.chi(p) * p ** (form.weight - 1)
+    weight = form.hecke_factor(p)
     report = VerificationReport(id=f"hecke.{form.id}.p{p}", params_swept={"p": p})
     for n in range(1, n_max // p + 1):
         lower = a[n // p] if n % p == 0 else 0
@@ -179,157 +209,111 @@ def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationRep
         if lhs != rhs:
             report.record(p * n, {"lhs": lhs, "rhs": rhs}, n=n)
         report.indices_checked += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
 def admissible_vanishing_primes(form: EtaPowerForm, count: int) -> list[int]:
-    """Smallest primes meeting the form's vanishing condition."""
-    out = []
-    p = 2
-    while len(out) < count:
-        if _is_prime(p):
-            if form.id == ETA8_3Z.id and p % 3 == 2:
-                out.append(p)
-            elif form.id == ETA6_4Z.id and p % 4 == 3:
-                out.append(p)
-            elif form.id == ETA10_12Z.id and p % 4 == 3 and p != 3:
-                out.append(p)
-        p += 1
-    return out
+    """Smallest primes inert for the form."""
+    return list(itertools.islice(filter(form.inert, itertools.count(2)), count))
 
 
+@timed
 def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
-    """Two-term relation a(pn) = -chi-signed p-power * a(n/p) along inert primes."""
-    if form.id == ETA8_3Z.id:
-        if p % 3 != 2:
-            raise ValueError("requires p = 2 mod 3")
-        coeff = p**3  # a(pn) + p^3 a(n/p) = 0
-    elif form.id == ETA6_4Z.id:
-        if p % 4 != 3:
-            raise ValueError("requires p = 3 mod 4")
-        coeff = -(p**2)  # a(pn) - p^2 a(n/p) = 0
-    else:
-        if p % 4 != 3 or p == 3:
-            raise ValueError("requires p = 3 mod 4, p != 3")
-        coeff = -(p**4)  # a(pn) - p^4 a(n/p) = 0
-    start = time.perf_counter()
+    """Two-term relation a(pn) + chi(p) p^(w-1) a(n/p) = 0 at an inert prime p."""
+    if not form.inert(p):
+        raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0")
+    coeff = form.hecke_factor(p)
     a = _eta_table(form.id, n_max)
     report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
-    if form.id in (ETA8_3Z.id, ETA6_4Z.id) and p <= n_max and a[p] != 0:
+    if form.eigenform and p <= n_max and a[p] != 0:
         report.record(p, a[p], reason="a(p) expected to vanish")
     for n in range(1, n_max // p + 1):
         lower = a[n // p] if n % p == 0 else 0
         if a[p * n] + coeff * lower != 0:
             report.record(p * n, a[p * n], n=n)
         report.indices_checked += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
-BRIDGE_IDS = (
-    "b56_a24",
-    "b76_a12",
-    "b312_eta8",
-    "b315_eta10",
-    "b510_eta8",
-    "b77_eta6",
-    "b1111_eta10",
-)
+@dataclass(frozen=True)
+class Bridge:
+    """s(step n + offset) = factor * table(n) mod ell; factor^2 = 1 mod ell."""
+
+    ell: int
+    r: int
+    step: int
+    offset: int
+    table: int | EtaPowerForm  # k for the coefficients of E_1^k, or an eta power
+    factor: int = 1
+
+    def index(self, n: int) -> int:
+        return self.step * n + self.offset
 
 
+BRIDGES = {
+    "b56_a24": Bridge(5, 6, 1, 0, 24),
+    "b76_a12": Bridge(7, 6, 7, 2, 12, factor=6),
+    "b312_eta8": Bridge(3, 12, 3, 0, ETA8_3Z),
+    "b315_eta10": Bridge(3, 15, 3, 0, ETA10_12Z),
+    "b510_eta8": Bridge(5, 10, 5, 0, ETA8_3Z),
+    "b77_eta6": Bridge(7, 7, 7, 0, ETA6_4Z),
+    "b1111_eta10": Bridge(11, 11, 11, 0, ETA10_12Z),
+}
+
+BRIDGE_IDS = tuple(BRIDGES)
+
+
+@timed
 def bridge_congruence_check(bridge: str, n_max: int) -> VerificationReport:
     """Congruence between a multipartition series and a coefficient table."""
-    start = time.perf_counter()
-    report = VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max})
-
-    def sweep(pairs) -> None:
-        for index, lhs, rhs in pairs:
-            if lhs != rhs:
-                report.record(index, {"series": lhs, "table": rhs})
-            report.indices_checked += 1
-
-    if bridge == "b56_a24":
-        s = regular_quotient(5, 6, n_max, 5)
-        a = _e1_power(24, n_max)
-        sweep((n, s[n], a[n] % 5) for n in range(n_max + 1))
-    elif bridge == "b76_a12":
-        s = regular_quotient(7, 6, 7 * n_max + 2, 7)
-        a = _e1_power(12, n_max)
-        sweep((7 * n + 2, s[7 * n + 2], 6 * a[n] % 7) for n in range(n_max + 1))
-    elif bridge == "b312_eta8":
-        s = regular_quotient(3, 12, 3 * n_max, 3)
-        a = _eta_table(ETA8_3Z.id, 3 * n_max + 1)
-        sweep((3 * n, s[3 * n], a[3 * n + 1] % 3) for n in range(n_max + 1))
-    elif bridge == "b315_eta10":
-        s = regular_quotient(3, 15, 3 * n_max, 3)
-        a = _eta_table(ETA10_12Z.id, 12 * n_max + 5)
-        sweep((3 * n, s[3 * n], a[12 * n + 5] % 3) for n in range(n_max + 1))
-    elif bridge == "b510_eta8":
-        s = regular_quotient(5, 10, 5 * n_max, 5)
-        a = _eta_table(ETA8_3Z.id, 3 * n_max + 1)
-        sweep((5 * n, s[5 * n], a[3 * n + 1] % 5) for n in range(n_max + 1))
-    elif bridge == "b77_eta6":
-        s = regular_quotient(7, 7, 7 * n_max, 7)
-        a = _eta_table(ETA6_4Z.id, 4 * n_max + 1)
-        sweep((7 * n, s[7 * n], a[4 * n + 1] % 7) for n in range(n_max + 1))
-    elif bridge == "b1111_eta10":
-        s = regular_quotient(11, 11, 11 * n_max, 11)
-        a = _eta_table(ETA10_12Z.id, 12 * n_max + 5)
-        sweep((11 * n, s[11 * n], a[12 * n + 5] % 11) for n in range(n_max + 1))
+    row = BRIDGES[bridge]
+    s = regular_quotient(row.ell, row.r, row.index(n_max), row.ell)
+    if isinstance(row.table, int):
+        table = _e1_power(row.table, n_max)
     else:
-        raise KeyError(f"unknown bridge {bridge!r}")
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+        f = row.table
+        table = _eta_table(f.id, f.support_mod * n_max + f.support_residue)[f.support_residue :: f.support_mod]
+    report = VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max})
+    for n in range(n_max + 1):
+        index, rhs = row.index(n), row.factor * table[n] % row.ell
+        if s[index] != rhs:
+            report.record(index, {"series": s[index], "table": rhs})
+        report.indices_checked += 1
+    return report
 
 
-SCALING_IDS = ("eq_b312_scale", "eq_b315_scale", "eq_b77_scale")
+# scaling id -> (bridge id, prime, n_max) of the case the suite checks
+SCALINGS = {
+    "eq_b312_scale": ("b312_eta8", 2, 100),
+    "eq_b315_scale": ("b315_eta10", 7, 10),
+    "eq_b77_scale": ("b77_eta6", 3, 40),
+}
+
+SCALING_IDS = tuple(SCALINGS)
 
 
+@timed
 def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:
     """p^2-scaling of extracted progressions of the multipartition series."""
-    start = time.perf_counter()
-    if which == "eq_b312_scale":
-        if p % 3 != 2:
-            raise ValueError("requires p = 2 mod 3")
-        shift = (p * p - 1) // 3
-        order = 3 * (p * p * n_max + shift)
-        s = regular_quotient(3, 12, order, 3)
-        pairs = [
-            (3 * (p * p * n + shift), s[3 * (p * p * n + shift)], s[3 * n])
-            for n in range(n_max + 1)
-        ]
-    elif which == "eq_b315_scale":
-        if p % 4 != 3 or p == 3:
-            raise ValueError("requires p = 3 mod 4, p != 3")
-        shift = 5 * (p * p - 1) // 12
-        order = 3 * (p * p * n_max + shift)
-        s = regular_quotient(3, 15, order, 3)
-        pairs = [
-            (3 * (p * p * n + shift), s[3 * (p * p * n + shift)], s[3 * n])
-            for n in range(n_max + 1)
-        ]
-    elif which == "eq_b77_scale":
-        if p % 4 != 3 or p == 7:
-            raise ValueError("requires p = 3 mod 4, p != 7")
-        shift = (p * p - 1) // 4
-        order = 7 * (p * p * n_max + shift)
-        s = regular_quotient(7, 7, order, 7)
-        pairs = [
-            (7 * (p * p * n + shift), s[7 * (p * p * n + shift)], p * p * s[7 * n] % 7)
-            for n in range(n_max + 1)
-        ]
-    else:
-        raise KeyError(f"unknown scaling congruence {which!r}")
+    row = BRIDGES[SCALINGS[which][0]]
+    form, m = row.table, row.ell
+    if not form.inert(p) or p == m:
+        raise ValueError(
+            f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0, p != {m}"
+        )
+    shift = form.support_residue * (p * p - 1) // form.support_mod
+    multiplier = -form.hecke_factor(p) % m
+    s = regular_quotient(m, row.r, row.index(p * p * n_max + shift), m)
     report = VerificationReport(
         id=f"scaling.{which}.p{p}", params_swept={"p": p, "n_max": n_max}
     )
-    for index, lhs, rhs in pairs:
+    for n in range(n_max + 1):
+        index = row.index(p * p * n + shift)
+        lhs, rhs = s[index], multiplier * s[row.index(n)] % m
         if lhs != rhs:
             report.record(index, {"lhs": lhs, "rhs": rhs})
         report.indices_checked += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
 def _is_prime(n: int) -> bool:

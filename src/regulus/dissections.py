@@ -9,10 +9,9 @@ All verification is exact over Z.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .report import VerificationReport
+from .report import VerificationReport, timed
 from .series import (
     ZZ,
     TruncatedSeries,
@@ -151,12 +150,12 @@ def _rhs_11diss(order: int) -> TruncatedSeries:
     return mul(euler_E(121, order, ZZ), inner)
 
 
+@timed
 def verify_dissection(identity: str, order: int) -> VerificationReport:
     """Compare both sides coefficientwise over Z; report the first mismatch."""
     ident = canonical_identity_id(identity)
     if order < 32:
         raise ValueError("order must be >= 32 so every term contributes")
-    start = time.perf_counter()
     if ident == "2diss":
         lhs = mul(euler_E(5, order, ZZ), invert(euler_E(1, order, ZZ)))
         rhs = _rhs_2diss(order)
@@ -177,5 +176,4 @@ def verify_dissection(identity: str, order: int) -> VerificationReport:
         if lhs.coeffs[i] != rhs.coeffs[i]:
             report.record(i, {"lhs": lhs.coeffs[i], "rhs": rhs.coeffs[i]})
             break
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report

@@ -5,21 +5,29 @@ closed-form coefficient index in the symbols n, t, j, alpha and the prime
 tuple p1..pk (with P, Q, pl abbreviating the products that appear in the
 multi-prime statements).  The registry ships as JSON and can be replaced at
 run time, so new families need no code changes.
+
+Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge
+of ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset)
+mod m (m = ell) are the coefficients of E_1^k, and the n cap per prime of its
+unconditional check.  ``NewmanParams(k, p)`` gives d, d4 = k(p^4-1)/24 and
+w = p^(k/2-1); its ValueError and p != m exclude the primes a part does not
+admit.  The unconditional check is Newman's recurrence composed four times;
+the hypothesis is a(d) = 0, read at index step d + offset, and its
+conclusion is a(p^4 n + d4) = w^2 a(n) mod m.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Optional
 
 from . import expr
-from .coefficients import _is_prime, primes_upto
+from .coefficients import BRIDGES, Bridge, NewmanParams, _is_prime, four_step_terms, primes_upto
 from .oracle import regular_multipartition_counts
-from .report import FAIL, PASS, SKIPPED, VACUOUS, VerificationReport
+from .report import FAIL, PASS, SKIPPED, VACUOUS, VerificationReport, timed
 from .series import TruncatedSeries, regular_quotient
 
 ORACLE_CROSSCHECK_LIMIT = 300
@@ -258,6 +266,7 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+@timed
 def verify_family(
     family: CongruenceFamily,
     budget: GridBudget = GridBudget(),
@@ -267,7 +276,6 @@ def verify_family(
     """Assert the coefficient vanishes mod m at every generated index."""
     if family.kind == "thm2":
         return verify_thm2(family, budget)
-    start = time.perf_counter()
     if grid is None:
         grid = generate_grid(family, budget)
     report = VerificationReport(id=f"family.{family.id}", notes=list(grid.notes))
@@ -276,52 +284,58 @@ def verify_family(
     m = family.modulus
     sub_primes = _prime_factors(m) if not _is_prime(m) else []
     oracle_cache: dict[int, list[int]] = {}
-    points_checked = 0
     for point in grid.points:
         r = family.r_value(point.t)
         s = cached_regular_series(family.ell, r, m, budget.order)
-        subs = [(p, cached_regular_series(family.ell, r, p, budget.order)) for p in sub_primes]
-        n = 0
-        while True:
-            if n > budget.n_max:
-                break
+        where = {"t": point.t, "primes": point.primes, "j": point.j, "alpha": point.alpha}
+        for n in range(budget.n_max + 1):
             idx = family_index(family, n, point.t, point.j, point.alpha, point.primes)
             if idx > budget.order:
                 break
             if s[idx] != 0:
-                report.record(idx, s[idx], t=point.t, primes=point.primes, j=point.j, alpha=point.alpha, n=n)
-            for p, sp in subs:
-                if sp[idx] != 0:
-                    report.record(idx, sp[idx], modulus=p, t=point.t, primes=point.primes, j=point.j, alpha=point.alpha, n=n)
+                report.record(idx, s[idx], **where, n=n)
+            for p in sub_primes:  # s holds residues in [0, m) and p | m: s[idx] % p is the mod-p coefficient
+                if s[idx] % p != 0:
+                    report.record(idx, s[idx] % p, modulus=p, **where, n=n)
             if oracle_crosscheck and idx <= ORACLE_CROSSCHECK_LIMIT:
                 if r not in oracle_cache:
                     oracle_cache[r] = regular_multipartition_counts(
                         family.ell, r, ORACLE_CROSSCHECK_LIMIT
                     ).values
                 if oracle_cache[r][idx] % m != s[idx]:
-                    report.record(
-                        idx,
-                        {"series": s[idx], "oracle": oracle_cache[r][idx] % m},
-                        t=point.t,
-                        primes=point.primes,
-                        j=point.j,
-                        alpha=point.alpha,
-                        n=n,
-                    )
+                    report.record(idx, {"series": s[idx], "oracle": oracle_cache[r][idx] % m}, **where, n=n)
             report.indices_checked += 1
-            n += 1
-        points_checked += 1
     report.params_swept = {
-        "points": points_checked,
+        "points": len(grid.points),
         "skipped_points": len(grid.skipped),
         "order": budget.order,
     }
     if report.indices_checked == 0 and report.status == PASS:
         report.status = SKIPPED
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+# Theorem 2 part -> (bridge id, n cap of the unconditional check per prime)
+THM2_PARTS = {
+    "i": ("b56_a24", {2: 100, 3: 20}),
+    "ii": ("b76_a12", {3: 3, 5: 1}),
+}
+
+
+def _thm2_bridge(part: str) -> Bridge:
+    if part not in THM2_PARTS:
+        raise ValueError(f"unknown part {part!r}")
+    return BRIDGES[THM2_PARTS[part][0]]
+
+
+def _newman(bridge: Bridge, p: int) -> NewmanParams:
+    """Newman's parameters for the bridge's E_1 power; ValueError for a prime the part excludes."""
+    if not _is_prime(p) or p == bridge.ell:
+        raise ValueError(f"requires a prime p != {bridge.ell}")
+    return NewmanParams(bridge.table, p)
+
+
+@timed
 def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationReport:
     """Three-term relation behind the conditional scaling statement.
 
@@ -329,70 +343,41 @@ def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationRepo
     function, so it is strictly stronger desk-scale evidence than the
     conditional statement itself.
     """
-    start = time.perf_counter()
+    bridge = _thm2_bridge(part)
+    params = _newman(bridge, p)
+    m = bridge.ell
+    s = cached_regular_series(bridge.ell, bridge.r, m, bridge.index(p**4 * n_max + params.delta4))
+
+    def a(n: int) -> int:
+        return bridge.factor * s[bridge.index(n)] % m
+
     report = VerificationReport(
         id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max}
     )
-    if part == "i":
-        if not _is_prime(p) or p == 5:
-            raise ValueError("part i requires a prime p != 5")
-        order = p**4 * n_max + p**4 - 1
-        s = cached_regular_series(5, 6, 5, order)
-        b = s[p - 1]
-        w = pow(p, 11, 5)
-        for n in range(n_max + 1):
-            lhs = s[p**4 * n + p**4 - 1]
-            rhs = (b * (b * b - 2 * w) * s[p * n + p - 1] - w * (b * b - w) * s[n]) % 5
-            if lhs != rhs:
-                report.record(p**4 * n + p**4 - 1, {"lhs": lhs, "rhs": rhs}, n=n)
-            report.indices_checked += 1
-    elif part == "ii":
-        if not _is_prime(p) or p in (2, 7):
-            raise ValueError("part ii requires an odd prime p != 7")
-        order = 7 * p**4 * n_max + (7 * p**4 - 3) // 2
-        s = cached_regular_series(7, 6, 7, order)
-
-        def a12(n: int) -> int:  # a_12(n) mod 7 through the 6*B(7n+2) bridge
-            return 6 * s[7 * n + 2] % 7
-
-        delta = (p - 1) // 2
-        delta4 = (p**4 - 1) // 2
-        A = a12(delta)
-        w = pow(p, 5, 7)
-        for n in range(n_max + 1):
-            lhs = a12(p**4 * n + delta4)
-            rhs = (A * (A * A - 2 * w) * a12(p * n + delta) - w * (A * A - w) * a12(n)) % 7
-            if lhs != rhs:
-                report.record(7 * (p**4 * n + delta4) + 2, {"lhs": lhs, "rhs": rhs}, n=n)
-            report.indices_checked += 1
-    else:
-        raise ValueError(f"unknown part {part!r}")
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    for n, lhs, rhs in four_step_terms(a, params, n_max):
+        rhs %= m
+        if lhs != rhs:
+            report.record(bridge.index(p**4 * n + params.delta4), {"lhs": lhs, "rhs": rhs}, n=n)
+        report.indices_checked += 1
+    return report
 
 
+@timed
 def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 2000) -> VerificationReport:
     """Scan for primes satisfying the conditional hypothesis; verify any hits."""
-    start = time.perf_counter()
+    bridge = _thm2_bridge(part)
     report = VerificationReport(id=f"thm2.{part}.search", params_swept={"p_max": p_max})
+    order = max(bridge.index(bridge.table * (p_max - 1) // 24), 64)  # covers d = k(p-1)/24 for every p <= p_max
+    s = cached_regular_series(bridge.ell, bridge.r, bridge.ell, order)
     found: list[int] = []
-    if part == "i":
-        s = cached_regular_series(5, 6, 5, max(p_max, 64))
-        candidates = [p for p in primes_upto(p_max) if p != 5]
-        for p in candidates:
-            report.indices_checked += 1
-            if s[p - 1] == 0:
-                found.append(p)
-    elif part == "ii":
-        order = (7 * p_max - 3) // 2
-        s = cached_regular_series(7, 6, 7, max(order, 64))
-        candidates = [p for p in primes_upto(p_max) if p not in (2, 7)]
-        for p in candidates:
-            report.indices_checked += 1
-            if s[(7 * p - 3) // 2] == 0:
-                found.append(p)
-    else:
-        raise ValueError(f"unknown part {part!r}")
+    for p in primes_upto(p_max):
+        try:
+            params = _newman(bridge, p)
+        except ValueError:
+            continue
+        report.indices_checked += 1
+        if s[bridge.index(params.delta)] == 0:
+            found.append(p)
     report.params_swept["hypothesis_primes"] = found
     verified_any = False
     for p in found:
@@ -406,47 +391,37 @@ def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 200
     if report.status != FAIL and not verified_any:
         report.status = VACUOUS
         report.notes.append("conditional family vacuously unverified at budget")
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+@timed
 def _verify_thm2_conclusion(part: str, p: int, order: int) -> VerificationReport:
+    """s(index(p^4 n + d4)) = w^2 s(index(n)) mod m for every index within order."""
+    bridge = _thm2_bridge(part)
+    params = _newman(bridge, p)
+    m, w2 = bridge.ell, params.w**2
+    s = cached_regular_series(bridge.ell, bridge.r, m, order)
     report = VerificationReport(id=f"thm2.{part}.conclusion.p{p}")
-    if part == "i":
-        s = cached_regular_series(5, 6, 5, order)
-        n = 0
-        while p**4 * n + p**4 - 1 <= order:
-            lhs = s[p**4 * n + p**4 - 1]
-            rhs = pow(p, 2, 5) * s[n] % 5
-            if lhs != rhs:
-                report.record(p**4 * n + p**4 - 1, {"lhs": lhs, "rhs": rhs}, n=n)
-            report.indices_checked += 1
-            n += 1
-    else:
-        s = cached_regular_series(7, 6, 7, order)
-        n = 0
-        while 7 * p**4 * n + (7 * p**4 - 3) // 2 <= order:
-            lhs = s[7 * p**4 * n + (7 * p**4 - 3) // 2]
-            rhs = pow(p, 4, 7) * s[7 * n + 2] % 7
-            if lhs != rhs:
-                report.record(7 * p**4 * n + (7 * p**4 - 3) // 2, {"lhs": lhs, "rhs": rhs}, n=n)
-            report.indices_checked += 1
-            n += 1
-    return report.finish()
+    n = 0
+    while (index := bridge.index(p**4 * n + params.delta4)) <= order:
+        lhs, rhs = s[index], w2 * s[bridge.index(n)] % m
+        if lhs != rhs:
+            report.record(index, {"lhs": lhs, "rhs": rhs}, n=n)
+        report.indices_checked += 1
+        n += 1
+    return report
 
 
+@timed
 def verify_thm2(family: CongruenceFamily, budget: GridBudget) -> VerificationReport:
     """Combined report for a conditional family: unconditional relation + search."""
-    start = time.perf_counter()
     part = family.part
-    primes = (2, 3) if part == "i" else (3, 5)
-    n_caps = {"i": {2: 100, 3: 20}, "ii": {3: 3, 5: 1}}[part]
-    report = VerificationReport(id=f"family.{family.id}", params_swept={"primes": list(primes)})
-    for p in primes:
-        report.absorb(verify_thm2_unconditional(part, p, n_caps[p]))
+    caps = THM2_PARTS[part][1]
+    report = VerificationReport(id=f"family.{family.id}", params_swept={"primes": list(caps)})
+    for p, n_max in caps.items():
+        report.absorb(verify_thm2_unconditional(part, p, n_max))
     search = search_hypothesis_primes(part, 100, budget.order)
     report.absorb(search)
     report.notes.extend(search.notes)
     report.params_swept["hypothesis_primes"] = search.params_swept["hypothesis_primes"]
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report

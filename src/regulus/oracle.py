@@ -106,10 +106,14 @@ def multipartition_counts(profile: RegularityProfile, n_max: int) -> Coefficient
     return CoefficientTable(name, acc)
 
 
+@lru_cache(maxsize=None)
+def _regular_multipartition_counts(ell: int, r: int, n_max: int) -> tuple[int, ...]:
+    return tuple(_table_power(list(_regular_counts(ell, n_max)), r, n_max))
+
+
 def regular_multipartition_counts(ell: int, r: int, n_max: int) -> CoefficientTable:
     """Counts B with all r components ell-regular."""
-    table = _table_power(list(_regular_counts(ell, n_max)), r, n_max)
-    return CoefficientTable(f"B_{ell}^({r})", table)
+    return CoefficientTable(f"B_{ell}^({r})", list(_regular_multipartition_counts(ell, r, n_max)))
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
 
 PASS = "pass"
 FAIL = "fail"
@@ -63,3 +65,25 @@ class VerificationReport:
             ms=d["ms"],
             notes=d.get("notes", []),
         )
+
+
+def timed(check: Callable[..., VerificationReport]) -> Callable[..., VerificationReport]:
+    """Wrap a check that builds and returns its report: stamp its wall time in ms and finish it."""
+
+    @functools.wraps(check)
+    def run(*args: Any, **kwargs: Any) -> VerificationReport:
+        start = time.perf_counter()
+        report = check(*args, **kwargs)
+        report.ms = (time.perf_counter() - start) * 1000.0
+        return report.finish()
+
+    return run
+
+
+@timed
+def aggregate(check_id: str, params_swept: dict[str, Any], subs: Iterable[VerificationReport]) -> VerificationReport:
+    """One report over sub-checks; pass them as a generator so that they run inside its timing."""
+    report = VerificationReport(id=check_id, params_swept=params_swept)
+    for sub in subs:
+        report.absorb(sub)
+    return report

@@ -6,13 +6,12 @@ runs differ only in timing fields.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from . import coefficients as co
 from . import dissections, families, oracle
-from .report import FAIL, PASS, VACUOUS, VerificationReport
+from .report import FAIL, PASS, VACUOUS, VerificationReport, aggregate, timed
 from .series import Zmod, euler_E, power, regular_quotient
 
 REPORT_VERSION = 1
@@ -42,9 +41,9 @@ ENUMERATION_PROFILES = (
 FOUR_STEP_CASES = ((24, 2), (24, 3), (12, 3), (12, 5))
 
 
+@timed
 def check_frobenius(order: int = 1000) -> VerificationReport:
     """E_{kp} = E_k^p mod p for k in {1,2,3,5,7,11} and p in {2,3,5,7,11}."""
-    start = time.perf_counter()
     report = VerificationReport(id="frobenius", params_swept={"order": order})
     ks = (1, 2, 3, 5, 7, 11)
     ps = (2, 3, 5, 7, 11)
@@ -57,13 +56,12 @@ def check_frobenius(order: int = 1000) -> VerificationReport:
                     report.record(n, {"lhs": lhs[n], "rhs": rhs[n]}, k=k, p=p)
                     break
             report.indices_checked += order + 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+@timed
 def check_oracle_equivalence(n_max: int = 300) -> VerificationReport:
     """Series coefficients over Z equal dynamic-programming counts."""
-    start = time.perf_counter()
     report = VerificationReport(id="oracle.equivalence", params_swept={"n_max": n_max})
     for ell, r in ORACLE_PAIRS:
         s = regular_quotient(ell, r, n_max, 0)
@@ -72,13 +70,12 @@ def check_oracle_equivalence(n_max: int = 300) -> VerificationReport:
             if s[n] != table[n]:
                 report.record(n, {"series": s[n], "oracle": table[n]}, ell=ell, r=r)
             report.indices_checked += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
+@timed
 def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
     """Dynamic programming equals literal tuple enumeration on small inputs."""
-    start = time.perf_counter()
     report = VerificationReport(id="oracle.enumeration", params_swept={"n_max": n_max})
     for ells in ENUMERATION_PROFILES:
         profile = oracle.RegularityProfile(ells)
@@ -88,74 +85,29 @@ def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
             if count != table[n]:
                 report.record(n, {"dp": table[n], "enumeration": count}, profile=list(ells))
             report.indices_checked += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+    return report
 
 
-def check_newman_all(n_max: int = 2000) -> VerificationReport:
-    start = time.perf_counter()
-    report = VerificationReport(id="newman.recurrence", params_swept={"n_max": n_max})
-    pairs = co.admissible_newman_pairs(13)
-    report.params_swept["pairs"] = [[p.r, p.p] for p in pairs]
-    for params in pairs:
-        report.absorb(co.newman_check(params, n_max))
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
-
-
-def check_newman_four_step(n_max: int = 2000) -> VerificationReport:
-    start = time.perf_counter()
-    report = VerificationReport(id="newman.fourstep", params_swept={"cases": [list(c) for c in FOUR_STEP_CASES]})
-    for r, p in FOUR_STEP_CASES:
-        report.absorb(co.newman_four_step(r, p, n_max))
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
-
-
-def check_hecke(form: co.EtaPowerForm, n_max: int = 1500) -> VerificationReport:
-    start = time.perf_counter()
-    report = VerificationReport(id=f"hecke.{form.id}", params_swept={"n_max": n_max})
-    for p in co.primes_upto(13):
-        report.absorb(co.hecke_eigen_check(form, p, n_max))
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
-
-
-def check_vanishing(form: co.EtaPowerForm, n_max: int = 1500) -> VerificationReport:
-    start = time.perf_counter()
-    primes = co.admissible_vanishing_primes(form, 3)
-    report = VerificationReport(id=f"vanishing.{form.id}", params_swept={"primes": primes})
-    for p in primes:
-        report.absorb(co.vanishing_consequence_check(form, p, n_max))
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
-
-
+@timed
 def check_eigenvalue_vanishing(n_max: int = 200) -> VerificationReport:
     """a(p) = 0 at every inert prime p <= 200 for the two eigenform powers."""
-    start = time.perf_counter()
     report = VerificationReport(id="vanishing.prime_coefficients", params_swept={"p_max": n_max})
-    for form, cond in ((co.ETA8_3Z, lambda p: p % 3 == 2), (co.ETA6_4Z, lambda p: p % 4 == 3)):
+    for form in co.FORMS.values():
+        if not form.eigenform:
+            continue
         table = co._eta_table(form.id, n_max)
-        for p in co.primes_upto(n_max):
-            if cond(p):
-                if table[p] != 0:
-                    report.record(p, table[p], form=form.id)
-                report.indices_checked += 1
-    report.ms = (time.perf_counter() - start) * 1000.0
-    return report.finish()
+        for p in filter(form.inert, range(n_max + 1)):
+            if table[p] != 0:
+                report.record(p, table[p], form=form.id)
+            report.indices_checked += 1
+    return report
 
 
 def check_scaling(which: str) -> VerificationReport:
-    cases = {
-        "eq_b312_scale": (2, 100),
-        "eq_b315_scale": (7, 10),
-        "eq_b77_scale": (3, 40),
-    }
-    p, n_max = cases[which]
-    sub = co.scaling_congruence_check(which, p, n_max)
-    sub.id = f"scaling.{which}"
-    return sub
+    _, p, n_max = co.SCALINGS[which]
+    report = co.scaling_congruence_check(which, p, n_max)
+    report.id = f"scaling.{which}"
+    return report
 
 
 def check_thm3_iii_dual_condition(budget: families.GridBudget) -> VerificationReport:
@@ -183,7 +135,7 @@ def default_check_ids(registry=None) -> list[str]:
     ids = [f"identity.{name}" for name in dissections.IDENTITY_IDS]
     ids += ["frobenius", "oracle.equivalence", "oracle.enumeration"]
     ids += ["newman.recurrence", "newman.fourstep"]
-    ids += ["hecke.eta8_3z", "hecke.eta6_4z"]
+    ids += [f"hecke.{f.id}" for f in co.FORMS.values() if f.eigenform]
     ids += [f"support.{f}" for f in co.FORMS]
     ids += [f"vanishing.{f}" for f in co.FORMS]
     ids += ["vanishing.prime_coefficients"]
@@ -206,33 +158,34 @@ def _build_check(check_id: str, budget: families.GridBudget, registry) -> Callab
     if check_id == "oracle.enumeration":
         return lambda: check_oracle_enumeration(20)
     if check_id == "newman.recurrence":
-        return lambda: check_newman_all(order)
+        pairs = co.admissible_newman_pairs(13)
+        swept = {"n_max": order, "pairs": [[p.r, p.p] for p in pairs]}
+        return lambda: aggregate(check_id, swept, (co.newman_check(p, order) for p in pairs))
     if check_id == "newman.fourstep":
-        return lambda: check_newman_four_step(order)
+        swept = {"cases": [list(c) for c in FOUR_STEP_CASES]}
+        return lambda: aggregate(
+            check_id, swept, (co.newman_four_step(r, p, order) for r, p in FOUR_STEP_CASES)
+        )
     if check_id.startswith("hecke."):
-        form = co.FORMS[check_id.split(".", 1)[1]]
-        return lambda: check_hecke(form, min(order, 1500))
+        form, n_max = co.FORMS[check_id.split(".", 1)[1]], min(order, 1500)
+        return lambda: aggregate(
+            check_id, {"n_max": n_max}, (co.hecke_eigen_check(form, p, n_max) for p in co.primes_upto(13))
+        )
     if check_id.startswith("support."):
         form = co.FORMS[check_id.split(".", 1)[1]]
-        sub = lambda: co.support_check(form, order)
-
-        def named():
-            r = sub()
-            r.id = check_id
-            return r
-
-        return named
+        return lambda: co.support_check(form, order)
     if check_id == "vanishing.prime_coefficients":
         return lambda: check_eigenvalue_vanishing(200)
     if check_id.startswith("vanishing."):
-        form = co.FORMS[check_id.split(".", 1)[1]]
-        return lambda: check_vanishing(form, min(order, 1500))
+        form, n_max = co.FORMS[check_id.split(".", 1)[1]], min(order, 1500)
+        primes = co.admissible_vanishing_primes(form, 3)
+        return lambda: aggregate(
+            check_id, {"primes": primes}, (co.vanishing_consequence_check(form, p, n_max) for p in primes)
+        )
     if check_id.startswith("bridge."):
         name = check_id.split(".", 1)[1]
-        caps = {"b76_a12": (order - 2) // 7, "b312_eta8": order // 3, "b315_eta10": order // 3,
-                "b510_eta8": order // 5, "b77_eta6": order // 7, "b1111_eta10": order // 11}
-        n_max = caps.get(name, order)
-        return lambda: co.bridge_congruence_check(name, n_max)
+        row = co.BRIDGES[name]
+        return lambda: co.bridge_congruence_check(name, (order - row.offset) // row.step)
     if check_id.startswith("scaling."):
         return lambda: check_scaling(check_id.split(".", 1)[1])
     if check_id == "family.thm3.iii.dualcondition":

@@ -16,6 +16,14 @@ def naive_e1_power(r, order):
     return c
 
 
+def violations(report):
+    """Each violation as (index, value, or its sorted keys when it is a dict, params)."""
+    return [
+        (v["index"], sorted(v["value"]) if isinstance(v["value"], dict) else v["value"], v["params"])
+        for v in report.violations
+    ]
+
+
 # --- E_1^r tables ---
 
 
@@ -201,14 +209,20 @@ def test_admissible_vanishing_primes():
     assert co.admissible_vanishing_primes(co.ETA10_12Z, 3) == [7, 11, 19]
 
 
-def test_vanishing_eta8_p5():
+def test_vanishing_eta8_p5(bump):
     report = co.vanishing_consequence_check(co.ETA8_3Z, 5, 600)
     assert report.status == "pass"
+    bump(co, "_eta_table", 130)  # a(5 * 26), zero since 5 does not divide 26
+    report = co.vanishing_consequence_check(co.ETA8_3Z, 5, 600)
+    assert report.status == "fail" and violations(report) == [(130, 1, {"n": 26})]
 
 
-def test_vanishing_eta10_p7():
+def test_vanishing_eta10_p7(bump):
     report = co.vanishing_consequence_check(co.ETA10_12Z, 7, 600)
     assert report.status == "pass"
+    bump(co, "_eta_table", 140)
+    report = co.vanishing_consequence_check(co.ETA10_12Z, 7, 600)
+    assert report.status == "fail" and violations(report) == [(140, 1, {"n": 20})]
 
 
 def test_vanishing_eta6_p3_direct():
@@ -234,11 +248,27 @@ def test_bridge_constant_terms():
     assert report.status == "pass"
 
 
+# series index of each bridge's n = 3 coefficient
+BRIDGE_INDEX_AT_3 = {
+    "b56_a24": 3,
+    "b76_a12": 23,
+    "b312_eta8": 9,
+    "b315_eta10": 9,
+    "b510_eta8": 15,
+    "b77_eta6": 21,
+    "b1111_eta10": 33,
+}
+
+
 @pytest.mark.parametrize("bridge", co.BRIDGE_IDS)
-def test_bridges_small(bridge):
+def test_bridges_small(bridge, bump):
     report = co.bridge_congruence_check(bridge, 40)
     assert report.status == "pass", report.violations[:1]
     assert report.indices_checked == 41
+    index = BRIDGE_INDEX_AT_3[bridge]
+    bump(co, "regular_quotient", index)
+    report = co.bridge_congruence_check(bridge, 40)
+    assert report.status == "fail" and violations(report) == [(index, ["series", "table"], {})]
 
 
 def test_unknown_bridge():
@@ -247,23 +277,33 @@ def test_unknown_bridge():
 
 
 # --- scaling congruences ---
+# each bumped index is a left side 3(p^2 n + shift) or 7(p^2 n + shift) past every right side
 
 
-def test_scaling_b312_p2():
+def test_scaling_b312_p2(bump):
     report = co.scaling_congruence_check("eq_b312_scale", 2, 100)
     assert report.status == "pass"
+    bump(co, "regular_quotient", 363)  # n = 30
+    report = co.scaling_congruence_check("eq_b312_scale", 2, 100)
+    assert report.status == "fail" and violations(report) == [(363, ["lhs", "rhs"], {})]
 
 
-def test_scaling_b315_p7():
+def test_scaling_b315_p7(bump):
     report = co.scaling_congruence_check("eq_b315_scale", 7, 10)
     assert report.status == "pass"
+    bump(co, "regular_quotient", 501)  # n = 3
+    report = co.scaling_congruence_check("eq_b315_scale", 7, 10)
+    assert report.status == "fail" and violations(report) == [(501, ["lhs", "rhs"], {})]
 
 
-def test_scaling_b77_p3_includes_multiplier():
+def test_scaling_b77_p3_includes_multiplier(bump):
     # the right side carries the factor p^2 = 9 = 2 mod 7
     report = co.scaling_congruence_check("eq_b77_scale", 3, 40)
     assert report.status == "pass"
     assert 9 % 7 == 2
+    bump(co, "regular_quotient", 329)  # n = 5
+    report = co.scaling_congruence_check("eq_b77_scale", 3, 40)
+    assert report.status == "fail" and violations(report) == [(329, ["lhs", "rhs"], {})]
 
 
 def test_scaling_precondition_errors():

@@ -158,6 +158,12 @@ def test_negative_control_wrong_alpha_fails():
     report = verify_family(wrong, GridBudget(order=400, n_max=400), oracle_crosscheck=False)
     assert report.status == "fail"
     assert report.violations
+    # each prime p | 10 gets its own violation wherever the mod-10 coefficient is nonzero mod p
+    mod10 = {(v["index"], v["params"]["t"]): v["value"] for v in report.violations if "modulus" not in v["params"]}
+    expected = sorted((i, t, p) for (i, t), c in mod10.items() for p in (2, 5) if c % p)
+    per_prime = [v for v in report.violations if "modulus" in v["params"]]
+    assert sorted((v["index"], v["params"]["t"], v["params"]["modulus"]) for v in per_prime) == expected
+    assert expected and all(v["value"] == mod10[v["index"], v["params"]["t"]] % v["params"]["modulus"] for v in per_prime)
 
 
 def test_oracle_crosscheck_catches_series_disagreement():
@@ -169,13 +175,26 @@ def test_oracle_crosscheck_catches_series_disagreement():
 # --- conditional families ---
 
 
-def test_thm2_unconditional_part_i():
+def lhs_violations(report):
+    return [(v["index"], sorted(v["value"]), v["params"]) for v in report.violations]
+
+
+def test_thm2_unconditional_part_i(bump):
     assert verify_thm2_unconditional("i", 2, 100).status == "pass"
     assert verify_thm2_unconditional("i", 3, 20).status == "pass"
+    # left sides a(16n + 15) at n = 20 and a(81n + 80) at n = 2; neither check reads the other's index
+    bump(fam, "cached_regular_series", 335, 242)
+    report = verify_thm2_unconditional("i", 2, 100)
+    assert report.status == FAIL and lhs_violations(report) == [(335, ["lhs", "rhs"], {"n": 20})]
+    report = verify_thm2_unconditional("i", 3, 20)
+    assert report.status == FAIL and lhs_violations(report) == [(242, ["lhs", "rhs"], {"n": 2})]
 
 
-def test_thm2_unconditional_part_ii():
+def test_thm2_unconditional_part_ii(bump):
     assert verify_thm2_unconditional("ii", 3, 3).status == "pass"
+    bump(fam, "cached_regular_series", 1416)  # B(7(81n + 40) + 2) at n = 2
+    report = verify_thm2_unconditional("ii", 3, 3)
+    assert report.status == FAIL and lhs_violations(report) == [(1416, ["lhs", "rhs"], {"n": 2})]
 
 
 def test_thm2_invalid_primes():
