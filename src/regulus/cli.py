@@ -15,7 +15,7 @@ import sys
 from . import families, oracle, suite
 from .dissections import verify_dissection
 from .expr import ExpressionError, NonExactDivisionError
-from .report import FAIL, VACUOUS
+from .report import FAIL, SKIPPED, VACUOUS
 from .series import regular_quotient
 
 EXIT_PASS = 0
@@ -71,14 +71,17 @@ def cmd_coeff(args) -> int:
     check = None
     if args.check_oracle:
         check = oracle.multipartition_counts(oracle.RegularityProfile(ells), n_hi)
+    mismatched = False
     for n in wanted:
         line = f"{n}\t{values[n]}"
         if check is not None:
             expected = check[n] % modulus if modulus else check[n]
-            marker = "ok" if expected == values[n] else "MISMATCH"
-            line += f"\t{expected}\t{marker}"
+            ok = expected == values[n]
+            mismatched = mismatched or not ok
+            line += f"\t{expected}\t{'ok' if ok else 'MISMATCH'}"
         print(line)
-    return EXIT_PASS
+    # series and oracle disagreeing is a mathematical violation, not a usage error
+    return EXIT_VIOLATION if mismatched else EXIT_PASS
 
 
 def cmd_oracle(args) -> int:
@@ -145,7 +148,7 @@ def cmd_verify(args) -> int:
     _write_report({"version": suite.REPORT_VERSION, "checks": [report.to_dict()]}, args)
     if report.status == FAIL:
         return EXIT_VIOLATION
-    if report.status in (VACUOUS, "skipped") and args.strict:
+    if report.status in (VACUOUS, SKIPPED) and args.strict:
         return EXIT_VACUOUS
     return EXIT_PASS
 
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("--check-oracle", action="store_true")
     p_coeff.set_defaults(func=cmd_coeff)
 
-    p_oracle = sub.add_parser("oracle", help="dynamic-programming counts")
+    p_oracle = sub.add_parser("oracle", help="exact counts from the divisor-sum recurrence")
     series_args(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -240,6 +243,9 @@ def _argument_problem(args) -> str | None:
     ell = getattr(args, "ell", None)
     if ell is not None and ell < 2:
         return f"--ell must be at least 2, got {ell}"
+    r = getattr(args, "r", None)
+    if r is not None and r < 1:
+        return f"--r must be at least 1, got {r}"
     profile = getattr(args, "profile", None)
     if profile is not None:
         try:

@@ -1,15 +1,24 @@
 """Combinatorial ground truth for regular partition and multipartition counts.
 
-Everything here is computed without the series engine: coin-style dynamic
-programming for single-component counts, convolution of count tables for
-multipartitions, and literal tuple enumeration as the oracle of last resort.
-All counts are exact Python ints.
+Computed without the series engine: every table comes from one exact
+recurrence over Python ints, and literal tuple enumeration is the oracle of
+last resort. The counts F(n) of a profile (ell_1, ..., ell_r) are the
+coefficients of prod_i prod_{d : ell_i does not divide d} (1 - q^d)^(-1), and
+taking q d/dq log F generalises Euler's n p(n) = sum_k sigma(k) p(n-k) to
+
+    n F(n) = sum_{k=1..n} c(k) F(n-k),  c(k) = sum_{d | k} d * #{i : ell_i does not divide d}.
+
+F(n) is an integer and the right side is a sum of integer products, so the
+division by n is exact; a nonzero remainder (a wrong c or a wrong earlier
+entry) raises ArithmeticError instead of being truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 
 class EnumerationBudgetError(ValueError):
@@ -49,71 +58,54 @@ class CoefficientTable:
         return len(self.values)
 
 
+def _check(ell: int, r: int, n_max: int) -> None:
+    """The input contract shared by every table."""
+    for name, value, least in (("ell", ell, 2), ("r", r, 1), ("n_max", n_max, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _divisor_weights(ells: tuple[int, ...], n_max: int) -> list[int]:
+    """c(k) = sum over d | k of d * #{i : ell_i does not divide d}, for k <= n_max."""
+    mult = Counter(ells)
+    c = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        weight = d * sum(e for ell, e in mult.items() if d % ell)
+        for k in range(d, n_max + 1, d):
+            c[k] += weight
+    return c
+
+
 @lru_cache(maxsize=None)
-def _regular_counts(ell: int, n_max: int) -> tuple[int, ...]:
-    table = [0] * (n_max + 1)
-    table[0] = 1
-    for part in range(1, n_max + 1):
-        if part % ell == 0:
-            continue
-        for m in range(part, n_max + 1):
-            table[m] += table[m - part]
+def _counts(ells: tuple[int, ...], n_max: int) -> tuple[int, ...]:
+    """F(n) for n <= n_max by n F(n) = sum_{k=1..n} c(k) F(n-k); ells is sorted."""
+    c = _divisor_weights(ells, n_max)
+    table = [1]
+    for n in range(1, n_max + 1):
+        value, rem = divmod(sum(map(mul, c[n:0:-1], table)), n)
+        if rem:
+            raise ArithmeticError(f"recurrence for {ells} left remainder {rem} at n={n}")
+        table.append(value)
     return tuple(table)
 
 
 def regular_partition_counts(ell: int, n_max: int) -> CoefficientTable:
     """Partitions of n with no part divisible by ell, for all n <= n_max."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return CoefficientTable(f"b_{ell}", list(_regular_counts(ell, n_max)))
-
-
-def _convolve(a: list[int], b: list[int], n_max: int) -> list[int]:
-    out = [0] * (n_max + 1)
-    for i, x in enumerate(a[: n_max + 1]):
-        if not x:
-            continue
-        for j in range(min(len(b), n_max + 1 - i)):
-            out[i + j] += x * b[j]
-    return out
-
-
-def _table_power(base: list[int], e: int, n_max: int) -> list[int]:
-    acc = [1] + [0] * n_max
-    sq = base[: n_max + 1]
-    while e:
-        if e & 1:
-            acc = _convolve(acc, sq, n_max)
-        e >>= 1
-        if e:
-            sq = _convolve(sq, sq, n_max)
-    return acc
+    _check(ell, 1, n_max)
+    return CoefficientTable(f"b_{ell}", list(_counts((ell,), n_max)))
 
 
 def multipartition_counts(profile: RegularityProfile, n_max: int) -> CoefficientTable:
-    """r-fold convolution of the per-component regular partition counts."""
-    # group equal components so identical profiles cost O(log r) convolutions
-    mult: dict[int, int] = {}
-    for ell in profile.ells:
-        mult[ell] = mult.get(ell, 0) + 1
-    acc = [1] + [0] * n_max
-    for ell, e in sorted(mult.items()):
-        comp = _table_power(list(_regular_counts(ell, n_max)), e, n_max)
-        acc = _convolve(acc, comp, n_max)
+    """Counts of r-tuples whose i-th component is ell_i-regular."""
+    _check(min(profile.ells), profile.r, n_max)
     name = "B_" + ",".join(str(ell) for ell in profile.ells)
-    return CoefficientTable(name, acc)
-
-
-@lru_cache(maxsize=None)
-def _regular_multipartition_counts(ell: int, r: int, n_max: int) -> tuple[int, ...]:
-    return tuple(_table_power(list(_regular_counts(ell, n_max)), r, n_max))
+    return CoefficientTable(name, list(_counts(tuple(sorted(profile.ells)), n_max)))
 
 
 def regular_multipartition_counts(ell: int, r: int, n_max: int) -> CoefficientTable:
     """Counts B with all r components ell-regular."""
-    return CoefficientTable(f"B_{ell}^({r})", list(_regular_multipartition_counts(ell, r, n_max)))
+    _check(ell, r, n_max)
+    return CoefficientTable(f"B_{ell}^({r})", list(_counts((ell,) * r, n_max)))
 
 
 @lru_cache(maxsize=None)

@@ -61,7 +61,7 @@ def check_frobenius(order: int = 1000) -> VerificationReport:
 
 @timed
 def check_oracle_equivalence(n_max: int = 300) -> VerificationReport:
-    """Series coefficients over Z equal dynamic-programming counts."""
+    """Series coefficients over Z equal the oracle's recurrence counts."""
     report = VerificationReport(id="oracle.equivalence", params_swept={"n_max": n_max})
     for ell, r in ORACLE_PAIRS:
         s = regular_quotient(ell, r, n_max, 0)
@@ -75,7 +75,7 @@ def check_oracle_equivalence(n_max: int = 300) -> VerificationReport:
 
 @timed
 def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
-    """Dynamic programming equals literal tuple enumeration on small inputs."""
+    """The oracle's recurrence equals literal tuple enumeration on small inputs."""
     report = VerificationReport(id="oracle.enumeration", params_swept={"n_max": n_max})
     for ells in ENUMERATION_PROFILES:
         profile = oracle.RegularityProfile(ells)

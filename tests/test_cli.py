@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from regulus import oracle
 from regulus.cli import EXIT_PASS, EXIT_USAGE, EXIT_VACUOUS, EXIT_VIOLATION, main
 from regulus.report import VerificationReport
 
@@ -41,6 +42,14 @@ def test_coeff_with_oracle_crosscheck(capsys):
     )
     assert code == EXIT_PASS
     assert all(line.endswith("ok") for line in out.strip().splitlines())
+
+
+def test_coeff_oracle_mismatch_is_violation(bump, capsys):
+    bump(oracle, "_counts", 7)  # the oracle now disagrees with the series at n = 7 only
+    code, out, _ = run(capsys, "coeff", "--ell", "3", "--r", "2", "--n-max", "10", "--check-oracle")
+    assert code == EXIT_VIOLATION
+    mismatches = [line for line in out.splitlines() if line.endswith("MISMATCH")]
+    assert len(mismatches) == 1 and mismatches[0].startswith("7\t")
 
 
 def test_coeff_missing_args(capsys):
@@ -247,6 +256,8 @@ def test_negative_count_exits_usage(capsys, argv):
         (("identity", "--name", "5diss", "--order", "10"), "--order"),
         (("verify", "--family", "thm1.i", "--order", "63"), "--order"),
         (("suite", "--all", "--jobs", "0"), "--jobs"),
+        (("coeff", "--ell", "3", "--r", "0", "--n", "4"), "--r"),
+        (("oracle", "--ell", "3", "--r", "-1", "--n", "4"), "--r"),
     ],
 )
 def test_bad_argument_exits_usage(capsys, argv, flag):

@@ -8,6 +8,7 @@ import pytest
 from regulus import families as fam
 from regulus.expr import NonExactDivisionError
 from regulus.report import FAIL, PASS, VACUOUS, VerificationReport
+from regulus.series import Zmod, series
 from regulus.families import (
     GridBudget,
     PrimeConstraint,
@@ -195,6 +196,55 @@ def test_thm2_unconditional_part_ii(bump):
     bump(fam, "cached_regular_series", 1416)  # B(7(81n + 40) + 2) at n = 2
     report = verify_thm2_unconditional("ii", 3, 3)
     assert report.status == FAIL and lhs_violations(report) == [(1416, ["lhs", "rhs"], {"n": 2})]
+
+
+def _synthetic_part_i(monkeypatch, values):
+    """Patch the series cache with a mod-5 series for part i that is zero except at `values`."""
+    calls = []
+
+    def synthetic(ell, r, modulus, order):
+        calls.append((ell, r, modulus, order))
+        coeffs = [0] * (order + 1)
+        for index, value in values.items():
+            coeffs[index] = value
+        return series(coeffs, Zmod(modulus))
+
+    monkeypatch.setattr(fam, "cached_regular_series", synthetic)
+    return calls
+
+
+# part i at p = 19: s(19^4 n + 130320) = w^2 s(n) mod 5 with w = 19^11 = -1 mod 5, so w^2 = 1;
+# an order of 19^4 + 130320 = 260641 reaches n = 0 and n = 1 exactly
+THM2_P19_ORDER = 260641
+
+
+def test_thm2_conclusion_passes_on_a_series_satisfying_it(monkeypatch):
+    calls = _synthetic_part_i(monkeypatch, {0: 3, 130320: 3, 1: 2, 260641: 2})
+    report = fam._verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
+    assert calls == [(5, 6, 5, THM2_P19_ORDER)]
+    assert report.status == PASS and report.indices_checked == 2 and not report.violations
+
+
+def test_thm2_conclusion_fails_at_the_bumped_index(monkeypatch):
+    _synthetic_part_i(monkeypatch, {0: 3, 130320: 3, 1: 2, 260641: 3})
+    report = fam._verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
+    assert report.status == FAIL and report.indices_checked == 2
+    assert report.violations == [{"index": 260641, "value": {"lhs": 3, "rhs": 2}, "params": {"n": 1}}]
+
+
+def test_thm2_conclusion_rejects_excluded_prime(monkeypatch):
+    calls = _synthetic_part_i(monkeypatch, {})
+    for p in (5, 21):  # the bridge's own ell, and a composite
+        with pytest.raises(ValueError):
+            fam._verify_thm2_conclusion("i", p, THM2_P19_ORDER)
+    assert calls == []
+
+
+def test_thm2_conclusion_rejects_unknown_part(monkeypatch):
+    calls = _synthetic_part_i(monkeypatch, {})
+    with pytest.raises(ValueError, match="unknown part"):
+        fam._verify_thm2_conclusion("iii", 19, THM2_P19_ORDER)
+    assert calls == []
 
 
 def test_thm2_invalid_primes():

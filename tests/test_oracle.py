@@ -1,4 +1,4 @@
-"""Combinatorial counting oracle: DP tables versus literal enumeration."""
+"""Combinatorial counting oracle: the recurrence against a coin-DP reference and literal enumeration."""
 
 import itertools
 
@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regulus import oracle
+from regulus.coefficients import BRIDGES
+from regulus.families import default_registry
 from regulus.oracle import (
     EnumerationBudgetError,
     RegularityProfile,
@@ -34,6 +37,56 @@ def brute_force_partitions(n, allowed):
 
     rec(n, n, [])
     return results
+
+
+# --- test-only reference: coin DP per component, schoolbook products of tables ---
+
+
+def reference_regular_counts(ell, n_max):
+    table = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        if part % ell:
+            for m in range(part, n_max + 1):
+                table[m] += table[m - part]
+    return table
+
+
+def reference_convolve(a, b, n_max):
+    out = [0] * (n_max + 1)
+    for i, x in enumerate(a[: n_max + 1]):
+        for j in range(min(len(b), n_max + 1 - i)):
+            out[i + j] += x * b[j]
+    return out
+
+
+def reference_counts(ells, n_max):
+    acc = [1] + [0] * n_max
+    for ell in ells:
+        acc = reference_convolve(acc, reference_regular_counts(ell, n_max), n_max)
+    return acc
+
+
+def reference_uniform_counts(ell, r, n_max):
+    """The r-th power of one component's table by repeated squaring."""
+    acc, sq = [1] + [0] * n_max, reference_regular_counts(ell, n_max)
+    while r:
+        if r & 1:
+            acc = reference_convolve(acc, sq, n_max)
+        r >>= 1
+        if r:
+            sq = reference_convolve(sq, sq, n_max)
+    return acc
+
+
+def _registry_profiles():
+    """Every uniform (ell, r) a registry family builds at t in {0, 1}, plus every bridge's."""
+    keys = {
+        (fam.ell, fam.r_value(t))
+        for fam in default_registry().values()
+        if fam.kind == "progression"
+        for t in (0, 1)
+    }
+    return sorted(keys | {(b.ell, b.r) for b in BRIDGES.values()})
 
 
 def test_profile_invariants():
@@ -156,3 +209,60 @@ def test_large_counts_stay_exact():
 def test_enumeration_property(ells, n):
     profile = RegularityProfile(tuple(ells))
     assert enumerate_multipartitions(profile, n) == multipartition_counts(profile, n)[n]
+
+
+@pytest.mark.parametrize("ell,r", _registry_profiles())
+def test_recurrence_matches_reference_on_registry(ell, r):
+    got = regular_multipartition_counts(ell, r, 120).values
+    assert got == reference_uniform_counts(ell, r, 120)
+
+
+@pytest.mark.parametrize(
+    "ells", [(5, 7, 11), (2, 3, 5), (2, 2, 3), (4, 6, 9), (55, 7, 7, 2), (3,) * 5 + (5,) * 4]
+)
+def test_recurrence_matches_reference_on_mixed_profiles(ells):
+    got = multipartition_counts(RegularityProfile(ells), 120).values
+    assert got == reference_counts(ells, 120)
+
+
+def test_tables_are_fresh_copies():
+    first = regular_multipartition_counts(3, 2, 10)
+    first.values[2] = -1
+    assert regular_multipartition_counts(3, 2, 10)[2] == 5
+    assert multipartition_counts(RegularityProfile((3, 3)), 10)[2] == 5
+
+
+def test_nonzero_remainder_raises(monkeypatch):
+    real = oracle._divisor_weights
+
+    def off_by_one(ells, n_max):
+        c = real(ells, n_max)
+        c[1] += 1  # c(1) = 2 for ell = 3 gives 2 F(2) = 2*2 + 3, which is odd
+        return c
+
+    monkeypatch.setattr(oracle, "_divisor_weights", off_by_one)
+    oracle._counts.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="n=2"):
+            regular_partition_counts(3, 10)
+    finally:
+        oracle._counts.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: regular_multipartition_counts(3, -1, 5),
+        lambda: regular_multipartition_counts(3, 0, 5),
+        lambda: regular_multipartition_counts(3, 2, -1),
+        lambda: regular_multipartition_counts(1, 2, 5),
+        lambda: regular_partition_counts(1, 5),
+        lambda: regular_partition_counts(3, -1),
+        lambda: multipartition_counts(RegularityProfile((3, 5)), -1),
+    ],
+    ids=["r-negative", "r-zero", "n_max-negative", "ell-one", "single-ell-one",
+         "single-n_max-negative", "profile-n_max-negative"],
+)
+def test_input_contract(call):
+    with pytest.raises(ValueError):
+        call()
