@@ -11,12 +11,14 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from functools import reduce
 
 from . import families, oracle, suite
 from .dissections import verify_dissection
 from .expr import ExpressionError, NonExactDivisionError
 from .report import FAIL, SKIPPED, VACUOUS
-from .series import regular_quotient
+from .series import mul, regular_quotient
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -61,12 +63,9 @@ def cmd_coeff(args) -> int:
         return EXIT_USAGE
     n_hi = args.n if args.n is not None else args.n_max
     modulus = args.mod or 0
-    if len(set(ells)) == 1:
-        s = regular_quotient(ells[0], len(ells), n_hi, modulus)
-        values = list(s.coeffs)
-    else:
-        table = oracle.multipartition_counts(oracle.RegularityProfile(ells), n_hi)
-        values = [v % modulus if modulus else v for v in table.values]
+    # prod_i E_{l_i} / E_1^r = prod_l (E_l / E_1)^{e_l}: the engine builds every profile, independent of the oracle
+    factors = [regular_quotient(ell, e, n_hi, modulus) for ell, e in sorted(Counter(ells).items())]
+    values = reduce(mul, factors).coeffs
     wanted = [args.n] if args.n is not None else list(range(n_hi + 1))
     check = None
     if args.check_oracle:

@@ -5,6 +5,10 @@ parentheses, integer literals, and named symbols.  Division (both / and //)
 is exact integer division and raises if the quotient is not an integer;
 a non-exact division signals a transcription bug or an inadmissible
 parameter combination.
+
+``degree`` reads a formula's degree in one symbol without evaluating it, and
+rejects the symbol under ``**`` or in a divisor, where it would make the
+formula no polynomial in that symbol.
 """
 
 from __future__ import annotations
@@ -35,11 +39,15 @@ def evaluate(text: str, env: dict[str, int]) -> int:
     return _eval(_parse(text), env, text)
 
 
+def _literal(node: ast.Constant, text: str) -> int:
+    if not isinstance(node.value, int) or isinstance(node.value, bool):
+        raise ExpressionError(f"non-integer literal in {text!r}")
+    return node.value
+
+
 def _eval(node: ast.expr, env: dict[str, int], text: str) -> int:
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, int) or isinstance(node.value, bool):
-            raise ExpressionError(f"non-integer literal in {text!r}")
-        return node.value
+        return _literal(node, text)
     if isinstance(node, ast.Name):
         try:
             return env[node.id]
@@ -74,3 +82,40 @@ def _eval(node: ast.expr, env: dict[str, int], text: str) -> int:
 
 def symbols_used(text: str) -> set[str]:
     return {n.id for n in ast.walk(_parse(text)) if isinstance(n, ast.Name)}
+
+
+def degree(text: str, symbol: str) -> int:
+    """Degree of a formula as a polynomial in ``symbol``, read from its syntax.
+
+    The degree of a sum is the larger of its terms' (so ``n - n`` has degree
+    1). Raises ExpressionError for ``symbol`` in a divisor or under ``**``,
+    and for a literal or construct that ``evaluate`` rejects in every
+    environment.
+    """
+    return _degree(_parse(text), symbol, text)
+
+
+def _degree(node: ast.expr, symbol: str, text: str) -> int:
+    if isinstance(node, ast.Constant):
+        _literal(node, text)
+        return 0
+    if isinstance(node, ast.Name):
+        return int(node.id == symbol)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _degree(node.operand, symbol, text)
+    if isinstance(node, ast.BinOp):
+        left = _degree(node.left, symbol, text)
+        right = _degree(node.right, symbol, text)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            return max(left, right)
+        if isinstance(node.op, ast.Mult):
+            return left + right
+        if isinstance(node.op, (ast.Div, ast.FloorDiv)):
+            if right:
+                raise ExpressionError(f"{symbol!r} in a divisor in {text!r}")
+            return left
+        if isinstance(node.op, ast.Pow):
+            if left or right:
+                raise ExpressionError(f"{symbol!r} under ** in {text!r}")
+            return 0
+    raise ExpressionError(f"unsupported construct in {text!r}")

@@ -6,6 +6,15 @@ tuple p1..pk (with P, Q, pl abbreviating the products that appear in the
 multi-prime statements).  The registry ships as JSON and can be replaced at
 run time, so new families need no code changes.
 
+Every progression index is affine in n: ``load_registry`` raises ValueError
+for an index with another symbol, with n under ``**`` or in a divisor, or of
+degree in n other than 1, for an ``r`` formula in any symbol but t, and for
+an unknown ``j`` constraint.  Each subformula of an accepted index is A*n + B,
+and a division exact at n = 0 and n = 1 divides B and A, so it is exact at
+every n.  A grid point is thus resolved once, to offset = index(n=0) and
+stride = index(n=1) - offset (below 1 raises ValueError), and the sweep reads
+the slice s[offset::stride] without evaluating a formula per n.
+
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge
 of ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset)
 mod m (m = ell) are the coefficients of E_1^k, and the n cap per prime of its
@@ -18,11 +27,14 @@ conclusion is a(p^4 n + d4) = w^2 a(n) mod m.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from . import expr
 from .coefficients import BRIDGES, Bridge, NewmanParams, _is_prime, four_step_terms, primes_upto
@@ -48,13 +60,7 @@ class PrimeConstraint:
         return _is_prime(p) and p % self.residue_mod == self.residue and p not in self.exclude
 
     def smallest(self, how_many: int) -> list[int]:
-        out: list[int] = []
-        p = 2
-        while len(out) < how_many:
-            if self.admits(p):
-                out.append(p)
-            p += 1
-        return out
+        return list(itertools.islice(filter(self.admits, itertools.count(2)), how_many))
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,32 @@ def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
     )
 
 
+# one full admissible residue system mod p per j constraint (j and j + p shift into n)
+_J_RESIDUES = {
+    None: lambda p: [0],
+    "coprime": lambda p: list(range(1, p)),
+    "coprime_even": lambda p: [j for j in range(2, 2 * p + 1, 2) if j % p],
+    "coprime_div5": lambda p: [j for j in range(5, 5 * p + 1, 5) if j % p],
+}
+
+_INDEX_SYMBOL = re.compile(r"n|t|j|alpha|P|Q|pl|p[1-9][0-9]*")
+
+
+def _check_family(family: CongruenceFamily) -> None:
+    """Raise ValueError unless the family's formulas are ones the sweep can resolve."""
+    if expr.symbols_used(family.r_formula) - {"t"}:
+        raise ValueError(f"family {family.id}: r formula {family.r_formula!r} may use only t")
+    if family.j_constraint not in _J_RESIDUES:
+        raise ValueError(f"family {family.id}: unknown j constraint {family.j_constraint!r}")
+    if family.kind != "progression":
+        return
+    unknown = sorted(x for x in expr.symbols_used(family.index_formula) if not _INDEX_SYMBOL.fullmatch(x))
+    if unknown:
+        raise ValueError(f"family {family.id}: unknown symbol {unknown[0]!r} in index {family.index_formula!r}")
+    if expr.degree(family.index_formula, "n") != 1:
+        raise ValueError(f"family {family.id}: index {family.index_formula!r} is not of degree 1 in n")
+
+
 def load_registry(path: Optional[str] = None) -> dict[str, CongruenceFamily]:
     if path is None:
         raw = resources.files("regulus").joinpath("families.json").read_text()
@@ -103,20 +135,17 @@ def load_registry(path: Optional[str] = None) -> dict[str, CongruenceFamily]:
             raw = fh.read()
     data = json.loads(raw)
     families = [_family_from_dict(d) for d in data["families"]]
+    for family in families:
+        _check_family(family)
     registry = {f.id: f for f in families}
     if len(registry) != len(families):
         raise ValueError("duplicate family ids in registry")
     return registry
 
 
-_DEFAULT_REGISTRY: Optional[dict[str, CongruenceFamily]] = None
-
-
+@cache
 def default_registry() -> dict[str, CongruenceFamily]:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = load_registry()
-    return _DEFAULT_REGISTRY
+    return load_registry()
 
 
 def get_family(family_id: str, registry: Optional[dict] = None) -> CongruenceFamily:
@@ -153,16 +182,7 @@ def family_index(
 
 
 def _j_candidates(constraint: Optional[str], p: int) -> list[int]:
-    """One full admissible residue system mod p (j and j + p shift into n)."""
-    if constraint is None:
-        return [0]
-    if constraint == "coprime":
-        return [j for j in range(1, p)]
-    if constraint == "coprime_even":
-        return [j for j in range(2, 2 * p + 1, 2) if j % p]
-    if constraint == "coprime_div5":
-        return [j for j in range(5, 5 * p + 1, 5) if j % p]
-    raise ValueError(f"unknown j constraint {constraint!r}")
+    return _J_RESIDUES[constraint](p)
 
 
 @dataclass(frozen=True)
@@ -179,11 +199,12 @@ class GridPoint:
     primes: tuple[int, ...]
     j: int
     alpha: int
+    offset: int = 0  # the index at n = 0
+    stride: int = 0  # index(n + 1) - index(n); 0 on a skipped point, which is never swept
 
 
 @dataclass
 class ParameterGrid:
-    family_id: str
     points: list[GridPoint] = field(default_factory=list)
     skipped: list[GridPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -194,35 +215,37 @@ def _prime_tuples(family: CongruenceFamily, t: int, budget: GridBudget) -> list[
     if pc is None:
         return [()]
     base = pc.smallest(budget.primes_per_family + 1)
-    if pc.count == "one":
+    if pc.count == "one" or t == 0:
         return [(p,) for p in base[: budget.primes_per_family]]
-    # "many": t+1 primes; diagonals plus one mixed tuple to exercise the
-    # multi-prime statement beyond its diagonal corollary
-    if t == 0:
-        return [(p,) for p in base[: budget.primes_per_family]]
-    tuples = [tuple([base[0]] * (t + 1))]
-    mixed = tuple([base[0]] * t + [base[1]])
-    tuples.append(mixed)
-    return tuples
+    # "many" at t >= 1: t+1 primes, the diagonal plus one mixed tuple to exercise
+    # the multi-prime statement beyond its diagonal corollary
+    return [(base[0],) * (t + 1), (base[0],) * t + (base[1],)]
+
+
+def progression_grid(family: CongruenceFamily, order: int, candidates: Iterable[tuple]) -> ParameterGrid:
+    """Each (j, alpha) of every candidate (t, primes), resolved to offset and stride; skipped past order."""
+    grid = ParameterGrid()
+    for t, primes in candidates:
+        for j in _j_candidates(family.j_constraint, primes[-1] if primes else 0):
+            for alpha in family.alphas or (0,):
+                offset = family_index(family, 0, t, j, alpha, primes)
+                if offset > order:
+                    grid.skipped.append(GridPoint(t, primes, j, alpha, offset))
+                    continue
+                stride = family_index(family, 1, t, j, alpha, primes) - offset
+                if stride < 1:
+                    where = f"t={t}, primes={primes}, j={j}, alpha={alpha}"
+                    raise ValueError(f"family {family.id}: index stride {stride} < 1 at {where}")
+                grid.points.append(GridPoint(t, primes, j, alpha, offset, stride))
+    return grid
 
 
 def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid:
     """All admissible (t, primes, j, alpha) with the n=0 index inside budget."""
     if family.kind != "progression":
         raise ValueError(f"family {family.id} has no progression grid")
-    grid = ParameterGrid(family_id=family.id)
-    alphas = family.alphas or (0,)
-    for t in budget.t_values:
-        for primes in _prime_tuples(family, t, budget):
-            last_p = primes[-1] if primes else 0
-            for j in _j_candidates(family.j_constraint, last_p):
-                for alpha in alphas:
-                    point = GridPoint(t=t, primes=primes, j=j, alpha=alpha)
-                    base_index = family_index(family, 0, t, j, alpha, primes)
-                    if base_index > budget.order:
-                        grid.skipped.append(point)
-                    else:
-                        grid.points.append(point)
+    candidates = [(t, primes) for t in budget.t_values for primes in _prime_tuples(family, t, budget)]
+    grid = progression_grid(family, budget.order, candidates)
     if not grid.points:
         grid.notes.append("empty grid: every point exceeds the series budget")
     if grid.skipped:
@@ -252,20 +275,6 @@ def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> Truncat
         return value
 
 
-def _prime_factors(m: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 @timed
 def verify_family(
     family: CongruenceFamily,
@@ -282,28 +291,22 @@ def verify_family(
     if family.note:
         report.notes.append(family.note)
     m = family.modulus
-    sub_primes = _prime_factors(m) if not _is_prime(m) else []
-    oracle_cache: dict[int, list[int]] = {}
+    sub_primes = [] if _is_prime(m) else [p for p in primes_upto(m) if m % p == 0]
+    oracle = cache(lambda r: regular_multipartition_counts(family.ell, r, ORACLE_CROSSCHECK_LIMIT).values)
     for point in grid.points:
         r = family.r_value(point.t)
         s = cached_regular_series(family.ell, r, m, budget.order)
         where = {"t": point.t, "primes": point.primes, "j": point.j, "alpha": point.alpha}
-        for n in range(budget.n_max + 1):
-            idx = family_index(family, n, point.t, point.j, point.alpha, point.primes)
-            if idx > budget.order:
-                break
-            if s[idx] != 0:
-                report.record(idx, s[idx], **where, n=n)
-            for p in sub_primes:  # s holds residues in [0, m) and p | m: s[idx] % p is the mod-p coefficient
-                if s[idx] % p != 0:
-                    report.record(idx, s[idx] % p, modulus=p, **where, n=n)
-            if oracle_crosscheck and idx <= ORACLE_CROSSCHECK_LIMIT:
-                if r not in oracle_cache:
-                    oracle_cache[r] = regular_multipartition_counts(
-                        family.ell, r, ORACLE_CROSSCHECK_LIMIT
-                    ).values
-                if oracle_cache[r][idx] % m != s[idx]:
-                    report.record(idx, {"series": s[idx], "oracle": oracle_cache[r][idx] % m}, **where, n=n)
+        sweep = s.coeffs[point.offset : budget.order + 1 : point.stride][: budget.n_max + 1]
+        for n, c in enumerate(sweep):
+            idx = point.offset + point.stride * n
+            if c != 0:
+                report.record(idx, c, **where, n=n)
+            for p in sub_primes:  # s holds residues in [0, m) and p | m: c % p is the mod-p coefficient
+                if c % p != 0:
+                    report.record(idx, c % p, modulus=p, **where, n=n)
+            if oracle_crosscheck and idx <= ORACLE_CROSSCHECK_LIMIT and oracle(r)[idx] % m != c:
+                report.record(idx, {"series": c, "oracle": oracle(r)[idx] % m}, **where, n=n)
             report.indices_checked += 1
     report.params_swept = {
         "points": len(grid.points),

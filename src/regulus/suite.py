@@ -110,18 +110,13 @@ def check_scaling(which: str) -> VerificationReport:
     return report
 
 
+DUAL_CONDITION_PRIMES = (11, 23)  # the smallest primes = 11 (mod 12)
+
+
 def check_thm3_iii_dual_condition(budget: families.GridBudget) -> VerificationReport:
     """Primes meeting both stated and proof-side conditions (11 mod 12)."""
     fam = families.get_family("thm3.iii")
-    grid = families.ParameterGrid(family_id=fam.id)
-    for p in (11, 23):
-        for j in families._j_candidates(fam.j_constraint, p):
-            for alpha in fam.alphas:
-                point = families.GridPoint(t=0, primes=(p,), j=j, alpha=alpha)
-                if families.family_index(fam, 0, 0, j, alpha, (p,)) <= budget.order:
-                    grid.points.append(point)
-                else:
-                    grid.skipped.append(point)
+    grid = families.progression_grid(fam, budget.order, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
     report = families.verify_family(fam, budget, grid=grid)
     report.id = "family.thm3.iii.dualcondition"
     report.notes.append(

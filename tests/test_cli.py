@@ -44,9 +44,24 @@ def test_coeff_with_oracle_crosscheck(capsys):
     assert all(line.endswith("ok") for line in out.strip().splitlines())
 
 
-def test_coeff_oracle_mismatch_is_violation(bump, capsys):
+def test_coeff_profile_with_repeated_bounds_matches_oracle(capsys):
+    # (3, 3, 5, 7) is (E_3/E_1)^2 (E_5/E_1) (E_7/E_1): each distinct bound enters with its multiplicity
+    code, out, _ = run(capsys, "coeff", "--profile", "3,3,5,7", "--n-max", "60", "--check-oracle")
+    assert code == EXIT_PASS
+    assert len(out.splitlines()) == 61 and all(line.endswith("ok") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        pytest.param(("--ell", "3", "--r", "2", "--n-max", "10"), id="uniform"),
+        # a mixed profile is built by the engine too, so the check can disagree with the oracle
+        pytest.param(("--profile", "3,5", "--n-max", "8"), id="mixed"),
+    ],
+)
+def test_coeff_oracle_mismatch_is_violation(bump, capsys, profile):
     bump(oracle, "_counts", 7)  # the oracle now disagrees with the series at n = 7 only
-    code, out, _ = run(capsys, "coeff", "--ell", "3", "--r", "2", "--n-max", "10", "--check-oracle")
+    code, out, _ = run(capsys, "coeff", *profile, "--check-oracle")
     assert code == EXIT_VIOLATION
     mismatches = [line for line in out.splitlines() if line.endswith("MISMATCH")]
     assert len(mismatches) == 1 and mismatches[0].startswith("7\t")
@@ -137,6 +152,29 @@ def test_verify_bad_registry_path(capsys):
     code, _, err = run(capsys, "verify", "--family", "x", "--registry", "/nonexistent.json")
     assert code == EXIT_USAGE
     assert "bad registry" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"index": "n*n + 1"},
+        {"index": "2**n"},
+        {"index": "3*x*n + 1"},
+        {"index": "7"},
+        {"index": "12/(n + 1)"},
+        {"r": "n + 1"},
+        {"j": "odd"},
+    ],
+    ids=lambda change: "=".join(*change.items()),
+)
+def test_verify_bad_registry_entry_exits_usage(tmp_path, capsys, change):
+    entry = {"id": "probe", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": "5*n + 4"}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"families": [{**entry, **change}]}))
+    code, out, err = run(capsys, "verify", "--family", "probe", "--registry", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("bad registry:")
 
 
 def test_verify_markdown_format(capsys):

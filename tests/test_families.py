@@ -6,6 +6,7 @@ import json
 import pytest
 
 from regulus import families as fam
+from regulus import suite
 from regulus.expr import NonExactDivisionError
 from regulus.report import FAIL, PASS, VACUOUS, VerificationReport
 from regulus.series import Zmod, series
@@ -18,6 +19,7 @@ from regulus.families import (
     generate_grid,
     get_family,
     load_registry,
+    progression_grid,
     search_hypothesis_primes,
     verify_family,
     verify_thm2_unconditional,
@@ -126,6 +128,44 @@ def test_j_candidates():
     assert fam._j_candidates("coprime_div5", 7) == [5, 10, 15, 20, 25, 30]
     assert fam._j_candidates("coprime_even", 2) == []  # no even j coprime to 2
     assert fam._j_candidates(None, 0) == [0]
+
+
+PROGRESSION_IDS = sorted(fid for fid, f in default_registry().items() if f.kind == "progression")
+
+
+@pytest.mark.parametrize("grid_id", PROGRESSION_IDS + ["thm3.iii.dualcondition"])
+def test_offset_and_stride_reproduce_family_index(grid_id):
+    # the sweep reads offset + stride*n; family_index evaluates the formula at n
+    budget = GridBudget(order=2000)
+    if grid_id == "thm3.iii.dualcondition":
+        f = get_family("thm3.iii")
+        grid = progression_grid(f, budget.order, [(0, (p,)) for p in suite.DUAL_CONDITION_PRIMES])
+    else:
+        f = get_family(grid_id)
+        grid = generate_grid(f, budget)
+    for pt in grid.skipped:
+        assert pt.offset == family_index(f, 0, pt.t, pt.j, pt.alpha, pt.primes) > budget.order
+    for pt in grid.points:
+        last = min(budget.n_max, (budget.order - pt.offset) // pt.stride)
+        for n in (0, 1, 2, last):
+            assert pt.offset + pt.stride * n == family_index(f, n, pt.t, pt.j, pt.alpha, pt.primes)
+
+
+def test_sweep_reads_n_up_to_n_max_and_indices_up_to_order():
+    f = get_family("eq30")  # 2n + 1, one point per t
+    capped_by_n = verify_family(f, GridBudget(order=400, n_max=9))
+    assert capped_by_n.indices_checked == 10 * capped_by_n.params_swept["points"]
+    capped_by_order = verify_family(f, GridBudget(order=41, n_max=2000))
+    assert capped_by_order.indices_checked == 21 * capped_by_order.params_swept["points"]  # 1, 3, ..., 41
+
+
+@pytest.mark.parametrize("index", ["50 - n", "n - n + 5"])
+def test_stride_below_one_is_rejected(tmp_path, index):
+    path = tmp_path / "registry.json"
+    entry = {"id": "down", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": index}
+    path.write_text(json.dumps({"families": [entry]}))
+    with pytest.raises(ValueError, match="stride"):
+        generate_grid(load_registry(str(path))["down"], GridBudget(order=100))
 
 
 def test_grid_reports_skipped_points():
