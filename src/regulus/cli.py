@@ -1,7 +1,7 @@
 """Command-line front end: coeff, oracle, identity, verify, suite.
 
 Exit codes: 0 all-pass, 1 mathematical violation, 2 usage or config error
-(and any unexpected crash), 3 vacuous result under --strict.
+(and any unexpected crash), 3 vacuous or skipped result under --strict.
 REGULUS_BUDGET_N overrides the default series order.
 """
 
@@ -125,6 +125,16 @@ def _write_report(report: dict, args) -> None:
         print(text)
 
 
+def _exit_code(statuses, strict: bool) -> int:
+    """1 if any check failed; else 3 under --strict if any was vacuous or skipped; else 0."""
+    statuses = set(statuses)
+    if FAIL in statuses:
+        return EXIT_VIOLATION
+    if strict and statuses & {VACUOUS, SKIPPED}:
+        return EXIT_VACUOUS
+    return EXIT_PASS
+
+
 def cmd_verify(args) -> int:
     registry = None
     if args.registry:
@@ -145,27 +155,17 @@ def cmd_verify(args) -> int:
         print(f"index formula error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write_report({"version": suite.REPORT_VERSION, "checks": [report.to_dict()]}, args)
-    if report.status == FAIL:
-        return EXIT_VIOLATION
-    if report.status in (VACUOUS, SKIPPED) and args.strict:
-        return EXIT_VACUOUS
-    return EXIT_PASS
+    return _exit_code([report.status], args.strict)
 
 
 def cmd_suite(args) -> int:
     if args.only:
-        prefixes = [p.strip() for p in args.only.split(",") if p.strip()]
-        all_ids = suite.default_check_ids()
-        # a filter may name a group prefix (e.g. "identities") or an id prefix
-        groups = {"identities": "identity.", "families": "family.", "bridges": "bridge.",
-                  "oracle": "oracle.", "newman": "newman.", "scaling": "scaling."}
-        selected = []
-        for cid in all_ids:
-            for p in prefixes:
-                key = groups.get(p, p)
-                if cid == key or cid.startswith(key):
-                    selected.append(cid)
-                    break
+        # a filter names a group (e.g. "identities") or whole leading dot-separated segments of an id
+        groups = {"identities": "identity", "families": "family", "bridges": "bridge"}
+        filters = [groups.get(f.strip(), f.strip()) for f in args.only.split(",") if f.strip()]
+        selected = [
+            cid for cid in suite.default_check_ids() if any(cid == f or cid.startswith(f + ".") for f in filters)
+        ]
         if not selected:
             print(f"no checks match {args.only!r}", file=sys.stderr)
             return EXIT_USAGE
@@ -174,16 +174,17 @@ def cmd_suite(args) -> int:
     budget = families.GridBudget(order=args.order, n_max=args.n_max)
     report = suite.run_suite(selected, budget, jobs=args.jobs)
     _write_report(report, args)
-    status = suite.suite_status(report)
-    if status == FAIL:
-        return EXIT_VIOLATION
-    if status == VACUOUS and args.strict:
-        return EXIT_VACUOUS
-    return EXIT_PASS
+    return _exit_code((c["status"] for c in report["checks"]), args.strict)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line and exit 2, without argparse's usage block."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="regulus")
+    parser = _Parser(prog="regulus")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def series_args(p):

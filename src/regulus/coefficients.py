@@ -289,8 +289,6 @@ SCALINGS = {
     "eq_b77_scale": ("b77_eta6", 3, 40),
 }
 
-SCALING_IDS = tuple(SCALINGS)
-
 
 @timed
 def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:

@@ -8,12 +8,14 @@ run time, so new families need no code changes.
 
 Every progression index is affine in n: ``load_registry`` raises ValueError
 for an index with another symbol, with n under ``**`` or in a divisor, or of
-degree in n other than 1, for an ``r`` formula in any symbol but t, and for
-an unknown ``j`` constraint.  Each subformula of an accepted index is A*n + B,
-and a division exact at n = 0 and n = 1 divides B and A, so it is exact at
-every n.  A grid point is thus resolved once, to offset = index(n=0) and
-stride = index(n=1) - offset (below 1 raises ValueError), and the sweep reads
-the slice s[offset::stride] without evaluating a formula per n.
+degree in n other than 1, for an ``r`` formula in any symbol but t, for an
+unknown ``j`` constraint, for a kind other than progression or thm2, and for
+a thm2 family whose part is unknown or whose ell, r or modulus is not its
+bridge's.  Each subformula of an accepted index is A*n + B, and a division
+exact at n = 0 and n = 1 divides B and A, so it is exact at every n.  A grid
+point is thus resolved once, to offset = index(n=0) and stride = index(n=1) -
+offset (below 1 raises ValueError), and the sweep reads the slice
+s[offset::stride] without evaluating a formula per n.
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge
 of ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset)
@@ -43,6 +45,7 @@ from .report import FAIL, PASS, SKIPPED, VACUOUS, VerificationReport, timed
 from .series import TruncatedSeries, regular_quotient
 
 ORACLE_CROSSCHECK_LIMIT = 300
+PRIMES_PER_FAMILY = 2  # smallest admissible primes swept per t
 
 
 class UnknownFamilyError(KeyError):
@@ -113,12 +116,17 @@ _INDEX_SYMBOL = re.compile(r"n|t|j|alpha|P|Q|pl|p[1-9][0-9]*")
 
 
 def _check_family(family: CongruenceFamily) -> None:
-    """Raise ValueError unless the family's formulas are ones the sweep can resolve."""
+    """Raise ValueError unless the family is one the sweep can resolve."""
+    if family.kind not in ("progression", "thm2"):
+        raise ValueError(f"family {family.id}: unknown kind {family.kind!r}")
     if expr.symbols_used(family.r_formula) - {"t"}:
         raise ValueError(f"family {family.id}: r formula {family.r_formula!r} may use only t")
     if family.j_constraint not in _J_RESIDUES:
         raise ValueError(f"family {family.id}: unknown j constraint {family.j_constraint!r}")
-    if family.kind != "progression":
+    if family.kind == "thm2":
+        row = _thm2_bridge(family.part)
+        if (family.ell, family.r_value(0), family.r_value(1), family.modulus) != (row.ell, row.r, row.r, row.ell):
+            raise ValueError(f"family {family.id}: part {family.part} needs ell {row.ell}, r {row.r}, modulus {row.ell}")
         return
     unknown = sorted(x for x in expr.symbols_used(family.index_formula) if not _INDEX_SYMBOL.fullmatch(x))
     if unknown:
@@ -190,7 +198,6 @@ class GridBudget:
     order: int = 2000
     n_max: int = 2000
     t_values: tuple[int, ...] = (0, 1)
-    primes_per_family: int = 2
 
 
 @dataclass(frozen=True)
@@ -210,13 +217,13 @@ class ParameterGrid:
     notes: list[str] = field(default_factory=list)
 
 
-def _prime_tuples(family: CongruenceFamily, t: int, budget: GridBudget) -> list[tuple[int, ...]]:
+def _prime_tuples(family: CongruenceFamily, t: int) -> list[tuple[int, ...]]:
     pc = family.primes
     if pc is None:
         return [()]
-    base = pc.smallest(budget.primes_per_family + 1)
+    base = pc.smallest(PRIMES_PER_FAMILY + 1)
     if pc.count == "one" or t == 0:
-        return [(p,) for p in base[: budget.primes_per_family]]
+        return [(p,) for p in base[:PRIMES_PER_FAMILY]]
     # "many" at t >= 1: t+1 primes, the diagonal plus one mixed tuple to exercise
     # the multi-prime statement beyond its diagonal corollary
     return [(base[0],) * (t + 1), (base[0],) * t + (base[1],)]
@@ -244,7 +251,7 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
     """All admissible (t, primes, j, alpha) with the n=0 index inside budget."""
     if family.kind != "progression":
         raise ValueError(f"family {family.id} has no progression grid")
-    candidates = [(t, primes) for t in budget.t_values for primes in _prime_tuples(family, t, budget)]
+    candidates = [(t, primes) for t in budget.t_values for primes in _prime_tuples(family, t)]
     grid = progression_grid(family, budget.order, candidates)
     if not grid.points:
         grid.notes.append("empty grid: every point exceeds the series budget")
@@ -280,7 +287,6 @@ def verify_family(
     family: CongruenceFamily,
     budget: GridBudget = GridBudget(),
     grid: Optional[ParameterGrid] = None,
-    oracle_crosscheck: bool = True,
 ) -> VerificationReport:
     """Assert the coefficient vanishes mod m at every generated index."""
     if family.kind == "thm2":
@@ -305,7 +311,7 @@ def verify_family(
             for p in sub_primes:  # s holds residues in [0, m) and p | m: c % p is the mod-p coefficient
                 if c % p != 0:
                     report.record(idx, c % p, modulus=p, **where, n=n)
-            if oracle_crosscheck and idx <= ORACLE_CROSSCHECK_LIMIT and oracle(r)[idx] % m != c:
+            if idx <= ORACLE_CROSSCHECK_LIMIT and oracle(r)[idx] % m != c:
                 report.record(idx, {"series": c, "oracle": oracle(r)[idx] % m}, **where, n=n)
             report.indices_checked += 1
     report.params_swept = {

@@ -23,10 +23,6 @@ class VerificationReport:
     ms: float = 0.0
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
-
     def record(self, index: int, value: Any, **params: Any) -> None:
         self.status = FAIL
         self.violations.append({"index": index, "value": value, "params": params})

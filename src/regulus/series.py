@@ -85,9 +85,6 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return mul(self, other)
 
-    def nonzero_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.coeffs) if c]
-
 
 def series(coeffs, ring: CoefficientRing = ZZ) -> TruncatedSeries:
     """Build a series from a coefficient sequence, canonicalizing residues."""
@@ -119,11 +116,6 @@ def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(
         a.ring, tuple(red(a.coeffs[i] - b.coeffs[i]) for i in range(n + 1))
     )
-
-
-def scale(a: TruncatedSeries, c: int) -> TruncatedSeries:
-    red = a.ring.reduce
-    return TruncatedSeries(a.ring, tuple(red(c * x) for x in a.coeffs))
 
 
 def _pack(coeffs, nbytes: int) -> int:

@@ -1,12 +1,16 @@
 """Full verification suite: every identity, recurrence, bridge, and family.
 
-Check ids are stable strings; the aggregate report is sorted by id so two
-runs differ only in timing fields.
+``_checks`` is the list of checks: a table from each check id to a
+zero-argument call, built from the rows of ``dissections``, ``coefficients``
+and the family registry.  Its key is the report id: ``run_suite`` stamps each
+report with its key and sorts the report by id, so two runs differ only in
+timing fields.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Optional
 
 from . import coefficients as co
@@ -103,13 +107,6 @@ def check_eigenvalue_vanishing(n_max: int = 200) -> VerificationReport:
     return report
 
 
-def check_scaling(which: str) -> VerificationReport:
-    _, p, n_max = co.SCALINGS[which]
-    report = co.scaling_congruence_check(which, p, n_max)
-    report.id = f"scaling.{which}"
-    return report
-
-
 DUAL_CONDITION_PRIMES = (11, 23)  # the smallest primes = 11 (mod 12)
 
 
@@ -118,77 +115,64 @@ def check_thm3_iii_dual_condition(budget: families.GridBudget) -> VerificationRe
     fam = families.get_family("thm3.iii")
     grid = families.progression_grid(fam, budget.order, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
     report = families.verify_family(fam, budget, grid=grid)
-    report.id = "family.thm3.iii.dualcondition"
     report.notes.append(
         "stated condition is 3 mod 4 but the proof route needs 2 mod 3; this sweep uses primes meeting both"
     )
     return report
 
 
-def default_check_ids(registry=None) -> list[str]:
-    reg = registry or families.default_registry()
-    ids = [f"identity.{name}" for name in dissections.IDENTITY_IDS]
-    ids += ["frobenius", "oracle.equivalence", "oracle.enumeration"]
-    ids += ["newman.recurrence", "newman.fourstep"]
-    ids += [f"hecke.{f.id}" for f in co.FORMS.values() if f.eigenform]
-    ids += [f"support.{f}" for f in co.FORMS]
-    ids += [f"vanishing.{f}" for f in co.FORMS]
-    ids += ["vanishing.prime_coefficients"]
-    ids += [f"bridge.{b}" for b in co.BRIDGE_IDS]
-    ids += [f"scaling.{s}" for s in co.SCALING_IDS]
-    ids += [f"family.{fid}" for fid in sorted(reg)]
-    ids += ["family.thm3.iii.dualcondition"]
-    return sorted(ids)
+def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], VerificationReport]]:
+    """The suite's checks, report id -> zero-argument call, each built from the row that states it.
 
+    Each check function is read through its module when the table is built, so
+    a table built per run calls whatever that attribute holds at the time.
+    """
+    order, short, medium = budget.order, min(budget.order, 1000), min(budget.order, 1500)
+    pairs = co.admissible_newman_pairs(13)
 
-def _build_check(check_id: str, budget: families.GridBudget, registry) -> Callable[[], VerificationReport]:
-    order = budget.order
-    if check_id.startswith("identity."):
-        name = check_id.split(".", 1)[1]
-        return lambda: dissections.verify_dissection(name, min(order, 1000))
-    if check_id == "frobenius":
-        return lambda: check_frobenius(min(order, 1000))
-    if check_id == "oracle.equivalence":
-        return lambda: check_oracle_equivalence(300)
-    if check_id == "oracle.enumeration":
-        return lambda: check_oracle_enumeration(20)
-    if check_id == "newman.recurrence":
-        pairs = co.admissible_newman_pairs(13)
-        swept = {"n_max": order, "pairs": [[p.r, p.p] for p in pairs]}
-        return lambda: aggregate(check_id, swept, (co.newman_check(p, order) for p in pairs))
-    if check_id == "newman.fourstep":
-        swept = {"cases": [list(c) for c in FOUR_STEP_CASES]}
-        return lambda: aggregate(
-            check_id, swept, (co.newman_four_step(r, p, order) for r, p in FOUR_STEP_CASES)
-        )
-    if check_id.startswith("hecke."):
-        form, n_max = co.FORMS[check_id.split(".", 1)[1]], min(order, 1500)
-        return lambda: aggregate(
-            check_id, {"n_max": n_max}, (co.hecke_eigen_check(form, p, n_max) for p in co.primes_upto(13))
-        )
-    if check_id.startswith("support."):
-        form = co.FORMS[check_id.split(".", 1)[1]]
-        return lambda: co.support_check(form, order)
-    if check_id == "vanishing.prime_coefficients":
-        return lambda: check_eigenvalue_vanishing(200)
-    if check_id.startswith("vanishing."):
-        form, n_max = co.FORMS[check_id.split(".", 1)[1]], min(order, 1500)
+    def over(check_id, swept, check, cases):
+        """One report over check(*case) for each case; the generator runs inside aggregate's timing."""
+        return {check_id: lambda: aggregate(check_id, swept, (check(*case) for case in cases))}
+
+    checks = {
+        "frobenius": partial(check_frobenius, short),
+        "oracle.equivalence": partial(check_oracle_equivalence, 300),
+        "oracle.enumeration": partial(check_oracle_enumeration, 20),
+        "vanishing.prime_coefficients": partial(check_eigenvalue_vanishing, 200),
+        "family.thm3.iii.dualcondition": partial(check_thm3_iii_dual_condition, budget),
+        **over("newman.recurrence", {"n_max": order, "pairs": [[p.r, p.p] for p in pairs]},
+               co.newman_check, [(p, order) for p in pairs]),
+        **over("newman.fourstep", {"cases": [list(c) for c in FOUR_STEP_CASES]},
+               co.newman_four_step, [(r, p, order) for r, p in FOUR_STEP_CASES]),
+    }
+    for name in dissections.IDENTITY_IDS:
+        checks[f"identity.{name}"] = partial(dissections.verify_dissection, name, short)
+    for form in co.FORMS.values():
+        checks[f"support.{form.id}"] = partial(co.support_check, form, order)
         primes = co.admissible_vanishing_primes(form, 3)
-        return lambda: aggregate(
-            check_id, {"primes": primes}, (co.vanishing_consequence_check(form, p, n_max) for p in primes)
-        )
-    if check_id.startswith("bridge."):
-        name = check_id.split(".", 1)[1]
-        row = co.BRIDGES[name]
-        return lambda: co.bridge_congruence_check(name, (order - row.offset) // row.step)
-    if check_id.startswith("scaling."):
-        return lambda: check_scaling(check_id.split(".", 1)[1])
-    if check_id == "family.thm3.iii.dualcondition":
-        return lambda: check_thm3_iii_dual_condition(budget)
-    if check_id.startswith("family."):
-        fam = families.get_family(check_id.split(".", 1)[1], registry)
-        return lambda: families.verify_family(fam, budget)
-    raise KeyError(f"unknown check id {check_id!r}")
+        checks |= over(f"vanishing.{form.id}", {"primes": primes},
+                       co.vanishing_consequence_check, [(form, p, medium) for p in primes])
+        if form.eigenform:
+            checks |= over(f"hecke.{form.id}", {"n_max": medium},
+                           co.hecke_eigen_check, [(form, p, medium) for p in co.primes_upto(13)])
+    for name, row in co.BRIDGES.items():
+        checks[f"bridge.{name}"] = partial(co.bridge_congruence_check, name, (order - row.offset) // row.step)
+    for name, (_, p, n_max) in co.SCALINGS.items():
+        checks[f"scaling.{name}"] = partial(co.scaling_congruence_check, name, p, n_max)
+    for fid, family in registry.items():
+        checks[f"family.{fid}"] = partial(families.verify_family, family, budget)
+    return checks
+
+
+def default_check_ids(registry=None) -> list[str]:
+    return sorted(_checks(families.GridBudget(), registry or families.default_registry()))
+
+
+def _build_check(check_id: str, checks: dict) -> Callable[[], VerificationReport]:
+    try:
+        return checks[check_id]
+    except KeyError:
+        raise KeyError(f"unknown check id {check_id!r}") from None
 
 
 def run_suite(
@@ -197,21 +181,15 @@ def run_suite(
     registry=None,
     jobs: int = 1,
 ) -> dict:
-    """Run selected checks (all by default); aggregate a JSON-ready report."""
-    reg = registry or families.default_registry()
-    ids = sorted(check_ids) if check_ids else default_check_ids(reg)
-    tasks = {cid: _build_check(cid, budget, reg) for cid in ids}
-    results: dict[str, VerificationReport] = {}
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {cid: pool.submit(fn) for cid, fn in tasks.items()}
-            for cid, fut in futures.items():
-                results[cid] = fut.result()
-    else:
-        for cid, fn in tasks.items():
-            results[cid] = fn()
-    checks = [results[cid].to_dict() for cid in sorted(results)]
-    return {"version": REPORT_VERSION, "checks": checks}
+    """Run selected checks (all by default); aggregate a JSON-ready report sorted by id."""
+    checks = _checks(budget, registry or families.default_registry())
+    tasks = {cid: _build_check(cid, checks) for cid in sorted(set(check_ids or checks))}
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {cid: pool.submit(fn) for cid, fn in tasks.items()}
+        reports = {cid: fut.result() for cid, fut in futures.items()}
+    for cid, report in reports.items():
+        report.id = cid
+    return {"version": REPORT_VERSION, "checks": [report.to_dict() for report in reports.values()]}
 
 
 def suite_status(report: dict) -> str:

@@ -164,8 +164,12 @@ def test_verify_bad_registry_path(capsys):
         {"index": "12/(n + 1)"},
         {"r": "n + 1"},
         {"j": "odd"},
+        {"kind": "sieve"},
+        {"kind": "thm2", "part": "iii"},
+        # part i is bridge b56_a24: ell 5, r 6, modulus 5, where the entry states r 9
+        {"kind": "thm2", "part": "i"},
     ],
-    ids=lambda change: "=".join(*change.items()),
+    ids=lambda change: ",".join(f"{key}={value}" for key, value in change.items()),
 )
 def test_verify_bad_registry_entry_exits_usage(tmp_path, capsys, change):
     entry = {"id": "probe", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": "5*n + 4"}
@@ -200,6 +204,21 @@ def test_suite_only_identities(tmp_path, capsys):
     assert {c["id"] for c in report["checks"]} == {
         "identity.2diss", "identity.5diss", "identity.7diss", "identity.11diss"
     }
+
+
+def test_suite_only_matches_whole_segments(tmp_path, capsys):
+    out_path = tmp_path / "suite.json"
+    code, _, _ = run(capsys, "suite", "--only", "family.thm1.i", "--order", "64", "--report", str(out_path))
+    assert code == EXIT_PASS
+    assert [c["id"] for c in json.loads(out_path.read_text())["checks"]] == ["family.thm1.i"]
+
+
+def test_suite_strict_skipped_check_is_vacuous_exit(capsys):
+    # at order 64 every grid point of thm1.ii is out of budget, so the check is skipped
+    code, _, _ = run(capsys, "suite", "--only", "family.thm1.ii", "--order", "64")
+    assert code == EXIT_PASS
+    code, _, _ = run(capsys, "suite", "--only", "family.thm1.ii", "--order", "64", "--strict")
+    assert code == EXIT_VACUOUS
 
 
 def test_suite_bad_filter(capsys):
@@ -242,8 +261,12 @@ def test_determinism_modulo_timing(tmp_path, capsys):
 
 
 def test_usage_error_from_argparse(capsys):
-    assert main(["frobnicate"]) == EXIT_USAGE
-    capsys.readouterr()
+    # one stderr line, without argparse's usage block
+    for argv in [(), ("frobnicate",), ("suite", "--order", "abc"), ("coeff", "--n")]:
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "error:" in err
 
 
 def test_budget_env_var(monkeypatch, capsys):

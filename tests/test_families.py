@@ -196,7 +196,7 @@ def test_empty_grid_is_skipped_not_fail():
 def test_negative_control_wrong_alpha_fails():
     base = get_family("thm4.9")
     wrong = dataclasses.replace(base, id="thm4.9.control", alphas=(17,))
-    report = verify_family(wrong, GridBudget(order=400, n_max=400), oracle_crosscheck=False)
+    report = verify_family(wrong, GridBudget(order=400, n_max=400))
     assert report.status == "fail"
     assert report.violations
     # each prime p | 10 gets its own violation wherever the mod-10 coefficient is nonzero mod p
