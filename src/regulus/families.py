@@ -9,13 +9,15 @@ run time, so new families need no code changes.
 Every progression index is affine in n: ``load_registry`` raises ValueError
 for an index with another symbol, with n under ``**`` or in a divisor, or of
 degree in n other than 1, for an ``r`` formula in any symbol but t, for an
-unknown ``j`` constraint, for a kind other than progression or thm2, and for
-a thm2 family whose part is unknown or whose ell, r or modulus is not its
-bridge's.  Each subformula of an accepted index is A*n + B, and a division
-exact at n = 0 and n = 1 divides B and A, so it is exact at every n.  A grid
-point is thus resolved once, to offset = index(n=0) and stride = index(n=1) -
-offset (below 1 raises ValueError), and the sweep reads the slice
-s[offset::stride] without evaluating a formula per n.
+unknown ``j`` constraint, for a kind other than progression or thm2, for a
+thm2 family whose part is unknown or whose ell, r or modulus is not its
+bridge's, for an ell or modulus that is not an integer >= 2, for an index or
+r that is not a string, and for primes that are not an object.  Each
+subformula of an accepted index is A*n + B, and a division exact at n = 0
+and n = 1 divides B and A, so it is exact at every n.  A grid point is thus
+resolved once, to offset = index(n=0) and stride = index(n=1) - offset
+(below 1 raises ValueError), and the sweep reads the slice s[offset::stride]
+without evaluating a formula per n.
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge
 of ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset)
@@ -85,15 +87,24 @@ class CongruenceFamily:
 
 
 def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
+    for key in ("ell", "modulus"):
+        # JSON true loads as a bool, which isinstance(..., int) would admit
+        if type(d[key]) is not int or d[key] < 2:
+            raise ValueError(f"family {d['id']}: {key} must be an integer >= 2, got {d[key]!r}")
+    for key in ("index", "r"):
+        if not isinstance(d.get(key, ""), str):
+            raise ValueError(f"family {d['id']}: {key} must be a string, got {d[key]!r}")
+    p = d.get("primes")
+    if p is not None and not isinstance(p, dict):
+        raise ValueError(f"family {d['id']}: primes must be an object, got {p!r}")
     pc = None
-    if d.get("primes"):
-        p = d["primes"]
+    if p:
         pc = PrimeConstraint(p["count"], p["residue"], p["residue_mod"], tuple(p.get("exclude", ())))
     return CongruenceFamily(
         id=d["id"],
         kind=d["kind"],
         ell=d["ell"],
-        r_formula=str(d["r"]),
+        r_formula=d["r"],
         modulus=d["modulus"],
         index_formula=d.get("index", ""),
         primes=pc,

@@ -65,26 +65,29 @@ def _check(ell: int, r: int, n_max: int) -> None:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _divisor_weights(ells: tuple[int, ...], n_max: int) -> list[int]:
+def _divisor_weights(profile: tuple[tuple[int, int], ...], n_max: int) -> list[int]:
     """c(k) = sum over d | k of d * #{i : ell_i does not divide d}, for k <= n_max."""
-    mult = Counter(ells)
     c = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
-        weight = d * sum(e for ell, e in mult.items() if d % ell)
+        weight = d * sum(e for ell, e in profile if d % ell)
         for k in range(d, n_max + 1, d):
             c[k] += weight
     return c
 
 
 @lru_cache(maxsize=None)
-def _counts(ells: tuple[int, ...], n_max: int) -> tuple[int, ...]:
-    """F(n) for n <= n_max by n F(n) = sum_{k=1..n} c(k) F(n-k); ells is sorted."""
-    c = _divisor_weights(ells, n_max)
+def _counts(profile: tuple[tuple[int, int], ...], n_max: int) -> tuple[int, ...]:
+    """F(n) for n <= n_max by n F(n) = sum_{k=1..n} c(k) F(n-k).
+
+    The profile is its sorted (ell, multiplicity) pairs, so the key of a
+    uniform profile does not grow with r.
+    """
+    c = _divisor_weights(profile, n_max)
     table = [1]
     for n in range(1, n_max + 1):
         value, rem = divmod(sum(map(mul, c[n:0:-1], table)), n)
         if rem:
-            raise ArithmeticError(f"recurrence for {ells} left remainder {rem} at n={n}")
+            raise ArithmeticError(f"recurrence for {profile} left remainder {rem} at n={n}")
         table.append(value)
     return tuple(table)
 
@@ -92,20 +95,20 @@ def _counts(ells: tuple[int, ...], n_max: int) -> tuple[int, ...]:
 def regular_partition_counts(ell: int, n_max: int) -> CoefficientTable:
     """Partitions of n with no part divisible by ell, for all n <= n_max."""
     _check(ell, 1, n_max)
-    return CoefficientTable(f"b_{ell}", list(_counts((ell,), n_max)))
+    return CoefficientTable(f"b_{ell}", list(_counts(((ell, 1),), n_max)))
 
 
 def multipartition_counts(profile: RegularityProfile, n_max: int) -> CoefficientTable:
     """Counts of r-tuples whose i-th component is ell_i-regular."""
     _check(min(profile.ells), profile.r, n_max)
     name = "B_" + ",".join(str(ell) for ell in profile.ells)
-    return CoefficientTable(name, list(_counts(tuple(sorted(profile.ells)), n_max)))
+    return CoefficientTable(name, list(_counts(tuple(sorted(Counter(profile.ells).items())), n_max)))
 
 
 def regular_multipartition_counts(ell: int, r: int, n_max: int) -> CoefficientTable:
     """Counts B with all r components ell-regular."""
     _check(ell, r, n_max)
-    return CoefficientTable(f"B_{ell}^({r})", list(_counts((ell,) * r, n_max)))
+    return CoefficientTable(f"B_{ell}^({r})", list(_counts(((ell, r),), n_max)))
 
 
 @lru_cache(maxsize=None)

@@ -6,22 +6,58 @@ Coefficients are Python ints (arbitrary precision over Z, canonical residues
 in [0, m) over Z/m).
 
 Every product, over either ring and including the two inside Newton
-inversion, is one Kronecker substitution: each operand is packed into a
-single Python int with ``nbytes`` bytes per coefficient, the two ints are
-multiplied once, and the slots of the product are read back.  If every
-coefficient of a has absolute value at most ``ma`` and every one of b at most
-``mb``, a product coefficient is a sum of at most min(len_a, len_b) terms, so
-its absolute value is at most ``bound = max(ma*mb*min(len_a, len_b), ma, mb)``
-(the last two terms let a slot hold the operands' own coefficients).  Over
-Z/m, ``ma = mb = m - 1`` and the slots are unsigned: ``bound < 256**nbytes``.
-Over Z, ``ma`` and ``mb`` are the operands' largest ``|c|`` and a slot also
-carries a sign: ``2 * bound < 256**nbytes``.  Either way no carry or borrow
-crosses a slot and every slot holds its exact sum; ``nbytes`` is the least
-width that meets the bound.
+inversion, goes through ``_kronecker``, which takes one of two exact paths.
+Two bounds decide which; no size threshold or setting does.
+
+Kronecker substitution (every product the float bound does not admit): each
+operand is packed into a single Python int with ``nbytes`` bytes per
+coefficient, the two ints are multiplied once, and the slots of the product
+are read back.  If every coefficient of a has absolute value at most ``ma``
+and every one of b at most ``mb``, a product coefficient is a sum of at most
+min(len_a, len_b) terms, so its absolute value is at most ``bound =
+max(ma*mb*min(len_a, len_b), ma, mb)`` (the last two terms let a slot hold
+the operands' own coefficients).  Over Z/m, ``ma = mb = m - 1`` and the slots
+are unsigned: ``bound < 256**nbytes``.  Over Z, ``ma`` and ``mb`` are the
+operands' largest ``|c|`` and a slot also carries a sign: ``2 * bound <
+256**nbytes``.  Either way no carry or borrow crosses a slot and every slot
+holds its exact sum; ``nbytes`` is the least width that meets the bound.
+
+Float FFT (``_fft_product``): the operands, as float64 vectors x and y, are
+zero-padded to L = 2**n >= len_a + len_b - 1 and multiplied as
+``irfft(rfft(x) * rfft(y))``; each entry is rounded to the nearest integer.
+Over Z/m a residue c enters in balanced form (c - m when c > m // 2), so
+``|c| <= ha = m // 2``; over Z, ``ha`` is ``ma``.  The path is taken only
+when both of these hold (``_float_exact``):
+
+* ``max(ha*hb*min(len_a, len_b), ma, mb) < 2**52``: every input and every
+  exact output coefficient is an integer that float64 represents exactly.
+* Percival's theorem (Rapid multiplication modulo the sum and difference
+  of highly composite numbers, Math. Comp. 72 (2003)): a product by a
+  radix-2 FFT of length 2**n in arithmetic with unit roundoff
+  eps = 2**-53 and twiddle factors accurate to beta differs from the exact
+  one in every entry by less than
+  ``|x| |y| ((1+eps)^{3n} (1+eps*sqrt5)^{3n+1} (1+beta)^{3n} - 1)``,
+  where ``|x| <= ha*sqrt(len_a)`` is the Euclidean norm.  The path needs
+  twice that quantity, evaluated in float through ``math.expm1`` of the
+  summed ``log1p`` terms, below 1/4; the factor 2 covers the rounding of
+  that evaluation.
+
+The theorem is proved for a textbook radix-2 transform.  The float path
+assumes that numpy's pocketfft (the C library in numpy 1.x, the C++ one in
+numpy 2), whose real transforms use mixed radices and a half-length complex
+transform, is no less accurate than that transform at the same length, with
+twiddle factors accurate to beta = 2**-52, twice the unit roundoff.  Under
+that assumption every entry lies within 1/8 of its exact integer, where
+rounding needs only 1/2; the margin is what the assumption may use up.  A
+residual guard checks it on every product: an entry more than 1/4 from its
+nearest integer raises ArithmeticError, and there is no fallback.  The guard
+cannot see an error of a whole unit, nor a product past 2**53 that rounds to
+an integer-valued float, so the bound, not the guard, makes the path exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +191,73 @@ def _unpack(x: int, n_keep: int, nbytes: int, m: int) -> list[int]:
     return [c % m for c in slots] if m else [c - half for c in slots]
 
 
+_EPS = 2.0**-53  # float64 unit roundoff
+_BETA = 2.0**-52  # allowance for the error of pocketfft's twiddle factors
+
+
+def _float_exact(ha: int, hb: int, ma: int, mb: int, len_a: int, len_b: int) -> bool:
+    """Whether _fft_product is exact: both bounds of the module docstring hold.
+
+    ha and hb bound the operands' |c| as the transform sees them (balanced over
+    Z/m); ma and mb bound the values passed in.
+    """
+    if max(ha * hb * min(len_a, len_b), ma, mb) >= 1 << 52:
+        return False
+    n = (len_a + len_b - 2).bit_length()  # the transform length is 2**n
+    log_growth = (
+        3 * n * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5)) + 3 * n * math.log1p(_BETA)
+    )
+    # Percival's |x| |y| expm1(log_growth) with |x| <= ha * sqrt(len_a), doubled
+    return 2 * ha * hb * math.sqrt(len_a * len_b) * math.expm1(log_growth) < 0.25
+
+
+def _fft_product(la, lb, n_out: int, m: int) -> list[int]:
+    """The product _kronecker returns, by numpy's float rfft; exact only where _float_exact holds.
+
+    Raises ArithmeticError if an entry lies more than 1/4 from an integer.
+    """
+    fft = np.fft
+    size = len(la) + len(lb) - 1
+    length = 1 << (size - 1).bit_length()
+
+    def spectrum(coeffs):
+        x = np.array(coeffs, dtype=np.float64)
+        if m:
+            x[x > m // 2] -= m  # balanced residues, |c| <= m // 2
+        return fft.rfft(x, length)
+
+    prod = spectrum(la)
+    prod *= prod if lb is la else spectrum(lb)
+    c = fft.irfft(prod, length)[: min(size, n_out + 1)]
+    del prod
+    exact = np.rint(c)
+    c -= exact
+    residual = np.abs(c, out=c).max()
+    if residual > 0.25:
+        raise ArithmeticError(f"float product left a residual of {residual:.3g}")
+    out = exact.astype(np.int64)
+    if m:
+        out %= m
+    return out.tolist() + [0] * (n_out + 1 - len(out))
+
+
 def _kronecker(la, lb, n_out: int, m: int) -> list[int]:
     """Product of two coefficient sequences truncated at n_out, over Z/m, or over Z when m == 0.
 
-    Passing the same sequence twice packs it once and squares the int.
+    Takes the float path when _float_exact admits the operands. Passing the
+    same sequence twice transforms it once, or packs it once and squares the int.
     """
     square = lb is la
     la = la[: n_out + 1]
     lb = la if square else lb[: n_out + 1]
     if m:
         ma = mb = m - 1
+        ha = hb = m // 2
     else:
-        ma = max(map(abs, la))
-        mb = ma if square else max(map(abs, lb))
+        ma = ha = max(map(abs, la))
+        mb = hb = ma if square else max(map(abs, lb))
+    if _float_exact(ha, hb, ma, mb, len(la), len(lb)):
+        return _fft_product(la, lb, n_out, m)
     # |slot sum| <= ma*mb*min(len), and a slot must also hold each operand coefficient
     bound = max(ma * mb * min(len(la), len(lb)), ma, mb)
     # over Z one more bit carries the sign
@@ -246,8 +336,8 @@ def euler_E(k: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
         if e2 <= order:
             c[e2] += s
         j += 1
-    red = ring.reduce
-    return TruncatedSeries(ring, tuple(red(x) for x in c))
+    m = ring.modulus
+    return TruncatedSeries(ring, tuple([x % m for x in c] if m else c))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from regulus import oracle
@@ -65,6 +66,22 @@ def test_coeff_oracle_mismatch_is_violation(bump, capsys, profile):
     assert code == EXIT_VIOLATION
     mismatches = [line for line in out.splitlines() if line.endswith("MISMATCH")]
     assert len(mismatches) == 1 and mismatches[0].startswith("7\t")
+
+
+def test_float_residual_guard_exits_usage(monkeypatch, capsys):
+    # a float product left 0.4 off an integer is a crash of the engine, never a violation
+    real = np.fft.irfft
+
+    def off(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[1] += 0.4
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off)
+    code, out, err = run(capsys, "coeff", "--ell", "3", "--r", "2", "--n-max", "10", "--mod", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError") and len(err.splitlines()) == 1
 
 
 def test_coeff_missing_args(capsys):
@@ -168,6 +185,11 @@ def test_verify_bad_registry_path(capsys):
         {"kind": "thm2", "part": "iii"},
         # part i is bridge b56_a24: ell 5, r 6, modulus 5, where the entry states r 9
         {"kind": "thm2", "part": "i"},
+        {"ell": "5"},
+        {"modulus": 2.5},
+        {"modulus": 0},
+        {"index": 5},
+        {"primes": 3},
     ],
     ids=lambda change: ",".join(f"{key}={value}" for key, value in change.items()),
 )

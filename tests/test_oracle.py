@@ -201,6 +201,14 @@ def test_large_counts_stay_exact():
     assert table[200] > 2**63
 
 
+def test_huge_r_needs_no_length_r_profile():
+    # a tuple of 2**40 bounds would take 8 TiB; the table is keyed by (ell, r)
+    r = 2**40
+    table = regular_multipartition_counts(3, r, 5)
+    # n = 1: one component holds 1; n = 2: one holds 2 or 1+1, or two hold 1 each
+    assert table.values[:3] == [1, r, 2 * r + r * (r - 1) // 2]
+
+
 @given(
     st.lists(st.integers(2, 7), min_size=1, max_size=3),
     st.integers(0, 15),

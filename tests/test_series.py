@@ -1,9 +1,12 @@
 """Core series arithmetic against naive in-test oracles."""
 
+import importlib
 import random
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +37,10 @@ from regulus.series import (
     sub,
     truncate,
 )
-from regulus.series import _kronecker
+from regulus.series import _fft_product, _kronecker
+
+# the module itself; the package's `series` attribute is the constructor function
+series_module = importlib.import_module("regulus.series")
 
 
 def naive_poly_mul(a, b, order):
@@ -383,6 +389,164 @@ def test_invert_mod_m_is_two_sided(m, order):
     a = series([a0] + [rng.randrange(m) for _ in range(order)], Zmod(m))
     b = invert(a)
     assert mul(a, b) == mul(b, a) == one(order, Zmod(m))
+
+
+# --- the float FFT path against Kronecker, and the bound that chooses it ---
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """The operand lengths of every product _kronecker sends down the float path."""
+    calls = []
+
+    def spy(la, lb, n_out, m):
+        calls.append((len(la), len(lb)))
+        return _fft_product(la, lb, n_out, m)
+
+    monkeypatch.setattr(series_module, "_fft_product", spy)
+    return calls
+
+
+@pytest.fixture
+def kronecker_only(monkeypatch):
+    """_kronecker with the float path turned off: the Kronecker substitution alone."""
+
+    def product(la, lb, n_out, m):
+        with monkeypatch.context() as patch:
+            patch.setattr(series_module, "_float_exact", lambda *bounds: False)
+            return _kronecker(la, lb, n_out, m)
+
+    return product
+
+
+def percival_admits(h, top, length):
+    """The float-path bound for two operands of this length with |c| <= h, in 60-digit decimals.
+
+    Written apart from series._float_exact: max(h*h*len, top) < 2**52 and
+    2 * (h*sqrt(len))**2 * ((1+eps)^3n (1+eps*sqrt5)^(3n+1) (1+beta)^3n - 1) < 1/4.
+    """
+    if max(h * h * length, top) >= 2**52:
+        return False
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eps, beta = Decimal(2) ** -53, Decimal(2) ** -52
+        n = (2 * length - 2).bit_length()
+        growth = (1 + eps) ** (3 * n) * (1 + eps * Decimal(5).sqrt()) ** (3 * n + 1) * (1 + beta) ** (3 * n) - 1
+        return 2 * h * h * length * growth < Decimal(1) / 4
+
+
+def largest_admitted(h, top):
+    """The longest equal operand length percival_admits, by doubling and bisection."""
+    hi = 1
+    while percival_admits(h, top, hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if percival_admits(h, top, mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("m", [2, 3, 10, 55])
+@pytest.mark.parametrize("length", [1, 2, 2000, 32001])
+def test_fft_product_matches_kronecker_mod_m(m, length, kronecker_only, float_calls):
+    rng = random.Random(f"fft-{m}-{length}")
+    a = [rng.randrange(m) for _ in range(length)]
+    b = [rng.randrange(m) for _ in range(length)]
+    assert _fft_product(a, b, length - 1, m) == kronecker_only(a, b, length - 1, m)
+    assert _fft_product(a, a, length - 1, m) == kronecker_only(a, a, length - 1, m)
+    # the whole product, and one truncated below the longer operand
+    short = b[: length // 2 + 1]
+    for n_out in (2 * length - 2, length // 2):
+        assert _fft_product(a, short, n_out, m) == kronecker_only(a, short, n_out, m)
+    # past the product's last coefficient the result is zero-padded
+    assert _fft_product(a, short, 2 * length + 3, m) == kronecker_only(a, short, 2 * length + 3, m)
+    # every one of these the dispatcher itself sends down the float path
+    assert _kronecker(a, b, length - 1, m) == kronecker_only(a, b, length - 1, m)
+    assert float_calls == [(length, length)]
+
+
+@pytest.mark.parametrize("bits", range(1, 21))
+def test_fft_product_matches_kronecker_over_z(bits, kronecker_only, float_calls):
+    # signed coefficients of up to `bits` bits, at the longest length (at most 2000) the bound admits
+    top = 2**bits
+    length = min(largest_admitted(top, top), 2000)
+    rng = random.Random(f"fft-z-{bits}")
+    a = [rng.randrange(-top, top + 1) for _ in range(length)]
+    b = [rng.randrange(-top, top + 1) for _ in range(length)]
+    for la, lb in ((a, b), (a, a), (a, b[: length // 3 + 1])):
+        expected = kronecker_only(la, lb, length - 1, 0)
+        assert _fft_product(la, lb, length - 1, 0) == expected
+        assert _kronecker(la, lb, length - 1, 0) == expected
+    assert len(float_calls) == 3
+
+
+@pytest.mark.parametrize("m,h", [(65537, 32768), (100003, 50001), (2**17 - 1, 2**16 - 1), (0, 2**15), (0, 2**16)])
+def test_float_path_at_its_bound(m, h, float_calls):
+    """At the longest admitted length the float path runs and is exact; one longer stays on Kronecker."""
+    # h bounds the balanced residues (m // 2) over Z/m, and the coefficients over Z
+    top = m - 1 if m else h
+    edge = largest_admitted(h, top)
+    assert 500 < edge < 5000
+    # all-(m-1) residues, the worst balanced residue m // 2, or all -h over Z
+    constants = (m - 1, m // 2) if m else (-h,)
+    for length, floated in ((edge, True), (edge + 1, False)):
+        for c in constants:
+            a, b = [c] * length, [c] * length
+            # a constant operand of length L squared: coefficient k is c*c*(k+1)
+            expected = [c * c * (k + 1) % m if m else c * c * (k + 1) for k in range(length)]
+            float_calls.clear()
+            assert _kronecker(a, a, length - 1, m) == expected
+            assert _kronecker(a, b, length - 1, m) == expected
+            assert float_calls == ([(length, length)] * 2 if floated else [])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_float_path_refused_past_the_bound(float_calls):
+    # products near 2**72: a looser bound would send these to a float path that cannot hold them
+    m, length = 2**31 - 1, 4096
+    top = [m - 1] * length
+    assert _kronecker(top, top, length - 1, m) == [(k + 1) % m for k in range(length)]
+    half = [m // 2] * length
+    expected = [(m // 2) ** 2 * (k + 1) % m for k in range(length)]
+    assert _kronecker(half, half, length - 1, m) == expected
+    assert float_calls == []
+    try:
+        assert _fft_product(half, half, length - 1, m) != expected
+    except ArithmeticError:
+        pass
+    # an operand float64 cannot hold stays on Kronecker even against a zero operand
+    assert _kronecker([10**400], [0, 0], 1, 0) == [0, 0]
+    assert float_calls == []
+
+
+def test_float_path_transforms_balanced_residues(monkeypatch):
+    # the bound takes |c| <= m // 2 over Z/m, so the transform must see c - m for c > m // 2
+    real, seen = np.fft.rfft, []
+
+    def spy(x, *args, **kwargs):
+        seen.append((x.min(), x.max()))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    m = 55
+    a = list(range(m)) * 3
+    assert _kronecker(a, a, len(a) - 1, m) == naive_mod_mul(a, a, len(a) - 1, m)
+    assert seen == [(-(m // 2), m // 2)]
+
+
+def test_float_residual_guard(monkeypatch):
+    real = np.fft.irfft
+
+    def off(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[3] += 0.4
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off)
+    a = series([1, 2, 3, 4, 5, 6], Zmod(55))
+    with pytest.raises(ArithmeticError, match="residual"):
+        mul(a, a)
 
 
 def _registry_quotient_keys():

@@ -4,7 +4,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from regulus.families import GridBudget
+import pytest
+
+from regulus.families import GridBudget, default_registry
+from regulus.series import regular_quotient
 from regulus.suite import run_suite
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -26,3 +29,18 @@ def test_gate_report_matches_recorded_digests():
     ids = expected["checks"].keys() | got["checks"].keys()
     assert sorted(c for c in ids if got["checks"].get(c) != expected["checks"].get(c)) == []
     assert got["report"] == expected["report"]
+
+
+def quotient_workload_keys():
+    """The (ell, r, m) keys the quotient-n32000 benchmark workload draws from."""
+    wl = load_workloads()
+    keys = wl.registry_keys(default_registry())
+    return [k for k in keys if wl.power_products(k[1]) == wl.QUOTIENT_PRODUCTS]
+
+
+@pytest.mark.parametrize("key", quotient_workload_keys(), ids=lambda key: "{},{},{}".format(*key))
+def test_quotient_at_32000_matches_recorded_digest(key):
+    wl = load_workloads()
+    ell, r, m = key
+    expected = wl.load_expected()["quotient"][wl.quotient_entry(key, 32000)]
+    assert wl.coeff_digest(regular_quotient(ell, r, 32000, m)) == expected
