@@ -223,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_suite = sub.add_parser("suite", help="run the acceptance checks")
-    p_suite.add_argument("--all", action="store_true")
-    p_suite.add_argument("--only", type=str)
+    # --all runs every check, as does giving neither flag
+    scope = p_suite.add_mutually_exclusive_group()
+    scope.add_argument("--all", action="store_true")
+    scope.add_argument("--only", type=str)
     p_suite.add_argument("--jobs", type=int, default=1)
     report_args(p_suite)
     p_suite.set_defaults(func=cmd_suite)

@@ -100,30 +100,21 @@ def e1_power_coeffs(r: int, n_max: int) -> CoefficientTable:
     """Coefficients of E_1^r, exact over Z."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return CoefficientTable(f"a_{r}", list(_e1_power(r, n_max)), provenance="series")
+    return CoefficientTable(f"a_{r}", list(_e1_power(r, n_max)))
 
 
 @lru_cache(maxsize=None)
 def _eta_table(form_id: str, n_max: int) -> tuple[int, ...]:
     form = FORMS[form_id]
     spec = EtaQuotientSpec(((form.scale, form.exponent),), form="eta")
-    ser, shift = eta_quotient(spec, max(n_max - shift_of(form), 0), ZZ)
-    assert shift == shift_of(form)
-    table = [0] * (n_max + 1)
-    for i, c in enumerate(ser.coeffs):
-        if shift + i > n_max:
-            break
-        table[shift + i] = c
-    return tuple(table)
-
-
-def shift_of(form: EtaPowerForm) -> int:
-    return form.scale * form.exponent // 24
+    shift = spec.shift()
+    ser, _ = eta_quotient(spec, max(n_max - shift, 0), ZZ)
+    return ((0,) * shift + ser.coeffs)[: n_max + 1]
 
 
 def eta_power_coeffs(form: EtaPowerForm, n_max: int) -> CoefficientTable:
     """a(n) of the full eta power, q-shift included."""
-    return CoefficientTable(form.id, list(_eta_table(form.id, n_max)), provenance="series")
+    return CoefficientTable(form.id, list(_eta_table(form.id, n_max)))
 
 
 @timed

@@ -49,7 +49,6 @@ class CoefficientTable:
 
     name: str
     values: list[int]
-    provenance: str = "oracle"
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]

@@ -5,6 +5,15 @@ the minimum of the operands' orders so precision loss is always explicit.
 Coefficients are Python ints (arbitrary precision over Z, canonical residues
 in [0, m) over Z/m).
 
+Every product of q-Pochhammer symbols the package expands is a theta
+quotient.  ``theta(a, b)`` is Ramanujan's f(-q^a, -q^b), a sparse series
+summed over j in Z; by the Jacobi triple product it equals
+prod_{m>=1} (1 - q^{(a+b)m-a}) (1 - q^{(a+b)m-b}) (1 - q^{(a+b)m}).  So
+E_k = f(-q^k, -q^{2k}) (Euler's pentagonal theorem), and a product of
+(1 - q^d) over d in the classes +-a mod a+b is f(-q^a, -q^b) / E_{a+b}.
+``theta_quotient`` expands prod f(-q^a, -q^b)^e over rows (a, b, e), and
+``eta_quotient`` is the theta quotient of rows (k, 2k, e).
+
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_kronecker``, which takes one of two exact paths.
 Two bounds decide which; no size threshold or setting does.
@@ -59,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -319,25 +329,45 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.ring, tuple(b))
 
 
-def euler_E(k: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
-    """Euler product prod_{m>=1}(1 - q^{km}) via the pentagonal expansion."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def theta(a: int, b: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
+    """Ramanujan's f(-q^a, -q^b) = sum over j in Z of (-1)^j q^(a j(j+1)/2 + b j(j-1)/2)."""
+    if a < 1 or b < 1:
+        raise ValueError(f"theta needs a, b >= 1, got ({a}, {b})")
     c = [0] * (order + 1)
     c[0] = 1
     j = 1
     while True:
-        e1 = k * j * (3 * j - 1) // 2
-        if e1 > order:
+        # the exponents of the terms for j and -j
+        e1 = a * j * (j + 1) // 2 + b * j * (j - 1) // 2
+        e2 = a * j * (j - 1) // 2 + b * j * (j + 1) // 2
+        if min(e1, e2) > order:
             break
         s = -1 if j % 2 else 1
-        c[e1] += s
-        e2 = k * j * (3 * j + 1) // 2
-        if e2 <= order:
-            c[e2] += s
+        for e in (e1, e2):
+            if e <= order:
+                c[e] += s
         j += 1
     m = ring.modulus
     return TruncatedSeries(ring, tuple([x % m for x in c] if m else c))
+
+
+def euler_E(k: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
+    """Euler product prod_{m>=1}(1 - q^{km}) = f(-q^k, -q^{2k}), the pentagonal expansion."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return theta(k, 2 * k, order, ring)
+
+
+def theta_quotient(factors, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
+    """prod f(-q^a, -q^b)^e over the (a, b, e) rows of factors."""
+    sides = ([], [])  # numerator, denominator
+    for a, b, e in factors:
+        if e:
+            sides[e < 0].append(power(theta(a, b, order, ring), abs(e)))
+    num, den = (reduce(mul, side) if side else None for side in sides)
+    if den is None:
+        return one(order, ring) if num is None else num
+    return invert(den) if num is None else mul(num, invert(den))
 
 
 @dataclass(frozen=True)
@@ -372,22 +402,7 @@ def eta_quotient(
 ) -> tuple[TruncatedSeries, int]:
     """Expand the E-product part; return (series, q-power shift)."""
     shift = spec.shift()
-    num = one(order, ring)
-    den = None
-    for k, e in spec.factors:
-        if e == 0:
-            continue
-        base = euler_E(k, order, ring)
-        if e > 0:
-            for _ in range(e):
-                num = mul(num, base)
-        else:
-            den = base if den is None else mul(den, base)
-            for _ in range(-e - 1):
-                den = mul(den, base)
-    if den is not None:
-        num = mul(num, invert(den))
-    return num, shift
+    return theta_quotient([(k, 2 * k, e) for k, e in spec.factors], order, ring), shift
 
 
 def extract_progression(a: TruncatedSeries, step: int, residue: int) -> TruncatedSeries:

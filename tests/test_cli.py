@@ -341,6 +341,7 @@ def test_negative_count_exits_usage(capsys, argv):
         (("suite", "--all", "--jobs", "0"), "--jobs"),
         (("coeff", "--ell", "3", "--r", "0", "--n", "4"), "--r"),
         (("oracle", "--ell", "3", "--r", "-1", "--n", "4"), "--r"),
+        (("suite", "--all", "--only", "frobenius"), "--only"),
     ],
 )
 def test_bad_argument_exits_usage(capsys, argv, flag):

@@ -35,6 +35,8 @@ from regulus.series import (
     series,
     shift_q,
     sub,
+    theta,
+    theta_quotient,
     truncate,
 )
 from regulus.series import _fft_product, _kronecker
@@ -127,6 +129,37 @@ def test_euler_dilation_consistency(k):
     direct = euler_E(k, n, ZZ)
     dilated = truncate(dilate(euler_E(1, n // k, ZZ), k), n)
     assert direct.coeffs[: dilated.order + 1] == dilated.coeffs
+
+
+def naive_theta_product(a, b, order, m=0):
+    """The Jacobi triple product prod_m (1 - q^{(a+b)m-a})(1 - q^{(a+b)m-b})(1 - q^{(a+b)m}), schoolbook."""
+    out = [1] + [0] * order
+    period = a + b
+    for d in range(1, order + 1):
+        # one factor (1 - q^d) per way d arises: d = period*m - a, period*m - b or period*m
+        times = ((d + a) % period == 0) + ((d + b) % period == 0) + (d % period == 0)
+        for _ in range(times):
+            out = [x - (out[n - d] if n >= d else 0) for n, x in enumerate(out)]
+    return [x % m for x in out] if m else out
+
+
+@pytest.mark.parametrize("m", [0, 7, 10])
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 1), (1, 4), (2, 3), (3, 3), (5, 2), (4, 7), (10, 1)])
+def test_theta_matches_triple_product(a, b, m):
+    ring = Zmod(m) if m else ZZ
+    assert list(theta(a, b, 70, ring).coeffs) == naive_theta_product(a, b, 70, m)
+
+
+def test_euler_is_theta_k_2k():
+    for k in range(1, 13):
+        assert euler_E(k, 80, ZZ) == theta(k, 2 * k, 80, ZZ)
+        assert euler_E(k, 80, Zmod(7)) == theta(k, 2 * k, 80, Zmod(7))
+        assert list(theta(k, 2 * k, 80).coeffs) == naive_euler_product(k, 80)
+
+
+def test_theta_quotient_empty_and_zero_exponents_are_one():
+    assert theta_quotient((), 12) == one(12, ZZ)
+    assert theta_quotient(((1, 4, 0), (2, 3, 0)), 12, Zmod(5)) == one(12, Zmod(5))
 
 
 # --- mul / pow / invert ---
@@ -245,6 +278,42 @@ def test_eta_quotient_with_denominator():
     s, shift = eta_quotient(spec, 30)
     assert shift == 0
     assert s == mul(euler_E(5, 30, ZZ), invert(euler_E(1, 30, ZZ)))
+
+
+def reference_eta_product(factors, order, ring):
+    """prod E_k^e by one mul per unit of exponent and one invert per negative unit."""
+    acc = one(order, ring)
+    for k, e in factors:
+        base = euler_E(k, order, ring)
+        for _ in range(abs(e)):
+            acc = mul(acc, base if e > 0 else invert(base))
+    return acc
+
+
+@pytest.mark.parametrize("m", [0, 7])
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((2, 5), (1, -2), (4, -2)),
+        ((1, -3),),
+        ((3, 2), (6, -1), (9, 0), (2, -4), (1, 1)),
+        ((4, 3), (10, 1), (40, 1), (2, -3), (8, -1), (20, -1)),
+    ],
+)
+def test_eta_quotient_matches_repeated_products(factors, m):
+    ring = Zmod(m) if m else ZZ
+    s, shift = eta_quotient(EtaQuotientSpec(factors, "E"), 60, ring)
+    assert shift == 0
+    assert s == reference_eta_product(factors, 60, ring)
+
+
+def test_eta_quotient_bad_shift_fails_before_expanding(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("expanded before the shift was checked")
+
+    monkeypatch.setattr(series_module, "theta_quotient", no_expansion)
+    with pytest.raises(EtaShiftError):
+        eta_quotient(EtaQuotientSpec(((1, 1),), "eta"), 10**6)
 
 
 # --- progression extraction, dilation, shifting ---
