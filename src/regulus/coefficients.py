@@ -7,26 +7,28 @@ the congruence bridges linking multipartition counts to these tables, and
 the p^2-scaling congruences along extracted progressions.
 
 Each fact is one row, and the checks derive from the rows.  A form's row
-gives its weight w, character chi, support class and inert class; at an
-inert prime p (in the class, chi(p) != 0) a(pn) + chi(p) p^(w-1) a(n/p) = 0,
-and a(p) = 0 for an eigenform.  A ``BRIDGES`` row (ell, r, step, offset,
-table, factor) states s(step n + offset) = factor * table(n) mod ell for
-s = E_ell^r / E_1^r, where table(n) is a_k(n) for E_1^k or a(support_mod n +
-support_residue) for an eta power.  A ``SCALINGS`` row (bridge, p, n_max)
-reads the two-term relation at an inert p != ell through the bridge: n moves
-to p^2 n + support_residue (p^2 - 1) / support_mod, times -chi(p) p^(w-1).
+gives its weight w, character chi and inert class; at an inert prime p (in
+the class, chi(p) != 0) a(pn) + chi(p) p^(w-1) a(n/p) = 0, and a(p) = 0 for
+an eigenform.  The power eta(scale z)^e is q^shift E_1^e(q^scale) with
+shift = scale e / 24, so its table is read off the coefficients a_e of E_1^e:
+a(scale n + shift) = a_e(n), and every other a(n) is 0.  A ``BRIDGES`` row
+(ell, r, step, offset, k, factor) states s(step n + offset) = factor * a_k(n)
+mod ell for s = E_ell^r / E_1^r; for an eta power of exponent k, a_k(n) is
+its a(scale n + shift).  A ``SCALINGS`` row (bridge, p, n_max) reads that
+power's two-term relation at an inert p != ell through the bridge: n moves
+to p^2 n + shift (p^2 - 1) / scale, times -chi(p) p^(w-1).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .oracle import CoefficientTable
 from .report import SKIPPED, VerificationReport, timed
-from .series import ZZ, EtaQuotientSpec, eta_quotient, euler_E, power, regular_quotient
+from .series import cached_e1_power, cached_regular_series
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,14 @@ class EtaPowerForm:
     weight: int
     level: int
     character: str  # "trivial" or "odd" (chi(p) = (-1)^((p-1)/2))
-    support_mod: int
-    support_residue: int
     inert_mod: int
     inert_residue: int
     eigenform: bool  # a Hecke eigenform, so a(p) = 0 at every inert p
+
+    @property
+    def shift(self) -> int:
+        """The q-power in q^shift E_1^exponent(q^scale); 24 divides scale * exponent in every row."""
+        return self.scale * self.exponent // 24
 
     def chi(self, p: int) -> int:
         if self.level % p == 0:
@@ -59,9 +64,9 @@ class EtaPowerForm:
         return _is_prime(p) and p % self.inert_mod == self.inert_residue and self.chi(p) != 0
 
 
-ETA8_3Z = EtaPowerForm("eta8_3z", 3, 8, 4, 9, "trivial", 3, 1, 3, 2, eigenform=True)
-ETA6_4Z = EtaPowerForm("eta6_4z", 4, 6, 3, 16, "odd", 4, 1, 4, 3, eigenform=True)
-ETA10_12Z = EtaPowerForm("eta10_12z", 12, 10, 5, 144, "odd", 12, 5, 4, 3, eigenform=False)
+ETA8_3Z = EtaPowerForm("eta8_3z", 3, 8, 4, 9, "trivial", 3, 2, eigenform=True)
+ETA6_4Z = EtaPowerForm("eta6_4z", 4, 6, 3, 16, "odd", 4, 3, eigenform=True)
+ETA10_12Z = EtaPowerForm("eta10_12z", 12, 10, 5, 144, "odd", 4, 3, eigenform=False)
 
 FORMS = {f.id: f for f in (ETA8_3Z, ETA6_4Z, ETA10_12Z)}
 
@@ -91,9 +96,8 @@ class NewmanParams:
         return self.p ** (self.r // 2 - 1)
 
 
-@lru_cache(maxsize=None)
 def _e1_power(r: int, n_max: int) -> tuple[int, ...]:
-    return power(euler_E(1, n_max, ZZ), r).coeffs
+    return cached_e1_power(r, n_max).coeffs
 
 
 def e1_power_coeffs(r: int, n_max: int) -> CoefficientTable:
@@ -103,18 +107,17 @@ def e1_power_coeffs(r: int, n_max: int) -> CoefficientTable:
     return CoefficientTable(f"a_{r}", list(_e1_power(r, n_max)))
 
 
-@lru_cache(maxsize=None)
-def _eta_table(form_id: str, n_max: int) -> tuple[int, ...]:
-    form = FORMS[form_id]
-    spec = EtaQuotientSpec(((form.scale, form.exponent),), form="eta")
-    shift = spec.shift()
-    ser, _ = eta_quotient(spec, max(n_max - shift, 0), ZZ)
-    return ((0,) * shift + ser.coeffs)[: n_max + 1]
+def _eta_table(form: EtaPowerForm, n_max: int) -> tuple[int, ...]:
+    """a(0..n_max) of q^shift E_1^e(q^scale): a_e(n) at scale n + shift, 0 elsewhere."""
+    a = [0] * (n_max + 1)
+    terms = len(a[form.shift :: form.scale])
+    a[form.shift :: form.scale] = _e1_power(form.exponent, max(terms - 1, 0))[:terms]
+    return tuple(a)
 
 
 def eta_power_coeffs(form: EtaPowerForm, n_max: int) -> CoefficientTable:
     """a(n) of the full eta power, q-shift included."""
-    return CoefficientTable(form.id, list(_eta_table(form.id, n_max)))
+    return CoefficientTable(form.id, list(_eta_table(form, n_max)))
 
 
 @timed
@@ -172,14 +175,14 @@ def newman_four_step(r: int, p: int, n_max_index: int) -> VerificationReport:
 @timed
 def support_check(form: EtaPowerForm, n_max: int) -> VerificationReport:
     """All coefficients outside the form's residue class vanish."""
-    a = _eta_table(form.id, n_max)
+    a = _eta_table(form, n_max)
     report = VerificationReport(
         id=f"support.{form.id}",
-        params_swept={"mod": form.support_mod, "residue": form.support_residue},
+        params_swept={"mod": form.scale, "residue": form.shift},
         indices_checked=n_max + 1,
     )
     for n, c in enumerate(a):
-        if c and n % form.support_mod != form.support_residue:
+        if c and n % form.scale != form.shift:
             report.record(n, c)
     return report
 
@@ -189,7 +192,7 @@ def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationRep
     """a(pn) + chi(p) p^(w-1) a(n/p) = a(p) a(n) for 1 <= n <= n_max/p."""
     if not form.eigenform:
         raise ValueError(f"{form.id} is not an eigenform; its eigen relation is out of scope")
-    a = _eta_table(form.id, n_max)
+    a = _eta_table(form, n_max)
     ap = a[p] if p <= n_max else 0
     weight = form.hecke_factor(p)
     report = VerificationReport(id=f"hecke.{form.id}.p{p}", params_swept={"p": p})
@@ -203,18 +206,13 @@ def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationRep
     return report
 
 
-def admissible_vanishing_primes(form: EtaPowerForm, count: int) -> list[int]:
-    """Smallest primes inert for the form."""
-    return list(itertools.islice(filter(form.inert, itertools.count(2)), count))
-
-
 @timed
 def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
     """Two-term relation a(pn) + chi(p) p^(w-1) a(n/p) = 0 at an inert prime p."""
     if not form.inert(p):
         raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0")
     coeff = form.hecke_factor(p)
-    a = _eta_table(form.id, n_max)
+    a = _eta_table(form, n_max)
     report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
     if form.eigenform and p <= n_max and a[p] != 0:
         report.record(p, a[p], reason="a(p) expected to vanish")
@@ -228,14 +226,15 @@ def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> Verif
 
 @dataclass(frozen=True)
 class Bridge:
-    """s(step n + offset) = factor * table(n) mod ell; factor^2 = 1 mod ell."""
+    """s(step n + offset) = factor * a_k(n) mod ell for k = table; factor^2 = 1 mod ell."""
 
     ell: int
     r: int
     step: int
     offset: int
-    table: int | EtaPowerForm  # k for the coefficients of E_1^k, or an eta power
+    table: int  # k, for the coefficients a_k of E_1^k
     factor: int = 1
+    form: EtaPowerForm | None = None  # the eta power of exponent k whose relations SCALINGS read
 
     def index(self, n: int) -> int:
         return self.step * n + self.offset
@@ -244,11 +243,11 @@ class Bridge:
 BRIDGES = {
     "b56_a24": Bridge(5, 6, 1, 0, 24),
     "b76_a12": Bridge(7, 6, 7, 2, 12, factor=6),
-    "b312_eta8": Bridge(3, 12, 3, 0, ETA8_3Z),
-    "b315_eta10": Bridge(3, 15, 3, 0, ETA10_12Z),
-    "b510_eta8": Bridge(5, 10, 5, 0, ETA8_3Z),
-    "b77_eta6": Bridge(7, 7, 7, 0, ETA6_4Z),
-    "b1111_eta10": Bridge(11, 11, 11, 0, ETA10_12Z),
+    "b312_eta8": Bridge(3, 12, 3, 0, 8, form=ETA8_3Z),
+    "b315_eta10": Bridge(3, 15, 3, 0, 10, form=ETA10_12Z),
+    "b510_eta8": Bridge(5, 10, 5, 0, 8, form=ETA8_3Z),
+    "b77_eta6": Bridge(7, 7, 7, 0, 6, form=ETA6_4Z),
+    "b1111_eta10": Bridge(11, 11, 11, 0, 10, form=ETA10_12Z),
 }
 
 BRIDGE_IDS = tuple(BRIDGES)
@@ -258,12 +257,8 @@ BRIDGE_IDS = tuple(BRIDGES)
 def bridge_congruence_check(bridge: str, n_max: int) -> VerificationReport:
     """Congruence between a multipartition series and a coefficient table."""
     row = BRIDGES[bridge]
-    s = regular_quotient(row.ell, row.r, row.index(n_max), row.ell)
-    if isinstance(row.table, int):
-        table = _e1_power(row.table, n_max)
-    else:
-        f = row.table
-        table = _eta_table(f.id, f.support_mod * n_max + f.support_residue)[f.support_residue :: f.support_mod]
+    s = cached_regular_series(row.ell, row.r, row.ell, row.index(n_max))
+    table = _e1_power(row.table, n_max)
     report = VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max})
     for n in range(n_max + 1):
         index, rhs = row.index(n), row.factor * table[n] % row.ell
@@ -285,14 +280,14 @@ SCALINGS = {
 def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:
     """p^2-scaling of extracted progressions of the multipartition series."""
     row = BRIDGES[SCALINGS[which][0]]
-    form, m = row.table, row.ell
+    form, m = row.form, row.ell
     if not form.inert(p) or p == m:
         raise ValueError(
             f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0, p != {m}"
         )
-    shift = form.support_residue * (p * p - 1) // form.support_mod
+    shift = form.shift * (p * p - 1) // form.scale
     multiplier = -form.hecke_factor(p) % m
-    s = regular_quotient(m, row.r, row.index(p * p * n_max + shift), m)
+    s = cached_regular_series(m, row.r, m, row.index(p * p * n_max + shift))
     report = VerificationReport(
         id=f"scaling.{which}.p{p}", params_swept={"p": p, "n_max": n_max}
     )
@@ -306,18 +301,12 @@ def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationRepo
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def smallest_primes(admits: Callable[[int], bool], k: int) -> list[int]:
+    """The k smallest primes p with admits(p); it never returns if fewer than k are admitted."""
+    return list(itertools.islice((p for p in itertools.count(2) if _is_prime(p) and admits(p)), k))
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -326,9 +315,4 @@ def primes_upto(limit: int) -> list[int]:
 
 def admissible_newman_pairs(p_max: int = 13) -> list[NewmanParams]:
     """Every (r, p) with r even <= 24, p <= p_max prime, 24 | r(p-1)."""
-    out = []
-    for r in range(2, 25, 2):
-        for p in primes_upto(p_max):
-            if r * (p - 1) % 24 == 0:
-                out.append(NewmanParams(r, p))
-    return out
+    return [NewmanParams(r, p) for r in range(2, 25, 2) for p in primes_upto(p_max) if r * (p - 1) % 24 == 0]

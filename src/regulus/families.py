@@ -9,10 +9,12 @@ run time, so new families need no code changes.
 Every progression index is affine in n: ``load_registry`` raises ValueError
 for an index with another symbol, with n under ``**`` or in a divisor, or of
 degree in n other than 1, for an ``r`` formula in any symbol but t, for an
-unknown ``j`` constraint, for a kind other than progression or thm2, for a
-thm2 family whose part is unknown or whose ell, r or modulus is not its
-bridge's, for an ell or modulus that is not an integer >= 2, for an index or
-r that is not a string, and for primes that are not an object.  Each
+unknown ``j`` constraint or one without primes, for a kind other than
+progression or thm2, for a thm2 family whose part is unknown or whose ell, r
+or modulus is not its bridge's, for an ell or modulus that is not an integer
+>= 2, for an index or r that is not a string, for primes that are not an
+object, whose count is not many or one, or whose class may hold no prime, and
+for an alpha that is not a non-empty list of integers.  Each
 subformula of an accepted index is A*n + B, and a division exact at n = 0
 and n = 1 divides B and A, so it is exact at every n.  A grid point is thus
 resolved once, to offset = index(n=0) and stride = index(n=1) - offset
@@ -31,20 +33,19 @@ conclusion is a(p^4 n + d4) = w^2 a(n) mod m.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import re
-import threading
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Any, Iterable, Optional
 
 from . import expr
-from .coefficients import BRIDGES, Bridge, NewmanParams, _is_prime, four_step_terms, primes_upto
+from .coefficients import BRIDGES, Bridge, NewmanParams, _is_prime, four_step_terms, primes_upto, smallest_primes
 from .oracle import regular_multipartition_counts
 from .report import FAIL, PASS, SKIPPED, VACUOUS, VerificationReport, timed
-from .series import TruncatedSeries, regular_quotient
+from .series import cached_regular_series
 
 ORACLE_CROSSCHECK_LIMIT = 300
 PRIMES_PER_FAMILY = 2  # smallest admissible primes swept per t
@@ -63,9 +64,6 @@ class PrimeConstraint:
 
     def admits(self, p: int) -> bool:
         return _is_prime(p) and p % self.residue_mod == self.residue and p not in self.exclude
-
-    def smallest(self, how_many: int) -> list[int]:
-        return list(itertools.islice(filter(self.admits, itertools.count(2)), how_many))
 
 
 @dataclass(frozen=True)
@@ -100,6 +98,15 @@ def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
     pc = None
     if p:
         pc = PrimeConstraint(p["count"], p["residue"], p["residue_mod"], tuple(p.get("exclude", ())))
+        if pc.count not in ("many", "one"):
+            raise ValueError(f"family {d['id']}: primes count must be 'many' or 'one', got {pc.count!r}")
+        a, m = pc.residue, pc.residue_mod
+        # a class a mod m with 0 <= a < m and gcd(a, m) = 1 holds infinitely many primes (Dirichlet)
+        if type(a) is not int or type(m) is not int or not 0 <= a < m or math.gcd(a, m) != 1:
+            raise ValueError(f"family {d['id']}: primes {a!r} mod {m!r} is not a residue coprime to its modulus")
+    alpha = d.get("alpha")
+    if alpha is not None and not (isinstance(alpha, list) and alpha and all(type(x) is int for x in alpha)):
+        raise ValueError(f"family {d['id']}: alpha must be a non-empty list of integers, got {alpha!r}")
     return CongruenceFamily(
         id=d["id"],
         kind=d["kind"],
@@ -109,7 +116,7 @@ def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
         index_formula=d.get("index", ""),
         primes=pc,
         j_constraint=d.get("j"),
-        alphas=tuple(d["alpha"]) if d.get("alpha") else None,
+        alphas=tuple(alpha) if alpha else None,
         note=d.get("note", ""),
         part=d.get("part", ""),
     )
@@ -134,6 +141,8 @@ def _check_family(family: CongruenceFamily) -> None:
         raise ValueError(f"family {family.id}: r formula {family.r_formula!r} may use only t")
     if family.j_constraint not in _J_RESIDUES:
         raise ValueError(f"family {family.id}: unknown j constraint {family.j_constraint!r}")
+    if family.j_constraint and family.primes is None:
+        raise ValueError(f"family {family.id}: j constraint {family.j_constraint!r} needs primes")
     if family.kind == "thm2":
         row = _thm2_bridge(family.part)
         if (family.ell, family.r_value(0), family.r_value(1), family.modulus) != (row.ell, row.r, row.r, row.ell):
@@ -186,22 +195,14 @@ def family_index(
     """Exact coefficient index for one parameter point."""
     env: dict[str, int] = {"n": n, "t": t, "j": j, "alpha": alpha}
     if primes:
-        for i, p in enumerate(primes, start=1):
-            env[f"p{i}"] = p
-        prod_all = 1
-        for p in primes:
-            prod_all *= p * p
-        env["P"] = prod_all
-        env["Q"] = prod_all // (primes[-1] ** 2)
+        env |= {f"p{i}": p for i, p in enumerate(primes, start=1)}
+        env["P"] = math.prod(p * p for p in primes)
+        env["Q"] = env["P"] // primes[-1] ** 2
         env["pl"] = primes[-1]
     value = expr.evaluate(family.index_formula, env)
     if value < 0:
         raise ValueError(f"negative index {value} for family {family.id}")
     return value
-
-
-def _j_candidates(constraint: Optional[str], p: int) -> list[int]:
-    return _J_RESIDUES[constraint](p)
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def _prime_tuples(family: CongruenceFamily, t: int) -> list[tuple[int, ...]]:
     pc = family.primes
     if pc is None:
         return [()]
-    base = pc.smallest(PRIMES_PER_FAMILY + 1)
+    base = smallest_primes(pc.admits, PRIMES_PER_FAMILY + 1)
     if pc.count == "one" or t == 0:
         return [(p,) for p in base[:PRIMES_PER_FAMILY]]
     # "many" at t >= 1: t+1 primes, the diagonal plus one mixed tuple to exercise
@@ -244,7 +245,7 @@ def progression_grid(family: CongruenceFamily, order: int, candidates: Iterable[
     """Each (j, alpha) of every candidate (t, primes), resolved to offset and stride; skipped past order."""
     grid = ParameterGrid()
     for t, primes in candidates:
-        for j in _j_candidates(family.j_constraint, primes[-1] if primes else 0):
+        for j in _J_RESIDUES[family.j_constraint](primes[-1] if primes else 0):
             for alpha in family.alphas or (0,):
                 offset = family_index(family, 0, t, j, alpha, primes)
                 if offset > order:
@@ -269,28 +270,6 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
     if grid.skipped:
         grid.notes.append(f"{len(grid.skipped)} grid points out of budget at order {budget.order}")
     return grid
-
-
-# series cache: single construction per key, safe for concurrent readers
-_cache_lock = threading.Lock()
-_series_cache: dict[tuple[int, int, int, int], TruncatedSeries] = {}
-_key_locks: dict[tuple[int, int, int, int], threading.Lock] = {}
-
-
-def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
-    key = (ell, r, modulus, order)
-    with _cache_lock:
-        if key in _series_cache:
-            return _series_cache[key]
-        lock = _key_locks.setdefault(key, threading.Lock())
-    with lock:
-        with _cache_lock:
-            if key in _series_cache:
-                return _series_cache[key]
-        value = regular_quotient(ell, r, order, modulus)
-        with _cache_lock:
-            _series_cache[key] = value
-        return value
 
 
 @timed

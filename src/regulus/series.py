@@ -14,6 +14,11 @@ E_k = f(-q^k, -q^{2k}) (Euler's pentagonal theorem), and a product of
 ``theta_quotient`` expands prod f(-q^a, -q^b)^e over rows (a, b, e), and
 ``eta_quotient`` is the theta quotient of rows (k, 2k, e).
 
+``cached_regular_series`` (key (ell, r, m)) and ``cached_e1_power`` (key r,
+over Z) share one prefix store.  It holds the longest series built per key,
+builds again only for a longer order, and serves a shorter one as a prefix,
+which exact arithmetic makes equal to a build at that order.
+
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_kronecker``, which takes one of two exact paths.
 Two bounds decide which; no size threshold or setting does.
@@ -67,6 +72,7 @@ an integer-valued float, so the bound, not the guard, makes the path exact.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -453,3 +459,29 @@ def regular_quotient(
     ring = ZZ if modulus == 0 else Zmod(modulus)
     base = mul(euler_E(ell, order, ring), invert(euler_E(1, order, ring)))
     return power(base, r)
+
+
+# the prefix store: key -> the longest series built for it, and the lock of each key
+_longest: dict = {}
+_key_locks: dict = {}
+
+
+def _stored(key, order: int, build) -> TruncatedSeries:
+    """The key's series to order: build(order) if the longest one held is shorter, else its prefix.
+
+    A build blocks only readers of its own key; setdefault is atomic for int and tuple keys.
+    """
+    with _key_locks.setdefault(key, threading.Lock()):
+        if key not in _longest or _longest[key].order < order:
+            _longest[key] = build(order)
+        return truncate(_longest[key], order)
+
+
+def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
+    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus)."""
+    return _stored((ell, r, modulus), order, lambda n: regular_quotient(ell, r, n, modulus))
+
+
+def cached_e1_power(r: int, order: int) -> TruncatedSeries:
+    """E_1^r over Z, stored under r."""
+    return _stored(r, order, lambda n: power(euler_E(1, n), r))

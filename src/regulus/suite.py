@@ -99,7 +99,7 @@ def check_eigenvalue_vanishing(n_max: int = 200) -> VerificationReport:
     for form in co.FORMS.values():
         if not form.eigenform:
             continue
-        table = co._eta_table(form.id, n_max)
+        table = co._eta_table(form, n_max)
         for p in filter(form.inert, range(n_max + 1)):
             if table[p] != 0:
                 report.record(p, table[p], form=form.id)
@@ -149,7 +149,7 @@ def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], Ver
         checks[f"identity.{name}"] = partial(dissections.verify_dissection, name, short)
     for form in co.FORMS.values():
         checks[f"support.{form.id}"] = partial(co.support_check, form, order)
-        primes = co.admissible_vanishing_primes(form, 3)
+        primes = co.smallest_primes(form.inert, 3)
         checks |= over(f"vanishing.{form.id}", {"primes": primes},
                        co.vanishing_consequence_check, [(form, p, medium) for p in primes])
         if form.eigenform:

@@ -87,7 +87,7 @@ def test_acceptance_5_hecke_support_vanishing():
             ok = ok and co.hecke_eigen_check(form, p, 1500).status == "pass"
     for form in co.FORMS.values():
         ok = ok and co.support_check(form, 2000).status == "pass"
-        for p in co.admissible_vanishing_primes(form, 3):
+        for p in co.smallest_primes(form.inert, 3):
             ok = ok and co.vanishing_consequence_check(form, p, 1500).status == "pass"
     report_line(5, "eigen relations p<=13, support to 2000, vanishing consequences", ok)
 

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, reports, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regulus
 from regulus import oracle
 from regulus.cli import EXIT_PASS, EXIT_USAGE, EXIT_VACUOUS, EXIT_VIOLATION, main
 from regulus.report import VerificationReport
@@ -190,17 +195,51 @@ def test_verify_bad_registry_path(capsys):
         {"modulus": 0},
         {"index": 5},
         {"primes": 3},
+        # read as many, this entry swept 11 false violations (exit 1)
+        {"primes": {"count": "two", "residue": 2, "residue_mod": 3}},
+        # an empty list swept alpha = 0 (exit 1); a non-integer has no index
+        {"alpha": []},
+        {"alpha": [1, "2"]},
+        # with no prime to sweep j over, the grid was empty (exit 0, skipped)
+        {"j": "coprime"},
     ],
     ids=lambda change: ",".join(f"{key}={value}" for key, value in change.items()),
 )
 def test_verify_bad_registry_entry_exits_usage(tmp_path, capsys, change):
-    entry = {"id": "probe", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": "5*n + 4"}
-    path = tmp_path / "registry.json"
-    path.write_text(json.dumps({"families": [{**entry, **change}]}))
+    path = probe_registry(tmp_path, change)
     code, out, err = run(capsys, "verify", "--family", "probe", "--registry", str(path))
     assert code == EXIT_USAGE
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("bad registry:")
+
+
+def probe_registry(tmp_path, change):
+    entry = {"id": "probe", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": "5*n + 4"}
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"families": [{**entry, **change}]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "residue, residue_mod",
+    [("2", 3), (2.0, 3), (2, "3"), (0, 4), (2, 4), (5, 4), (-1, 4), (2, 0), (2, -3)],
+    ids=json.dumps,
+)
+def test_verify_prime_class_without_primes_exits_usage(tmp_path, residue, residue_mod):
+    """A class that may hold no prime is a config error; the smallest-primes search on it never ended.
+
+    Run in a fresh interpreter with a timeout, so a regression fails rather than hangs.
+    """
+    change = {"primes": {"count": "one", "residue": residue, "residue_mod": residue_mod}}
+    path = probe_registry(tmp_path, change)
+    src = str(Path(regulus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "regulus.cli", "verify", "--family", "probe", "--registry", str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == EXIT_USAGE and done.stdout == ""
+    assert len(done.stderr.strip().splitlines()) == 1 and done.stderr.startswith("bad registry:")
 
 
 def test_verify_markdown_format(capsys):

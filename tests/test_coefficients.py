@@ -3,7 +3,7 @@
 import pytest
 
 from regulus import coefficients as co
-from regulus.series import ZZ, euler_E
+from regulus.series import ZZ, EtaQuotientSpec, eta_quotient, euler_E
 
 
 def naive_e1_power(r, order):
@@ -158,6 +158,15 @@ def test_eta_table_matches_naive_expansion():
     assert list(a.values) == [0] + c[:order]
 
 
+@pytest.mark.parametrize("form", co.FORMS.values(), ids=lambda form: form.id)
+@pytest.mark.parametrize("n_max", [0, 1, 4, 5, 6, 12, 13, 301])
+def test_eta_table_is_the_eta_quotient(form, n_max):
+    # the slice of E_1^e against the dilated expansion, including tables shorter than the q-shift
+    s, shift = eta_quotient(EtaQuotientSpec(((form.scale, form.exponent),), "eta"), n_max)
+    assert shift == form.shift
+    assert co._eta_table(form, n_max) == ((0,) * shift + s.coeffs)[: n_max + 1]
+
+
 @pytest.mark.parametrize("form", [co.ETA8_3Z, co.ETA6_4Z, co.ETA10_12Z])
 def test_support_checks(form):
     report = co.support_check(form, 500)
@@ -204,9 +213,9 @@ def test_chi_values():
 
 
 def test_admissible_vanishing_primes():
-    assert co.admissible_vanishing_primes(co.ETA8_3Z, 3) == [2, 5, 11]
-    assert co.admissible_vanishing_primes(co.ETA6_4Z, 3) == [3, 7, 11]
-    assert co.admissible_vanishing_primes(co.ETA10_12Z, 3) == [7, 11, 19]
+    assert co.smallest_primes(co.ETA8_3Z.inert, 3) == [2, 5, 11]
+    assert co.smallest_primes(co.ETA6_4Z.inert, 3) == [3, 7, 11]
+    assert co.smallest_primes(co.ETA10_12Z.inert, 3) == [7, 11, 19]
 
 
 def test_vanishing_eta8_p5(bump):
@@ -266,9 +275,14 @@ def test_bridges_small(bridge, bump):
     assert report.status == "pass", report.violations[:1]
     assert report.indices_checked == 41
     index = BRIDGE_INDEX_AT_3[bridge]
-    bump(co, "regular_quotient", index)
+    bump(co, "cached_regular_series", index)
     report = co.bridge_congruence_check(bridge, 40)
     assert report.status == "fail" and violations(report) == [(index, ["series", "table"], {})]
+
+
+def test_bridge_forms_are_powers_of_their_table():
+    for row in co.BRIDGES.values():
+        assert row.form is None or row.form.exponent == row.table
 
 
 def test_unknown_bridge():
@@ -283,7 +297,7 @@ def test_unknown_bridge():
 def test_scaling_b312_p2(bump):
     report = co.scaling_congruence_check("eq_b312_scale", 2, 100)
     assert report.status == "pass"
-    bump(co, "regular_quotient", 363)  # n = 30
+    bump(co, "cached_regular_series", 363)  # n = 30
     report = co.scaling_congruence_check("eq_b312_scale", 2, 100)
     assert report.status == "fail" and violations(report) == [(363, ["lhs", "rhs"], {})]
 
@@ -291,7 +305,7 @@ def test_scaling_b312_p2(bump):
 def test_scaling_b315_p7(bump):
     report = co.scaling_congruence_check("eq_b315_scale", 7, 10)
     assert report.status == "pass"
-    bump(co, "regular_quotient", 501)  # n = 3
+    bump(co, "cached_regular_series", 501)  # n = 3
     report = co.scaling_congruence_check("eq_b315_scale", 7, 10)
     assert report.status == "fail" and violations(report) == [(501, ["lhs", "rhs"], {})]
 
@@ -301,7 +315,7 @@ def test_scaling_b77_p3_includes_multiplier(bump):
     report = co.scaling_congruence_check("eq_b77_scale", 3, 40)
     assert report.status == "pass"
     assert 9 % 7 == 2
-    bump(co, "regular_quotient", 329)  # n = 5
+    bump(co, "cached_regular_series", 329)  # n = 5
     report = co.scaling_congruence_check("eq_b77_scale", 3, 40)
     assert report.status == "fail" and violations(report) == [(329, ["lhs", "rhs"], {})]
 

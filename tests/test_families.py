@@ -62,7 +62,7 @@ def test_unknown_family():
 
 def test_prime_constraint():
     pc = PrimeConstraint("one", 3, 4, exclude=(3,))
-    assert pc.smallest(3) == [7, 11, 19]
+    assert fam.smallest_primes(pc.admits, 3) == [7, 11, 19]
     assert not pc.admits(3) and not pc.admits(9) and pc.admits(23)
 
 
@@ -123,11 +123,11 @@ def test_thm1_i_grid_has_nondiagonal_tuple():
 
 
 def test_j_candidates():
-    assert fam._j_candidates("coprime", 5) == [1, 2, 3, 4]
-    assert fam._j_candidates("coprime_even", 5) == [2, 4, 6, 8]
-    assert fam._j_candidates("coprime_div5", 7) == [5, 10, 15, 20, 25, 30]
-    assert fam._j_candidates("coprime_even", 2) == []  # no even j coprime to 2
-    assert fam._j_candidates(None, 0) == [0]
+    assert fam._J_RESIDUES["coprime"](5) == [1, 2, 3, 4]
+    assert fam._J_RESIDUES["coprime_even"](5) == [2, 4, 6, 8]
+    assert fam._J_RESIDUES["coprime_div5"](7) == [5, 10, 15, 20, 25, 30]
+    assert fam._J_RESIDUES["coprime_even"](2) == []  # no even j coprime to 2
+    assert fam._J_RESIDUES[None](0) == [0]
 
 
 PROGRESSION_IDS = sorted(fid for fid, f in default_registry().items() if f.kind == "progression")
@@ -327,9 +327,3 @@ def test_report_absorb_sums_indices_and_keeps_violation_order():
     clean = VerificationReport(id="clean")
     clean.absorb(VerificationReport(id="d", status=VACUOUS, indices_checked=1))
     assert clean.status == PASS and clean.indices_checked == 1 and not clean.violations
-
-
-def test_series_cache_returns_same_object():
-    a = fam.cached_regular_series(3, 12, 3, 120)
-    b = fam.cached_regular_series(3, 12, 3, 120)
-    assert a is b

@@ -2,6 +2,9 @@
 
 import importlib
 import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
@@ -22,6 +25,8 @@ from regulus.series import (
     TruncatedSeries,
     Zmod,
     add,
+    cached_e1_power,
+    cached_regular_series,
     dilate,
     eta_quotient,
     euler_E,
@@ -390,6 +395,51 @@ def test_frobenius_small():
         lhs = euler_E(k * p, 120, Zmod(p))
         rhs = power(euler_E(k, 120, Zmod(p)), p)
         assert lhs == rhs
+
+
+# --- the prefix store; each test uses keys no other test builds ---
+
+
+def counting(monkeypatch, name, delay=0.0):
+    """Replace series.<name>, which the store's builders call, with a copy that logs each call's args."""
+    calls = []
+    real = getattr(series_module, name)
+
+    def logged(*args):
+        calls.append(args)
+        time.sleep(delay)
+        return real(*args)
+
+    monkeypatch.setattr(series_module, name, logged)
+    return calls
+
+
+def test_prefix_store_builds_once_per_longer_order(monkeypatch):
+    built = counting(monkeypatch, "regular_quotient")
+    for order in (300, 200, 100, 300):
+        assert cached_regular_series(13, 5, 9, order) == regular_quotient(13, 5, order, 9)
+    assert built == [(13, 5, 300, 9)]
+    assert cached_regular_series(13, 5, 9, 301) == regular_quotient(13, 5, 301, 9)
+    assert cached_regular_series(13, 5, 9, 40) == regular_quotient(13, 5, 40, 9)
+    assert built == [(13, 5, 300, 9), (13, 5, 301, 9)]
+    # E_1 powers over Z are keyed by r alone
+    expanded = counting(monkeypatch, "euler_E")
+    for order in (90, 30, 91, 60):
+        assert cached_e1_power(31, order) == power(euler_E(1, order), 31)
+    assert expanded == [(1, 90), (1, 91)]
+
+
+def test_prefix_store_builds_once_for_two_threads(monkeypatch):
+    built = counting(monkeypatch, "regular_quotient", delay=0.05)
+    together = threading.Barrier(2)
+
+    def ask():
+        together.wait()
+        return cached_regular_series(17, 3, 4, 200)
+
+    with ThreadPoolExecutor(2) as pool:
+        first, second = [f.result() for f in [pool.submit(ask) for _ in range(2)]]
+    assert built == [(17, 3, 200, 4)] and first is second
 
 
 # --- the Kronecker kernel against a schoolbook product, over Z (m == 0) and Z/m ---

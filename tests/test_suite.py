@@ -31,6 +31,14 @@ def test_gate_report_matches_recorded_digests():
     assert got["report"] == expected["report"]
 
 
+
+def test_two_jobs_give_the_one_job_report():
+    # the threads share the series store, whose per-key locks this exercises
+    canonical = load_workloads().canonical
+    two = canonical(run_suite(None, GridBudget(400, 400), jobs=2))
+    assert two == canonical(run_suite(None, GridBudget(400, 400), jobs=1))
+
+
 def quotient_workload_keys():
     """The (ell, r, m) keys the quotient-n32000 benchmark workload draws from."""
     wl = load_workloads()
