@@ -9,11 +9,9 @@ from .series import (
     dilate,
     eta_quotient,
     euler_E,
-    extract_progression,
     invert,
     mul,
     power,
-    reduce_mod,
     regular_quotient,
     series,
 )
@@ -27,11 +25,9 @@ __all__ = [
     "dilate",
     "eta_quotient",
     "euler_E",
-    "extract_progression",
     "invert",
     "mul",
     "power",
-    "reduce_mod",
     "regular_quotient",
     "series",
 ]

@@ -41,6 +41,8 @@ from functools import cache
 from importlib import resources
 from typing import Any, Iterable, Optional
 
+import numpy as np
+
 from . import expr
 from .coefficients import BRIDGES, Bridge, NewmanParams, _is_prime, four_step_terms, primes_upto, smallest_primes
 from .oracle import regular_multipartition_counts
@@ -293,8 +295,11 @@ def verify_family(
         r = family.r_value(point.t)
         s = cached_regular_series(family.ell, r, m, budget.order)
         where = {"t": point.t, "primes": point.primes, "j": point.j, "alpha": point.alpha}
-        sweep = s.coeffs[point.offset : budget.order + 1 : point.stride][: budget.n_max + 1]
-        for n, c in enumerate(sweep):
+        sweep = s.data[point.offset : budget.order + 1 : point.stride][: budget.n_max + 1]
+        # a violation needs a nonzero coefficient or an index the oracle cross-checks
+        crosschecked = max(0, (ORACLE_CROSSCHECK_LIMIT - point.offset) // point.stride + 1)
+        for n in sorted(set(range(min(len(sweep), crosschecked))).union(np.flatnonzero(sweep).tolist())):
+            c = int(sweep[n])
             idx = point.offset + point.stride * n
             if c != 0:
                 report.record(idx, c, **where, n=n)
@@ -303,7 +308,7 @@ def verify_family(
                     report.record(idx, c % p, modulus=p, **where, n=n)
             if idx <= ORACLE_CROSSCHECK_LIMIT and oracle(r)[idx] % m != c:
                 report.record(idx, {"series": c, "oracle": oracle(r)[idx] % m}, **where, n=n)
-            report.indices_checked += 1
+        report.indices_checked += len(sweep)
     report.params_swept = {
         "points": len(grid.points),
         "skipped_points": len(grid.skipped),

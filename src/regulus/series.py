@@ -2,8 +2,14 @@
 
 A series is a finite coefficient prefix; every binary operation truncates to
 the minimum of the operands' orders so precision loss is always explicit.
-Coefficients are Python ints (arbitrary precision over Z, canonical residues
-in [0, m) over Z/m).
+Over Z the coefficients are a tuple of Python ints, which outgrow int64.  Over
+Z/m they are canonical residues in [0, m), held in a read-only numpy array of
+the narrowest unsigned dtype that holds m - 1 (uint8 for every registry
+modulus; an object array of Python ints past uint64).  Every Z/m product,
+power, inverse, sum, dilation and prefix takes and returns such arrays, and
+sums and negations stay below m - 1 so that no fixed-width entry wraps.
+Python ints appear only at the edges: ``TruncatedSeries.coeffs`` (a tuple,
+built on its first read), ``s[n]``, and the values a check records.
 
 Every product of q-Pochhammer symbols the package expands is a theta
 quotient.  ``theta(a, b)`` is Ramanujan's f(-q^a, -q^b), a sparse series
@@ -114,25 +120,67 @@ def Zmod(m: int) -> CoefficientRing:
     return CoefficientRing(m)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients of q^0 .. q^order; index n holds the coefficient of q^n."""
+_UINTS = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
 
-    ring: CoefficientRing
-    coeffs: tuple[int, ...]
+
+def _dtype(m: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds m - 1; object (Python ints) past uint64."""
+    for dt in _UINTS:
+        if m - 1 < 1 << (8 * dt.itemsize):
+            return dt
+    return np.dtype(object)
+
+
+def _zeros(n: int, m: int):
+    """n zero coefficients, writable, as a series over Z/m stores them (over Z when m == 0)."""
+    return np.zeros(n, _dtype(m)) if m else [0] * n
+
+
+class TruncatedSeries:
+    """Coefficients of q^0 .. q^order; index n holds the coefficient of q^n.
+
+    ``data`` holds them as stored: a tuple of Python ints over Z, a read-only
+    array of the ring's dtype over Z/m.  ``coeffs`` reads them as a tuple of
+    Python ints over either ring.  Built from a sequence over Z/m, the entries
+    must already be residues in [0, m); ``series`` reduces arbitrary ints.
+    """
+
+    __slots__ = ("ring", "data", "_coeffs")
+
+    def __init__(self, ring: CoefficientRing, coeffs) -> None:
+        self.ring = ring
+        if ring.modulus:
+            self.data = np.asarray(coeffs, dtype=_dtype(ring.modulus))
+            self.data.flags.writeable = False
+            self._coeffs = None
+        else:
+            self.data = self._coeffs = tuple(coeffs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(self.data.tolist())
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.data) - 1
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        if self.ring != other.ring:
+            return False
+        return np.array_equal(self.data, other.data) if self.ring.modulus else self.data == other.data
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.ring!r}, {self.coeffs!r})"
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return sub(self, other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return mul(self, other)
@@ -140,11 +188,13 @@ class TruncatedSeries:
 
 def series(coeffs, ring: CoefficientRing = ZZ) -> TruncatedSeries:
     """Build a series from a coefficient sequence, canonicalizing residues."""
-    return TruncatedSeries(ring, tuple(ring.reduce(int(c)) for c in coeffs))
+    return TruncatedSeries(ring, [ring.reduce(int(c)) for c in coeffs])
 
 
 def one(order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
-    return TruncatedSeries(ring, (1,) + (0,) * order)
+    c = _zeros(order + 1, ring.modulus)
+    c[0] = 1
+    return TruncatedSeries(ring, c)
 
 
 def _check_rings(a: TruncatedSeries, b: TruncatedSeries) -> None:
@@ -152,31 +202,46 @@ def _check_rings(a: TruncatedSeries, b: TruncatedSeries) -> None:
         raise RingMismatchError(f"{a.ring} vs {b.ring}")
 
 
+def _add_mod(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """(x + y) mod m for residue arrays; no intermediate exceeds m - 1, so none wraps."""
+    room = (m - 1) - y  # x + y >= m exactly when x > room, and then x + y - m = x - room - 1
+    return np.where(x > room, x - room - 1, x + y)
+
+
+def _neg_mod(x: np.ndarray, m: int) -> np.ndarray:
+    """-x mod m for a residue array, through (m - 1) - x, which never wraps."""
+    out = (m - 1) - x
+    out += 1
+    out[x == 0] = 0  # where m is the dtype's 2**bits, the += above already wrapped these to 0
+    return out
+
+
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     _check_rings(a, b)
-    n = min(a.order, b.order)
-    red = a.ring.reduce
-    return TruncatedSeries(
-        a.ring, tuple(red(a.coeffs[i] + b.coeffs[i]) for i in range(n + 1))
-    )
-
-
-def sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_rings(a, b)
-    n = min(a.order, b.order)
-    red = a.ring.reduce
-    return TruncatedSeries(
-        a.ring, tuple(red(a.coeffs[i] - b.coeffs[i]) for i in range(n + 1))
-    )
+    n = min(a.order, b.order) + 1
+    if a.ring.modulus:
+        return TruncatedSeries(a.ring, _add_mod(a.data[:n], b.data[:n], a.ring.modulus))
+    return TruncatedSeries(a.ring, [x + y for x, y in zip(a.data[:n], b.data[:n])])
 
 
 def _pack(coeffs, nbytes: int) -> int:
-    """Nonnegative coefficients below 256**nbytes as one little-endian int, nbytes bytes each."""
-    if nbytes <= 8:
-        lanes = np.array(coeffs, dtype="<u8").view(np.uint8).reshape(-1, 8)
-        return int.from_bytes(lanes[:, :nbytes].tobytes(), "little")
-    raw = b"".join(c.to_bytes(nbytes, "little") for c in coeffs)
-    return int.from_bytes(raw, "little")
+    """Nonnegative coefficients below 256**nbytes as one little-endian int, nbytes bytes each.
+
+    An unsigned array is copied lane by lane with numpy, whatever nbytes; a
+    sequence of Python ints (or an object array) goes through numpy when
+    nbytes <= 8, else through int.to_bytes.
+    """
+    if not (isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "u"):
+        if nbytes > 8:
+            return int.from_bytes(b"".join(int(c).to_bytes(nbytes, "little") for c in coeffs), "little")
+        coeffs = np.array(coeffs, dtype="<u8")
+    size = coeffs.itemsize
+    raw = np.ascontiguousarray(coeffs, dtype=coeffs.dtype.newbyteorder("<")).view(np.uint8).reshape(-1, size)
+    # every value is below 256**nbytes, so the bytes past either width are zero
+    lanes = np.zeros((len(coeffs), nbytes), dtype=np.uint8)
+    width = min(size, nbytes)
+    lanes[:, :width] = raw[:, :width]
+    return int.from_bytes(lanes.tobytes(), "little")
 
 
 def _pack_signed(coeffs, nbytes: int) -> int:
@@ -185,8 +250,8 @@ def _pack_signed(coeffs, nbytes: int) -> int:
     return pos - _pack([-c if c < 0 else 0 for c in coeffs], nbytes)
 
 
-def _unpack(x: int, n_keep: int, nbytes: int, m: int) -> list[int]:
-    """The first n_keep nbytes-wide slots of x: reduced mod m, or signed when m == 0.
+def _unpack(x: int, n_keep: int, nbytes: int, m: int):
+    """The first n_keep nbytes-wide slots of x: a residue array mod m, or a list of signed ints when m == 0.
 
     A signed slot lies in [-half, half) with half = 2**(8*nbytes - 1); adding half
     to every slot turns x into unsigned slots with no borrow between them.
@@ -200,11 +265,14 @@ def _unpack(x: int, n_keep: int, nbytes: int, m: int) -> list[int]:
         lanes[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(n_keep, nbytes)
         slots = lanes.view("<u8").ravel()
         if m:
-            return (slots % m).tolist()
+            # nbytes <= 8 holds (m - 1)**2, so m < 2**32 fits uint64 and every dtype below it
+            return (slots % np.uint64(m)).astype(_dtype(m))
         # uint64 subtraction wraps mod 2**64; read as int64 it is the signed slot
         return (slots - np.uint64(half)).view(np.int64).tolist()
     slots = (int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes))
-    return [c % m for c in slots] if m else [c - half for c in slots]
+    if m:
+        return np.array([c % m for c in slots], dtype=_dtype(m))
+    return [c - half for c in slots]
 
 
 _EPS = 2.0**-53  # float64 unit roundoff
@@ -227,7 +295,7 @@ def _float_exact(ha: int, hb: int, ma: int, mb: int, len_a: int, len_b: int) -> 
     return 2 * ha * hb * math.sqrt(len_a * len_b) * math.expm1(log_growth) < 0.25
 
 
-def _fft_product(la, lb, n_out: int, m: int) -> list[int]:
+def _fft_product(la, lb, n_out: int, m: int):
     """The product _kronecker returns, by numpy's float rfft; exact only where _float_exact holds.
 
     Raises ArithmeticError if an entry lies more than 1/4 from an integer.
@@ -237,9 +305,11 @@ def _fft_product(la, lb, n_out: int, m: int) -> list[int]:
     length = 1 << (size - 1).bit_length()
 
     def spectrum(coeffs):
-        x = np.array(coeffs, dtype=np.float64)
         if m:
-            x[x > m // 2] -= m  # balanced residues, |c| <= m // 2
+            x = coeffs.astype(np.float64)
+            x[coeffs > m // 2] -= m  # balanced residues, |c| <= m // 2
+        else:
+            x = np.array(coeffs, dtype=np.float64)
         return fft.rfft(x, length)
 
     prod = spectrum(la)
@@ -251,17 +321,21 @@ def _fft_product(la, lb, n_out: int, m: int) -> list[int]:
     residual = np.abs(c, out=c).max()
     if residual > 0.25:
         raise ArithmeticError(f"float product left a residual of {residual:.3g}")
-    out = exact.astype(np.int64)
     if m:
-        out %= m
-    return out.tolist() + [0] * (n_out + 1 - len(out))
+        # the float path needs m // 2 < 2**26, so every entry and its residue fit int64
+        out = _zeros(n_out + 1, m)
+        out[: len(exact)] = exact.astype(np.int64) % m
+        return out
+    return exact.astype(np.int64).tolist() + [0] * (n_out + 1 - len(exact))
 
 
-def _kronecker(la, lb, n_out: int, m: int) -> list[int]:
+def _kronecker(la, lb, n_out: int, m: int):
     """Product of two coefficient sequences truncated at n_out, over Z/m, or over Z when m == 0.
 
-    Takes the float path when _float_exact admits the operands. Passing the
-    same sequence twice transforms it once, or packs it once and squares the int.
+    Over Z/m the operands and the result are residue arrays of the ring's dtype;
+    over Z they are sequences of Python ints and the result is a list.  Takes the
+    float path when _float_exact admits the operands.  Passing the same sequence
+    twice transforms it once, or packs it once and squares the int.
     """
     square = lb is la
     la = la[: n_out + 1]
@@ -288,7 +362,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(order(a), order(b))."""
     _check_rings(a, b)
     n = min(a.order, b.order)
-    return TruncatedSeries(a.ring, tuple(_kronecker(a.coeffs, b.coeffs, n, a.ring.modulus)))
+    return TruncatedSeries(a.ring, _kronecker(a.data, b.data, n, a.ring.modulus))
 
 
 def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -312,35 +386,33 @@ def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
 def invert(a: TruncatedSeries) -> TruncatedSeries:
     """Two-sided inverse up to the truncation order."""
     m = a.ring.modulus
-    a0 = a.coeffs[0]
+    a0 = int(a.data[0])
     n_out = a.order
     if m == 0:
         if a0 not in (1, -1):
             raise NonUnitError(f"constant term {a0} is not a unit in Z")
-        inv0 = a0
+        b = [a0]
     else:
         try:
-            inv0 = pow(a0, -1, m)
+            b = np.full(1, pow(a0, -1, m), _dtype(m))
         except ValueError as exc:
             raise NonUnitError(f"constant term {a0} is not a unit mod {m}") from exc
     # Newton: b <- b * (2 - a*b), doubling the known precision each step
-    b = [inv0]
     prec = 1
     while prec <= n_out:
         prec = min(2 * prec, n_out + 1)
-        # -x mod m over Z/m, and -x over Z (m == 0)
-        t = [m - x if x else 0 for x in _kronecker(a.coeffs, b, prec - 1, m)]
-        t[0] = a.ring.reduce(t[0] + 2)
+        ab = _kronecker(a.data, b, prec - 1, m)
+        t = _neg_mod(ab, m) if m else [-x for x in ab]
+        t[0] = a.ring.reduce(int(t[0]) + 2)
         b = _kronecker(b, t, prec - 1, m)
-    return TruncatedSeries(a.ring, tuple(b))
+    return TruncatedSeries(a.ring, b)
 
 
 def theta(a: int, b: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
     """Ramanujan's f(-q^a, -q^b) = sum over j in Z of (-1)^j q^(a j(j+1)/2 + b j(j-1)/2)."""
     if a < 1 or b < 1:
         raise ValueError(f"theta needs a, b >= 1, got ({a}, {b})")
-    c = [0] * (order + 1)
-    c[0] = 1
+    terms = {0: 1}  # exponent -> coefficient; the O(sqrt(order)) nonzero terms
     j = 1
     while True:
         # the exponents of the terms for j and -j
@@ -351,10 +423,12 @@ def theta(a: int, b: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSe
         s = -1 if j % 2 else 1
         for e in (e1, e2):
             if e <= order:
-                c[e] += s
+                terms[e] = terms.get(e, 0) + s
         j += 1
-    m = ring.modulus
-    return TruncatedSeries(ring, tuple([x % m for x in c] if m else c))
+    c = _zeros(order + 1, ring.modulus)
+    for e, v in terms.items():
+        c[e] = ring.reduce(v)
+    return TruncatedSeries(ring, c)
 
 
 def euler_E(k: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
@@ -411,45 +485,21 @@ def eta_quotient(
     return theta_quotient([(k, 2 * k, e) for k, e in spec.factors], order, ring), shift
 
 
-def extract_progression(a: TruncatedSeries, step: int, residue: int) -> TruncatedSeries:
-    """Slice out the subsequence a[step*n + residue]."""
-    if not 0 <= residue < step:
-        raise ValueError("residue must satisfy 0 <= residue < step")
-    out = a.coeffs[residue :: step]
-    return TruncatedSeries(a.ring, tuple(out))
-
-
 def dilate(a: TruncatedSeries, k: int) -> TruncatedSeries:
     """Substitute q -> q^k by index dilation; result order is k*order(a)."""
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     if k == 1:
         return a
-    out = [0] * (k * a.order + 1)
-    for i, c in enumerate(a.coeffs):
-        out[k * i] = c
-    return TruncatedSeries(a.ring, tuple(out))
-
-
-def shift_q(a: TruncatedSeries, s: int) -> TruncatedSeries:
-    """Multiply by q^s, keeping the truncation order."""
-    if s < 0:
-        raise ValueError("shift must be nonnegative")
-    out = (0,) * s + a.coeffs
-    return TruncatedSeries(a.ring, out[: a.order + 1])
+    out = _zeros(k * a.order + 1, a.ring.modulus)
+    out[::k] = a.data
+    return TruncatedSeries(a.ring, out)
 
 
 def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     if order >= a.order:
         return a
-    return TruncatedSeries(a.ring, a.coeffs[: order + 1])
-
-
-def reduce_mod(a: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Coefficientwise reduction into Z/m."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    return TruncatedSeries(Zmod(m), tuple(x % m for x in a.coeffs))
+    return TruncatedSeries(a.ring, a.data[: order + 1])
 
 
 def regular_quotient(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,6 +206,46 @@ def test_negative_control_wrong_alpha_fails():
     per_prime = [v for v in report.violations if "modulus" in v["params"]]
     assert sorted((v["index"], v["params"]["t"], v["params"]["modulus"]) for v in per_prime) == expected
     assert expected and all(v["value"] == mod10[v["index"], v["params"]["t"]] % v["params"]["modulus"] for v in per_prime)
+
+
+def test_sweep_records_planted_coefficients_in_order(monkeypatch):
+    # thm4.9 sweeps 20n + 14 and 20n + 18 mod 10 at t = 0 and 1; 5 is zero mod 5 and 4 is zero mod 2
+    planted = {14: 5, 358: 4, 394: 3}
+    real_series, real_counts = fam.cached_regular_series, fam.regular_multipartition_counts
+
+    def planting(ell, r, m, order):
+        values = list(real_series(ell, r, m, order).coeffs)
+        for index, c in planted.items():
+            values[index] = c
+        return series(values, Zmod(m))
+
+    def oracle_off_at_18(ell, r, n_max):
+        values = list(real_counts(ell, r, n_max).values)
+        values[18] += 1  # the series is 0 there, and the oracle now says 1 mod 10
+        return SimpleNamespace(values=values)
+
+    monkeypatch.setattr(fam, "cached_regular_series", planting)
+    monkeypatch.setattr(fam, "regular_multipartition_counts", oracle_off_at_18)
+    report = verify_family(get_family("thm4.9"), GridBudget(order=400, n_max=400))
+    expected = []
+    for t in (0, 1):
+        at14 = {"t": t, "primes": (), "j": 0, "alpha": 14}
+        at18 = {**at14, "alpha": 18}
+        expected += [
+            {"index": 14, "value": 5, "params": {**at14, "n": 0}},
+            {"index": 14, "value": 1, "params": {"modulus": 2, **at14, "n": 0}},
+            # index 14 <= 300 is cross-checked against the oracle, whose coefficient is 0 mod 10
+            {"index": 14, "value": {"series": 5, "oracle": 0}, "params": {**at14, "n": 0}},
+            {"index": 394, "value": 3, "params": {**at14, "n": 19}},
+            {"index": 394, "value": 1, "params": {"modulus": 2, **at14, "n": 19}},
+            {"index": 394, "value": 3, "params": {"modulus": 5, **at14, "n": 19}},
+            {"index": 18, "value": {"series": 0, "oracle": 1}, "params": {**at18, "n": 0}},
+            {"index": 358, "value": 4, "params": {**at18, "n": 17}},
+            {"index": 358, "value": 4, "params": {"modulus": 5, **at18, "n": 17}},
+        ]
+    assert report.status == FAIL
+    assert report.violations == expected
+    assert report.indices_checked == 4 * 20  # n = 0..19 at each of the four points
 
 
 def test_oracle_crosscheck_catches_series_disagreement():

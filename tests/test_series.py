@@ -1,6 +1,8 @@
 """Core series arithmetic against naive in-test oracles."""
 
+import hashlib
 import importlib
+import json
 import random
 import threading
 import time
@@ -8,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,16 +33,12 @@ from regulus.series import (
     dilate,
     eta_quotient,
     euler_E,
-    extract_progression,
     invert,
     mul,
     one,
     power,
-    reduce_mod,
     regular_quotient,
     series,
-    shift_q,
-    sub,
     theta,
     theta_quotient,
     truncate,
@@ -100,7 +99,6 @@ def test_truncation_contract_min_order():
     b = series([1, 1, 1], ZZ)
     assert mul(a, b).order == 2
     assert add(a, b).order == 2
-    assert sub(a, b).order == 2
 
 
 # --- Euler products ---
@@ -321,61 +319,6 @@ def test_eta_quotient_bad_shift_fails_before_expanding(monkeypatch):
         eta_quotient(EtaQuotientSpec(((1, 1),), "eta"), 10**6)
 
 
-# --- progression extraction, dilation, shifting ---
-
-
-def test_extract_identity_step():
-    s = euler_E(1, 12, ZZ)
-    assert extract_progression(s, 1, 0) == s
-
-
-def test_extract_odd_pentagonal_coefficients():
-    e1 = euler_E(1, 11, ZZ)
-    got = extract_progression(e1, 2, 1)
-    assert list(got.coeffs) == [-1, 0, 1, 1, 0, 0]
-
-
-def test_extract_bad_residue():
-    with pytest.raises(ValueError):
-        extract_progression(euler_E(1, 8, ZZ), 3, 3)
-
-
-def test_extract_interleave_round_trip():
-    s = invert(euler_E(1, 59, ZZ))
-    for step in (2, 3, 5):
-        slices = [extract_progression(s, step, b) for b in range(step)]
-        rebuilt = [0] * (s.order + 1)
-        for b, piece in enumerate(slices):
-            for n, c in enumerate(piece.coeffs):
-                rebuilt[step * n + b] = c
-        assert rebuilt == list(s.coeffs)
-
-
-def test_shift_q_keeps_order():
-    s = euler_E(1, 9, ZZ)
-    shifted = shift_q(s, 2)
-    assert shifted.order == 9
-    assert shifted.coeffs[:3] == (0, 0, 1)
-
-
-# --- modular reduction ---
-
-
-def test_reduce_mod_canonical():
-    got = reduce_mod(series([1, -1, -1], ZZ), 3)
-    assert got.coeffs == (1, 2, 2)
-
-
-def test_reduce_mod_tower():
-    s = power(euler_E(1, 20, ZZ), 3)
-    via_6 = reduce_mod(series(reduce_mod(s, 6).coeffs, ZZ), 3)
-    assert via_6 == reduce_mod(s, 3)
-
-
-def test_reduce_mod_e1_24_at_4():
-    assert reduce_mod(power(euler_E(1, 4, ZZ), 24), 5)[4] == 0
-
-
 # --- the counting quotient ---
 
 
@@ -459,16 +402,22 @@ def kernel_operand(rng, m, length):
     return [rng.randrange(-top, top + 1) for _ in range(length)]
 
 
+def residues(values, m):
+    """A kernel operand as a series stores it: an array of the ring's dtype over Z/m, the ints over Z."""
+    return np.array(values, dtype=series_module._dtype(m)) if m else values
+
+
 @pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
 @pytest.mark.parametrize("la,lb", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 5), (40, 40), (64, 33)])
 def test_kernel_matches_schoolbook(m, la, lb):
     rng = random.Random(f"{m}-{la}-{lb}")
     a = kernel_operand(rng, m, la)
     b = kernel_operand(rng, m, lb)
+    xa, xb = residues(a, m), residues(b, m)
     # every truncation, up to the full product of la + lb - 1 coefficients
     for n_out in sorted({0, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2}):
-        assert _kronecker(a, b, n_out, m) == naive_mod_mul(a, b, n_out, m)
-        assert _kronecker(a, a, n_out, m) == naive_mod_mul(a, a, n_out, m)
+        assert list(_kronecker(xa, xb, n_out, m)) == naive_mod_mul(a, b, n_out, m)
+        assert list(_kronecker(xa, xa, n_out, m)) == naive_mod_mul(a, a, n_out, m)
 
 
 @pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
@@ -480,10 +429,11 @@ def test_kernel_at_slot_bound(m, length):
     ring = Zmod(m) if m else ZZ
     for c in (m - 1,) if m else (-(2**31), -(2**100)):
         top = [c] * length
-        assert _kronecker(top, top, length - 1, m) == naive_mod_mul(top, top, length - 1, m)
-        assert _kronecker(top, [abs(c)], length - 1, m) == naive_mod_mul(top, [abs(c)], length - 1, m)
+        x = residues(top, m)
+        assert list(_kronecker(x, x, length - 1, m)) == naive_mod_mul(top, top, length - 1, m)
+        assert list(_kronecker(x, residues([abs(c)], m), length - 1, m)) == naive_mod_mul(top, [abs(c)], length - 1, m)
         # the slot width must still fit the coefficients of the nonzero operand
-        assert _kronecker([0] * length, top, length - 1, m) == [0] * length
+        assert list(_kronecker(residues([0] * length, m), x, length - 1, m)) == [0] * length
         a = series(top, ring)
         assert list(mul(a, a).coeffs) == naive_mod_mul(top, top, length - 1, m)
 
@@ -570,18 +520,18 @@ def largest_admitted(h, top):
 @pytest.mark.parametrize("length", [1, 2, 2000, 32001])
 def test_fft_product_matches_kronecker_mod_m(m, length, kronecker_only, float_calls):
     rng = random.Random(f"fft-{m}-{length}")
-    a = [rng.randrange(m) for _ in range(length)]
-    b = [rng.randrange(m) for _ in range(length)]
-    assert _fft_product(a, b, length - 1, m) == kronecker_only(a, b, length - 1, m)
-    assert _fft_product(a, a, length - 1, m) == kronecker_only(a, a, length - 1, m)
+    a = residues([rng.randrange(m) for _ in range(length)], m)
+    b = residues([rng.randrange(m) for _ in range(length)], m)
+    assert list(_fft_product(a, b, length - 1, m)) == list(kronecker_only(a, b, length - 1, m))
+    assert list(_fft_product(a, a, length - 1, m)) == list(kronecker_only(a, a, length - 1, m))
     # the whole product, and one truncated below the longer operand
     short = b[: length // 2 + 1]
     for n_out in (2 * length - 2, length // 2):
-        assert _fft_product(a, short, n_out, m) == kronecker_only(a, short, n_out, m)
+        assert list(_fft_product(a, short, n_out, m)) == list(kronecker_only(a, short, n_out, m))
     # past the product's last coefficient the result is zero-padded
-    assert _fft_product(a, short, 2 * length + 3, m) == kronecker_only(a, short, 2 * length + 3, m)
+    assert list(_fft_product(a, short, 2 * length + 3, m)) == list(kronecker_only(a, short, 2 * length + 3, m))
     # every one of these the dispatcher itself sends down the float path
-    assert _kronecker(a, b, length - 1, m) == kronecker_only(a, b, length - 1, m)
+    assert list(_kronecker(a, b, length - 1, m)) == list(kronecker_only(a, b, length - 1, m))
     assert float_calls == [(length, length)]
 
 
@@ -611,12 +561,12 @@ def test_float_path_at_its_bound(m, h, float_calls):
     constants = (m - 1, m // 2) if m else (-h,)
     for length, floated in ((edge, True), (edge + 1, False)):
         for c in constants:
-            a, b = [c] * length, [c] * length
+            a, b = residues([c] * length, m), residues([c] * length, m)
             # a constant operand of length L squared: coefficient k is c*c*(k+1)
             expected = [c * c * (k + 1) % m if m else c * c * (k + 1) for k in range(length)]
             float_calls.clear()
-            assert _kronecker(a, a, length - 1, m) == expected
-            assert _kronecker(a, b, length - 1, m) == expected
+            assert list(_kronecker(a, a, length - 1, m)) == expected
+            assert list(_kronecker(a, b, length - 1, m)) == expected
             assert float_calls == ([(length, length)] * 2 if floated else [])
 
 
@@ -624,14 +574,14 @@ def test_float_path_at_its_bound(m, h, float_calls):
 def test_float_path_refused_past_the_bound(float_calls):
     # products near 2**72: a looser bound would send these to a float path that cannot hold them
     m, length = 2**31 - 1, 4096
-    top = [m - 1] * length
-    assert _kronecker(top, top, length - 1, m) == [(k + 1) % m for k in range(length)]
-    half = [m // 2] * length
+    top = residues([m - 1] * length, m)
+    assert list(_kronecker(top, top, length - 1, m)) == [(k + 1) % m for k in range(length)]
+    half = residues([m // 2] * length, m)
     expected = [(m // 2) ** 2 * (k + 1) % m for k in range(length)]
-    assert _kronecker(half, half, length - 1, m) == expected
+    assert list(_kronecker(half, half, length - 1, m)) == expected
     assert float_calls == []
     try:
-        assert _fft_product(half, half, length - 1, m) != expected
+        assert list(_fft_product(half, half, length - 1, m)) != expected
     except ArithmeticError:
         pass
     # an operand float64 cannot hold stays on Kronecker even against a zero operand
@@ -650,7 +600,8 @@ def test_float_path_transforms_balanced_residues(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", spy)
     m = 55
     a = list(range(m)) * 3
-    assert _kronecker(a, a, len(a) - 1, m) == naive_mod_mul(a, a, len(a) - 1, m)
+    x = residues(a, m)
+    assert list(_kronecker(x, x, len(a) - 1, m)) == naive_mod_mul(a, a, len(a) - 1, m)
     assert seen == [(-(m // 2), m // 2)]
 
 
@@ -689,6 +640,56 @@ def _oracle_counts(ell, r, n_max):
 def test_regular_quotient_mod_m_matches_oracle(ell, r, m):
     got = regular_quotient(ell, r, 300, m)
     assert list(got.coeffs) == [c % m for c in _oracle_counts(ell, r, 300)]
+
+
+# quotient digests recorded from the kernel that held Z/m coefficients as tuples of Python ints
+RECORDED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())["quotient"]
+
+
+@pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
+def test_regular_quotient_matches_recorded_digest(ell, r, m):
+    s = regular_quotient(ell, r, 32000, m)
+    # the digest bench/workloads.py's coeff_digest takes
+    digest = hashlib.sha256((f"{m}:" + ",".join(map(str, s.coeffs))).encode()).hexdigest()
+    assert digest == RECORDED[f"{ell},{r},{m}@32000"]
+
+
+@lru_cache(maxsize=None)
+def _exact_quotient(ell, r, order):
+    return regular_quotient(ell, r, order, 0)
+
+
+@pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
+def test_regular_quotient_mod_m_is_the_exact_series_reduced(ell, r, m):
+    got = regular_quotient(ell, r, 500, m)
+    assert list(got.coeffs) == [c % m for c in _exact_quotient(ell, r, 500).coeffs]
+
+
+@pytest.mark.parametrize("m", [251, 255, 256, 257, 65535, 65537])
+def test_zmod_operations_at_dtype_edges_match_z(m):
+    # residues near m - 1, where a sum or negation held in an unwidened uint8 or uint16 wraps
+    rng = random.Random(f"edge-{m}")
+    ring = Zmod(m)
+    top_a = [m - 1 - rng.randrange(3) for _ in range(40)]
+    top_b = [m - 1 - rng.randrange(3) for _ in range(40)]
+    a_z, b_z = series(top_a, ZZ), series(top_b, ZZ)
+    a, b = series(top_a, ring), series(top_b, ring)
+
+    def reduced(s):
+        return [c % m for c in s.coeffs]
+
+    assert a.data.dtype.itemsize == (1 if m <= 256 else 2 if m <= 65536 else 4)
+    assert list(add(a, b).coeffs) == reduced(add(a_z, b_z))
+    assert list(mul(a, b).coeffs) == reduced(mul(a_z, b_z))
+    assert list(power(a, 5).coeffs) == reduced(power(a_z, 5))
+    # constant term -1 over Z and m - 1 over Z/m: a unit in both rings
+    unit_z = series([-1] + top_a[1:], ZZ)
+    assert list(invert(series(unit_z.coeffs, ring)).coeffs) == reduced(invert(unit_z))
+    for x, y in ((1, 2), (3, 3), (2, 5)):
+        assert list(theta(x, y, 60, ring).coeffs) == reduced(theta(x, y, 60, ZZ))
+    assert list(dilate(a, 3).coeffs) == reduced(dilate(a_z, 3))
+    # invert's negation; -0 must stay 0, also where m is below the dtype's 2**bits
+    assert list(series_module._neg_mod(residues([0, 1, m - 1], m), m)) == [0, m - 1, 1]
 
 
 # --- property tests ---
