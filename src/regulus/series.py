@@ -20,10 +20,24 @@ E_k = f(-q^k, -q^{2k}) (Euler's pentagonal theorem), and a product of
 ``theta_quotient`` expands prod f(-q^a, -q^b)^e over rows (a, b, e), and
 ``eta_quotient`` is the theta quotient of rows (k, 2k, e).
 
-``cached_regular_series`` (key (ell, r, m)) and ``cached_e1_power`` (key r,
-over Z) share one prefix store.  It holds the longest series built per key,
-builds again only for a longer order, and serves a shorter one as a prefix,
-which exact arithmetic makes equal to a build at that order.
+``cached_regular_series`` and ``cached_e1_power`` read one prefix store.  It
+holds the longest series built per key, builds again only for a longer
+order, and serves a shorter one as a prefix, which exact arithmetic makes
+equal to a build at that order.  A key is built from pieces the store also
+holds, each under its own key, so that keys sharing a piece build it once:
+
+* ``("1/E_1", m)``: the inverse of E_1 mod m;
+* ``("E_l/E_1", ell, m, k)``: the base E_ell * (1/E_1) mod m when k == 0, and
+  its square base**(2**k), the square of piece k - 1, when k >= 1;
+* ``(ell, r, m)``: E_ell^r / E_1^r mod m, the product of the pieces k at the
+  set bits of r;
+* ``("E_1", k)`` and ``("E_1^r", r)``: the same squaring chain and products
+  over Z, on the base E_1 with no inverse.
+
+Each key has its own lock, held while its series is built.  A build takes
+the locks of the pieces it reads in one order: key, then square k, square
+k - 1, ..., base, then inverse.  Every thread acquires them in that order,
+so two threads never wait on each other in a cycle.
 
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_kronecker``, which takes one of two exact paths.
@@ -519,7 +533,7 @@ _key_locks: dict = {}
 def _stored(key, order: int, build) -> TruncatedSeries:
     """The key's series to order: build(order) if the longest one held is shorter, else its prefix.
 
-    A build blocks only readers of its own key; setdefault is atomic for int and tuple keys.
+    A build blocks only readers of its own key; setdefault is atomic for the store's tuple keys.
     """
     with _key_locks.setdefault(key, threading.Lock()):
         if key not in _longest or _longest[key].order < order:
@@ -527,11 +541,41 @@ def _stored(key, order: int, build) -> TruncatedSeries:
         return truncate(_longest[key], order)
 
 
+def _square(tag: tuple, k: int, order: int, build_base) -> TruncatedSeries:
+    """base**(2**k) to order, stored under tag + (k,); build_base(order) builds the base (k == 0)."""
+
+    def build(n: int) -> TruncatedSeries:
+        if not k:
+            return build_base(n)
+        half = _square(tag, k - 1, n, build_base)
+        return mul(half, half)
+
+    return _stored(tag + (k,), order, build)
+
+
+def _stored_power(key, r: int, order: int, tag: tuple, build_base, ring: CoefficientRing) -> TruncatedSeries:
+    """base**r to order, stored under key: the product of the stored squares at the set bits of r."""
+
+    def build(n: int) -> TruncatedSeries:
+        squares = [_square(tag, k, n, build_base) for k in range(r.bit_length()) if r >> k & 1]
+        return reduce(mul, squares) if squares else one(n, ring)
+
+    return _stored(key, order, build)
+
+
 def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
-    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus)."""
-    return _stored((ell, r, modulus), order, lambda n: regular_quotient(ell, r, n, modulus))
+    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus) and built from stored pieces."""
+    ring = ZZ if modulus == 0 else Zmod(modulus)
+
+    def inverse(n: int) -> TruncatedSeries:
+        return invert(euler_E(1, n, ring))
+
+    def base(n: int) -> TruncatedSeries:
+        return mul(euler_E(ell, n, ring), _stored(("1/E_1", modulus), n, inverse))
+
+    return _stored_power((ell, r, modulus), r, order, ("E_l/E_1", ell, modulus), base, ring)
 
 
 def cached_e1_power(r: int, order: int) -> TruncatedSeries:
-    """E_1^r over Z, stored under r."""
-    return _stored(r, order, lambda n: power(euler_E(1, n), r))
+    """E_1^r over Z, stored under ("E_1^r", r) and built from the stored squares of E_1."""
+    return _stored_power(("E_1^r", r), r, order, ("E_1",), lambda n: euler_E(1, n), ZZ)

@@ -1,8 +1,13 @@
 """Arithmetic expression sub-language used by the family registry."""
 
+import ast
+import itertools
+import math
+
 import pytest
 
 from regulus.expr import ExpressionError, NonExactDivisionError, degree, evaluate, symbols_used
+from regulus.families import default_registry
 
 
 def test_basic_arithmetic():
@@ -66,3 +71,117 @@ def test_degree(text, expected):
 def test_degree_rejects_non_polynomial_formulas(text):
     with pytest.raises(ExpressionError):
         degree(text, "n")
+
+
+# --- compiled formulas against a plain recursive evaluator ---
+
+
+def reference_eval(node, env, text):
+    """A recursive walk of the syntax tree: the evaluator the compiled closures replace."""
+    if isinstance(node, ast.Constant):
+        if not isinstance(node.value, int) or isinstance(node.value, bool):
+            raise ExpressionError(f"non-integer literal in {text!r}")
+        return node.value
+    if isinstance(node, ast.Name):
+        try:
+            return env[node.id]
+        except KeyError as exc:
+            raise ExpressionError(f"unknown symbol {node.id!r} in {text!r}") from exc
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -reference_eval(node.operand, env, text)
+    if isinstance(node, ast.BinOp):
+        left = reference_eval(node.left, env, text)
+        right = reference_eval(node.right, env, text)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        if isinstance(node.op, (ast.Div, ast.FloorDiv)):
+            if right == 0:
+                raise NonExactDivisionError(f"division by zero in {text!r}")
+            quotient, remainder = divmod(left, right)
+            if remainder:
+                raise NonExactDivisionError(f"{left} / {right} is not exact in {text!r}")
+            return quotient
+        if isinstance(node.op, ast.Pow):
+            if right < 0:
+                raise ExpressionError(f"negative exponent in {text!r}")
+            return left**right
+    raise ExpressionError(f"unsupported construct in {text!r}")
+
+
+def outcome(evaluator, text, env):
+    """The value, or the error's type and message."""
+    try:
+        return evaluator(text, env)
+    except (ExpressionError, NonExactDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def reference(text, env):
+    return reference_eval(ast.parse(text, mode="eval").body, env, text)
+
+
+def index_env(n, t, j, alpha, primes):
+    """The symbols families.family_index binds."""
+    env = {"n": n, "t": t, "j": j, "alpha": alpha}
+    if primes:
+        env |= {f"p{i}": p for i, p in enumerate(primes, start=1)}
+        env["P"] = math.prod(p * p for p in primes)
+        env["Q"] = env["P"] // primes[-1] ** 2
+        env["pl"] = primes[-1]
+    return env
+
+
+REGISTRY_FORMULAS = sorted(
+    {fam.index_formula for fam in default_registry().values() if fam.index_formula}
+    | {fam.r_formula for fam in default_registry().values()}
+)
+
+
+@pytest.mark.parametrize("text", REGISTRY_FORMULAS)
+def test_registry_formula_matches_the_recursive_evaluator(text):
+    grid = itertools.product(
+        (0, 1, 2, 7), (0, 1, 2), (0, 1, 2), (0, 1, 3), ((), (5,), (7, 11), (13, 17, 19), (2, 3))
+    )
+    for n, t, j, alpha, primes in grid:
+        env = index_env(n, t, j, alpha, primes)
+        assert outcome(evaluate, text, env) == outcome(reference, text, env), env
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n + 1.5",
+        "1.5 + n",
+        "x % 2 + 1/0",
+        "1/0 + x % 2",
+        "(1/0) % x",
+        "x % (7/2)",
+        "n % 0",
+        "f(n)",
+        "[n]",
+        "n.bit_length()",
+        "2**-1",
+        "2**(n - 9)",
+        "1/0",
+        "7/2",
+        "n // 3",
+        "x + 1/0",
+        "1/0 + x",
+        "-(n - 7/2)",
+        "True + n",
+        "x + 1.5",
+        "1/0 + 1.5",
+        "(x + 1) / (1/0)",
+        "x ** (2**-1)",
+        "x * (1/0)",
+        "(7/2) ** x",
+    ],
+)
+def test_errors_match_the_recursive_evaluator(text):
+    # the first error a left-to-right walk reaches, with its message
+    assert outcome(evaluate, text, {"n": 4}) == outcome(reference, text, {"n": 4})
+    assert outcome(evaluate, text, {"n": 4, "x": 5}) == outcome(reference, text, {"n": 4, "x": 5})

@@ -4,8 +4,10 @@ import hashlib
 import importlib
 import json
 import random
+import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -340,40 +342,75 @@ def test_frobenius_small():
         assert lhs == rhs
 
 
-# --- the prefix store; each test uses keys no other test builds ---
+def _registry_quotient_keys():
+    """Every (ell, r, m) a progression family of the registry builds at t in {0, 1}."""
+    return sorted(
+        {
+            (fam.ell, fam.r_value(t), fam.modulus)
+            for fam in default_registry().values()
+            if fam.kind == "progression"
+            for t in (0, 1)
+        }
+    )
 
 
-def counting(monkeypatch, name, delay=0.0):
-    """Replace series.<name>, which the store's builders call, with a copy that logs each call's args."""
-    calls = []
-    real = getattr(series_module, name)
-
-    def logged(*args):
-        calls.append(args)
-        time.sleep(delay)
-        return real(*args)
-
-    monkeypatch.setattr(series_module, name, logged)
-    return calls
+# --- the prefix store; each test that counts builds starts from an empty store, on keys no other test builds ---
 
 
-def test_prefix_store_builds_once_per_longer_order(monkeypatch):
-    built = counting(monkeypatch, "regular_quotient")
+class BuildLog(list):
+    """The (key, order) of each build the store starts; each build first sleeps `delay` seconds."""
+
+    delay = 0.0
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty prefix store that logs its builds."""
+    log = BuildLog()
+    real = series_module._stored
+
+    def stored(key, order, build):
+        def logged(n):
+            log.append((key, n))
+            time.sleep(log.delay)
+            return build(n)
+
+        return real(key, order, logged)
+
+    monkeypatch.setattr(series_module, "_stored", stored)
+    monkeypatch.setattr(series_module, "_longest", {})
+    monkeypatch.setattr(series_module, "_key_locks", {})
+    return log
+
+
+def quotient_pieces(ell, r, m):
+    """The store keys a build of (ell, r, m) reads: the key, every square down to the base, and the inverse."""
+    return {(ell, r, m), ("1/E_1", m)} | {("E_l/E_1", ell, m, k) for k in range(r.bit_length())}
+
+
+def test_prefix_store_builds_once_per_longer_order(builds):
+    # the key, then the base and its inverse (square 0), then square 2, which builds square 1
+    pieces = [(13, 5, 9), ("E_l/E_1", 13, 9, 0), ("1/E_1", 9), ("E_l/E_1", 13, 9, 2), ("E_l/E_1", 13, 9, 1)]
     for order in (300, 200, 100, 300):
         assert cached_regular_series(13, 5, 9, order) == regular_quotient(13, 5, order, 9)
-    assert built == [(13, 5, 300, 9)]
+    assert builds == [(key, 300) for key in pieces]
     assert cached_regular_series(13, 5, 9, 301) == regular_quotient(13, 5, 301, 9)
     assert cached_regular_series(13, 5, 9, 40) == regular_quotient(13, 5, 40, 9)
-    assert built == [(13, 5, 300, 9), (13, 5, 301, 9)]
-    # E_1 powers over Z are keyed by r alone
-    expanded = counting(monkeypatch, "euler_E")
+    assert builds == [(key, 300) for key in pieces] + [(key, 301) for key in pieces]
+    # a key sharing the base builds only itself: its squares are stored
+    del builds[:]
+    assert cached_regular_series(13, 6, 9, 250) == regular_quotient(13, 6, 250, 9)
+    assert builds == [((13, 6, 9), 250)]
+    # E_1 powers over Z: the key, then the squares of E_1 from the base up
+    del builds[:]
     for order in (90, 30, 91, 60):
         assert cached_e1_power(31, order) == power(euler_E(1, order), 31)
-    assert expanded == [(1, 90), (1, 91)]
+    e1_pieces = [("E_1^r", 31), ("E_1", 0), ("E_1", 1), ("E_1", 2), ("E_1", 3), ("E_1", 4)]
+    assert builds == [(key, 90) for key in e1_pieces] + [(key, 91) for key in e1_pieces]
 
 
-def test_prefix_store_builds_once_for_two_threads(monkeypatch):
-    built = counting(monkeypatch, "regular_quotient", delay=0.05)
+def test_prefix_store_builds_once_for_two_threads(builds):
+    builds.delay = 0.05
     together = threading.Barrier(2)
 
     def ask():
@@ -381,8 +418,60 @@ def test_prefix_store_builds_once_for_two_threads(monkeypatch):
         return cached_regular_series(17, 3, 4, 200)
 
     with ThreadPoolExecutor(2) as pool:
-        first, second = [f.result() for f in [pool.submit(ask) for _ in range(2)]]
-    assert built == [(17, 3, 200, 4)] and first is second
+        first, second = [f.result(timeout=60) for f in [pool.submit(ask) for _ in range(2)]]
+    assert Counter(builds) == Counter((key, 200) for key in quotient_pieces(17, 3, 4)) and first is second
+
+
+def test_prefix_store_threads_sharing_a_base_build_each_piece_once(builds):
+    # six threads, more than a small machine has cores, each on its own key over one base;
+    # the locks must neither deadlock nor build any piece twice
+    builds.delay = 0.01
+    exponents = (3, 5, 6, 7, 12, 2)
+    together = threading.Barrier(len(exponents))
+    results = {}
+
+    def ask(r):
+        together.wait()
+        results[r] = cached_regular_series(19, r, 8, 200)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=ask, args=(r,), daemon=True) for r in exponents]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r in exponents:
+        assert results[r] == regular_quotient(19, r, 200, 8)
+    pieces = set().union(*(quotient_pieces(19, r, 8) for r in exponents))
+    assert Counter(builds) == Counter((key, 200) for key in pieces)
+
+
+@pytest.mark.parametrize("orders", [(150, 600), (600, 150)])
+def test_keys_sharing_a_base_read_short_and_long_in_either_order(builds, orders):
+    first, second = (29, 6, 10), (29, 11, 10)
+    for key, order in ((first, orders[0]), (second, orders[1]), (first, orders[1]), (second, orders[0])):
+        ell, r, m = key
+        assert cached_regular_series(ell, r, m, order) == regular_quotient(ell, r, order, m)
+
+
+@pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
+def test_stored_series_is_the_regular_quotient(ell, r, m):
+    assert cached_regular_series(ell, r, m, 2000) == regular_quotient(ell, r, 2000, m)
+
+
+@pytest.mark.parametrize("ell,r,m", [(35, 34, 35), (55, 109, 55), (3, 15, 15)])
+def test_stored_series_is_the_regular_quotient_at_full_fft_length(ell, r, m):
+    assert cached_regular_series(ell, r, m, 32000) == regular_quotient(ell, r, 32000, m)
+
+
+def test_stored_e1_power_is_the_power_of_e1():
+    for r in range(41):
+        assert cached_e1_power(r, 300) == power(euler_E(1, 300), r)
 
 
 # --- the Kronecker kernel against a schoolbook product, over Z (m == 0) and Z/m ---
@@ -617,18 +706,6 @@ def test_float_residual_guard(monkeypatch):
     a = series([1, 2, 3, 4, 5, 6], Zmod(55))
     with pytest.raises(ArithmeticError, match="residual"):
         mul(a, a)
-
-
-def _registry_quotient_keys():
-    """Every (ell, r, m) a progression family of the registry builds at t in {0, 1}."""
-    return sorted(
-        {
-            (fam.ell, fam.r_value(t), fam.modulus)
-            for fam in default_registry().values()
-            if fam.kind == "progression"
-            for t in (0, 1)
-        }
-    )
 
 
 @lru_cache(maxsize=None)
