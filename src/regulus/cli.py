@@ -47,29 +47,30 @@ def _profile_bounds(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _parse_profile(args) -> tuple[int, ...]:
+def _parse_profile(args) -> tuple[tuple[int, int], ...]:
+    """The profile as sorted (ell, multiplicity) pairs, so --r costs nothing per component."""
     if args.profile:
-        return _profile_bounds(args.profile)
+        return tuple(sorted(Counter(_profile_bounds(args.profile)).items()))
     if args.ell is None or args.r is None:
         print("need --profile or both --ell and --r", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return (args.ell,) * args.r
+    return ((args.ell, args.r),)
 
 
 def cmd_coeff(args) -> int:
-    ells = _parse_profile(args)
+    pairs = _parse_profile(args)
     if args.n is None and args.n_max is None:
         print("need --n or --n-max", file=sys.stderr)
         return EXIT_USAGE
     n_hi = args.n if args.n is not None else args.n_max
     modulus = args.mod or 0
     # prod_i E_{l_i} / E_1^r = prod_l (E_l / E_1)^{e_l}: the engine builds every profile, independent of the oracle
-    factors = [regular_quotient(ell, e, n_hi, modulus) for ell, e in sorted(Counter(ells).items())]
+    factors = [regular_quotient(ell, e, n_hi, modulus) for ell, e in pairs]
     values = reduce(mul, factors).coeffs
     wanted = [args.n] if args.n is not None else list(range(n_hi + 1))
     check = None
     if args.check_oracle:
-        check = oracle.multipartition_counts(oracle.RegularityProfile(ells), n_hi)
+        check = oracle.profile_counts(pairs, n_hi)
     mismatched = False
     for n in wanted:
         line = f"{n}\t{values[n]}"
@@ -84,12 +85,12 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    ells = _parse_profile(args)
+    pairs = _parse_profile(args)
     if args.n is None and args.n_max is None:
         print("need --n or --n-max", file=sys.stderr)
         return EXIT_USAGE
     n_hi = args.n if args.n is not None else args.n_max
-    table = oracle.multipartition_counts(oracle.RegularityProfile(ells), n_hi)
+    table = oracle.profile_counts(pairs, n_hi)
     wanted = [args.n] if args.n is not None else list(range(n_hi + 1))
     for n in wanted:
         value = table[n] % args.mod if args.mod else table[n]
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff.add_argument("--check-oracle", action="store_true")
     p_coeff.set_defaults(func=cmd_coeff)
 
-    p_oracle = sub.add_parser("oracle", help="exact counts from the divisor-sum recurrence")
+    p_oracle = sub.add_parser("oracle", help="exact counts from powers of the pentagonal series")
     series_args(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 

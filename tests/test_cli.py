@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, and determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,6 +101,45 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--profile", "3,3", "--n", "2")
     assert code == EXIT_PASS
     assert out.strip() == "2\t5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--ell", "5", "--r", "1000000000", "--n", "3"),
+        ("coeff", "--ell", "5", "--r", "1000000000", "--n", "3", "--mod", "7", "--check-oracle"),
+    ],
+    ids=["oracle", "coeff-check-oracle"],
+)
+def test_huge_r_builds_no_length_r_profile(argv):
+    """--ell 5 --r 10**9 reaches the engine and the oracle as one (ell, multiplicity) pair.
+
+    A tuple of 10**9 bounds needs 8 GB, so a fresh interpreter capped at 2 GiB of
+    address space fails fast if the CLI builds one.
+    """
+    r = 10**9
+    # n = 3 < 5, so F(3) counts every r-multipartition of 3: C(r + 2, 3) + r^2 + r
+    count = math.comb(r + 2, 3) + r * r + r
+    cap = 2 << 30
+    code = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+        "from regulus.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(regulus.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        # BLAS thread pools reserve address space per thread; one thread keeps the cap meaningful
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == EXIT_PASS, done.stderr
+    if argv[0] == "oracle":
+        assert done.stdout == f"3\t{count}\n"
+    else:
+        assert done.stdout == f"3\t{count % 7}\t{count % 7}\tok\n"
 
 
 # --- identity ---

@@ -1,12 +1,16 @@
-"""Combinatorial counting oracle: the recurrence against a coin-DP reference and literal enumeration."""
+"""Combinatorial counting oracle: Miller's recurrence against the divisor-sum recurrence, a coin-DP reference and literal enumeration."""
 
+import inspect
 import itertools
+import textwrap
+from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regulus import oracle
+from regulus import oracle, suite
 from regulus.coefficients import BRIDGES
 from regulus.families import default_registry
 from regulus.oracle import (
@@ -14,6 +18,7 @@ from regulus.oracle import (
     RegularityProfile,
     enumerate_multipartitions,
     multipartition_counts,
+    profile_counts,
     regular_multipartition_counts,
     regular_partition_counts,
     regular_partitions,
@@ -87,6 +92,32 @@ def _registry_profiles():
         for t in (0, 1)
     }
     return sorted(keys | {(b.ell, b.r) for b in BRIDGES.values()})
+
+
+# --- test-only reference: the divisor-sum recurrence the oracle used before Miller's ---
+
+
+def reference_divisor_sum_counts(pairs, n_max):
+    """n F(n) = sum_{k=1..n} c(k) F(n-k), c(k) = sum_{d | k} d * #{i : ell_i does not divide d}.
+
+    The profile is its (ell, multiplicity) pairs; this is Euler's n p(n) = sum sigma(k) p(n-k) generalised.
+    """
+    c = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        weight = d * sum(e for ell, e in pairs if d % ell)
+        for k in range(d, n_max + 1, d):
+            c[k] += weight
+    table = [1]
+    for n in range(1, n_max + 1):
+        value, rem = divmod(sum(map(mul, c[n:0:-1], table)), n)
+        assert rem == 0, (pairs, n)
+        table.append(value)
+    return table
+
+
+def _oracle_profiles():
+    """Every uniform (ell, r) the registry, the bridges and the suite's equivalence check read."""
+    return sorted(set(_registry_profiles()) | set(suite.ORACLE_PAIRS))
 
 
 def test_profile_invariants():
@@ -240,21 +271,89 @@ def test_tables_are_fresh_copies():
     assert multipartition_counts(RegularityProfile((3, 3)), 10)[2] == 5
 
 
-def test_nonzero_remainder_raises(monkeypatch):
-    real = oracle._divisor_weights
+@pytest.mark.parametrize("ell,r", _oracle_profiles())
+def test_counts_match_divisor_sums_on_oracle_profiles(ell, r):
+    got = regular_multipartition_counts(ell, r, 300).values
+    assert got == reference_divisor_sum_counts([(ell, r)], 300)
 
-    def off_by_one(ells, n_max):
-        c = real(ells, n_max)
-        c[1] += 1  # c(1) = 2 for ell = 3 gives 2 F(2) = 2*2 + 3, which is odd
-        return c
 
-    monkeypatch.setattr(oracle, "_divisor_weights", off_by_one)
+@pytest.mark.parametrize("ells", suite.ENUMERATION_PROFILES, ids=str)
+def test_counts_match_references_on_enumeration_profiles(ells):
+    got = multipartition_counts(RegularityProfile(ells), 20).values
+    assert got == reference_divisor_sum_counts(sorted(Counter(ells).items()), 20)
+    assert got == reference_counts(ells, 20)
+
+
+def test_mixed_profile_matches_references_at_300():
+    # one dilated product per distinct bound: (E_3/E_1)^2 (E_5/E_1) (E_7/E_1)
+    got = multipartition_counts(RegularityProfile((3, 3, 5, 7)), 300).values
+    assert got == reference_divisor_sum_counts([(3, 2), (5, 1), (7, 1)], 300)
+    assert got == reference_counts((3, 3, 5, 7), 300)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+@pytest.mark.parametrize("pairs", [[(2, 1)], [(3, 12)], [(55, 109)], [(2, 1), (3, 2), (5, 1)]], ids=str)
+def test_counts_match_divisor_sums_at_tiny_orders(pairs, n_max):
+    assert profile_counts(pairs, n_max).values == reference_divisor_sum_counts(pairs, n_max)
+
+
+@pytest.mark.parametrize("pairs", [[(55, 3)], [(21, 2)], [(2, 1), (55, 2)]], ids=str)
+def test_bound_past_n_max_leaves_a_power_of_one_over_e1(pairs):
+    # a bound past n_max contributes E_1^e(q^ell) = 1 up to q^20: each of its components is unrestricted
+    got = profile_counts(pairs, 20).values
+    assert got == reference_divisor_sum_counts(pairs, 20)
+    assert got == reference_counts([ell for ell, e in pairs for _ in range(e)], 20)
+
+
+def test_profile_counts_merges_repeated_bounds():
+    assert profile_counts([(3, 1), (5, 1), (3, 1)], 30).values == multipartition_counts(
+        RegularityProfile((3, 5, 3)), 30
+    ).values
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty the oracle's caches before and after, so a patched kernel is the one that runs."""
+    oracle._euler.cache_clear()
     oracle._counts.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError, match="n=2"):
-            regular_partition_counts(3, 10)
-    finally:
-        oracle._counts.cache_clear()
+    yield
+    oracle._euler.cache_clear()
+    oracle._counts.cache_clear()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 26])
+def test_flipped_pentagonal_sign_raises(monkeypatch, fresh_tables, k):
+    # a power of the wrong series still divides exactly; Jacobi's cube catches it at q^k
+    real = oracle._pentagonal
+
+    def flipped(n_max):
+        return [(j, -s if j == k else s) for j, s in real(n_max)]
+
+    monkeypatch.setattr(oracle, "_pentagonal", flipped)
+    with pytest.raises(ArithmeticError, match=rf"at n={k}$"):
+        regular_partition_counts(3, 30)
+
+
+@pytest.mark.parametrize(
+    "old,new,n",
+    [
+        # the exponent off by one: E_1^(alpha +- 1) divides exactly, so only Jacobi's cube catches it
+        ("(alpha + 1) * k", "(alpha + 2) * k", 1),
+        ("(alpha + 1) * k", "alpha * k", 1),
+        # the n term off by one leaves a remainder
+        ("w - n if s > 0 else w + n", "w - n + 1 if s > 0 else w + n - 1", 2),
+        ("w - n if s > 0 else w + n", "w - n - 1 if s > 0 else w + n + 1", 2),
+    ],
+    ids=["exponent-plus-one", "exponent-minus-one", "n-term-plus-one", "n-term-minus-one"],
+)
+def test_off_by_one_miller_coefficient_raises(monkeypatch, fresh_tables, old, new, n):
+    source = textwrap.dedent(inspect.getsource(oracle._power))
+    assert old in source
+    namespace = dict(vars(oracle))
+    exec(compile(source.replace(old, new), oracle.__file__, "exec"), namespace)
+    monkeypatch.setattr(oracle, "_power", namespace["_power"])
+    with pytest.raises(ArithmeticError, match=rf"at n={n}$"):
+        regular_multipartition_counts(5, 6, 30)
 
 
 @pytest.mark.parametrize(
