@@ -3,7 +3,6 @@
 from .series import (
     ZZ,
     CoefficientRing,
-    EtaQuotientSpec,
     TruncatedSeries,
     Zmod,
     dilate,
@@ -19,7 +18,6 @@ from .series import (
 __all__ = [
     "ZZ",
     "CoefficientRing",
-    "EtaQuotientSpec",
     "TruncatedSeries",
     "Zmod",
     "dilate",

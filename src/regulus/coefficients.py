@@ -9,14 +9,15 @@ the p^2-scaling congruences along extracted progressions.
 Each fact is one row, and the checks derive from the rows.  A form's row
 gives its weight w, character chi and inert class; at an inert prime p (in
 the class, chi(p) != 0) a(pn) + chi(p) p^(w-1) a(n/p) = 0, and a(p) = 0 for
-an eigenform.  The power eta(scale z)^e is q^shift E_1^e(q^scale) with
-shift = scale e / 24, so its table is read off the coefficients a_e of E_1^e:
-a(scale n + shift) = a_e(n), and every other a(n) is 0.  A ``BRIDGES`` row
-(ell, r, step, offset, k, factor) states s(step n + offset) = factor * a_k(n)
-mod ell for s = E_ell^r / E_1^r; for an eta power of exponent k, a_k(n) is
-its a(scale n + shift).  A ``SCALINGS`` row (bridge, p, n_max) reads that
-power's two-term relation at an inert p != ell through the bridge: n moves
-to p^2 n + shift (p^2 - 1) / scale, times -chi(p) p^(w-1).
+an eigenform.  A form's table is ``series.eta_quotient``: the power
+eta(scale z)^e = q^shift E_1^e(q^scale), shift = scale e / 24, read off the
+coefficients a_e of E_1^e, so a(scale n + shift) = a_e(n) and every other
+a(n) is 0.  A ``BRIDGES`` row (ell, r, step, offset, k, factor) states
+s(step n + offset) = factor * a_k(n) mod ell for s = E_ell^r / E_1^r; for
+an eta power of exponent k, a_k(n) is its a(scale n + shift).  A
+``SCALINGS`` row (bridge, p, n_max) reads that power's two-term relation at
+an inert p != ell through the bridge: n moves to p^2 n + shift (p^2 - 1) /
+scale, times -chi(p) p^(w-1).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .oracle import CoefficientTable
 from .report import SKIPPED, VerificationReport, timed
-from .series import cached_e1_power, cached_regular_series
+from .series import cached_e1_power, cached_regular_series, eta_quotient
 
 
 @dataclass(frozen=True)
@@ -100,24 +100,9 @@ def _e1_power(r: int, n_max: int) -> tuple[int, ...]:
     return cached_e1_power(r, n_max).coeffs
 
 
-def e1_power_coeffs(r: int, n_max: int) -> CoefficientTable:
-    """Coefficients of E_1^r, exact over Z."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return CoefficientTable(f"a_{r}", list(_e1_power(r, n_max)))
-
-
 def _eta_table(form: EtaPowerForm, n_max: int) -> tuple[int, ...]:
-    """a(0..n_max) of q^shift E_1^e(q^scale): a_e(n) at scale n + shift, 0 elsewhere."""
-    a = [0] * (n_max + 1)
-    terms = len(a[form.shift :: form.scale])
-    a[form.shift :: form.scale] = _e1_power(form.exponent, max(terms - 1, 0))[:terms]
-    return tuple(a)
-
-
-def eta_power_coeffs(form: EtaPowerForm, n_max: int) -> CoefficientTable:
-    """a(n) of the full eta power, q-shift included."""
-    return CoefficientTable(form.id, list(_eta_table(form, n_max)))
+    """a(0..n_max) of the form's eta power q^shift E_1^e(q^scale)."""
+    return eta_quotient(form.scale, form.exponent, n_max).coeffs
 
 
 @timed

@@ -385,7 +385,7 @@ def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 200
     report.params_swept["hypothesis_primes"] = found
     verified_any = False
     for p in found:
-        if p**4 >= conclusion_budget:
+        if bridge.index(_newman(bridge, p).delta4) > conclusion_budget:
             report.notes.append(f"p={p}: conclusion out of series budget")
             continue
         conclusion = _verify_thm2_conclusion(part, p, conclusion_budget)

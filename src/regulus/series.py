@@ -17,22 +17,25 @@ summed over j in Z; by the Jacobi triple product it equals
 prod_{m>=1} (1 - q^{(a+b)m-a}) (1 - q^{(a+b)m-b}) (1 - q^{(a+b)m}).  So
 E_k = f(-q^k, -q^{2k}) (Euler's pentagonal theorem), and a product of
 (1 - q^d) over d in the classes +-a mod a+b is f(-q^a, -q^b) / E_{a+b}.
-``theta_quotient`` expands prod f(-q^a, -q^b)^e over rows (a, b, e), and
-``eta_quotient`` is the theta quotient of rows (k, 2k, e).
+``theta_quotient`` expands prod f(-q^a, -q^b)^e over rows (a, b, e).
 
-``cached_regular_series`` and ``cached_e1_power`` read one prefix store.  It
-holds the longest series built per key, builds again only for a longer
-order, and serves a shorter one as a prefix, which exact arithmetic makes
-equal to a build at that order.  A key is built from pieces the store also
-holds, each under its own key, so that keys sharing a piece build it once:
+Each series kind the checks read has one builder, over one prefix store.
+The store holds the longest series built per key, builds again only for a
+longer order, and serves a shorter one as a prefix, which exact arithmetic
+makes equal to a build at that order.  A builder reads its pieces from the
+store, each under its own key, so that builds sharing a piece build it once:
 
-* ``("1/E_1", m)``: the inverse of E_1 mod m;
+* ``("1/E_1", m)``: the inverse of E_1 mod m (over Z when m == 0);
 * ``("E_l/E_1", ell, m, k)``: the base E_ell * (1/E_1) mod m when k == 0, and
   its square base**(2**k), the square of piece k - 1, when k >= 1;
-* ``(ell, r, m)``: E_ell^r / E_1^r mod m, the product of the pieces k at the
-  set bits of r;
-* ``("E_1", k)`` and ``("E_1^r", r)``: the same squaring chain and products
-  over Z, on the base E_1 with no inverse.
+* ``("E_1", k)``: the same squaring chain over Z on the base E_1.
+
+``regular_quotient(ell, r, order, m)`` returns E_ell^r / E_1^r mod m, the
+product of the squares at the set bits of r, and ``cached_regular_series``
+stores it under ``(ell, r, m)``; ``cached_e1_power`` stores E_1^r, built the
+same way, under ``("E_1^r", r)``.  ``eta_quotient(scale, e, order)``, the
+power eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e
+from there.
 
 Each key has its own lock, held while its series is built.  A build takes
 the locks of the pieces it reads in one order: key, then square k, square
@@ -94,7 +97,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -105,10 +108,6 @@ class RingMismatchError(ValueError):
 
 class NonUnitError(ValueError):
     """Constant term is not invertible in the coefficient ring."""
-
-
-class EtaShiftError(ValueError):
-    """Eta-form quotient whose global q-exponent is not a nonnegative integer."""
 
 
 @dataclass(frozen=True)
@@ -464,41 +463,6 @@ def theta_quotient(factors, order: int, ring: CoefficientRing = ZZ) -> Truncated
     return invert(den) if num is None else mul(num, invert(den))
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
-    """Product prod E_{k_i}^{e_i}; eta form carries the q^{k e / 24} prefactors."""
-
-    factors: tuple[tuple[int, int], ...]
-    form: str = "E"  # "E" or "eta"
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("factor list must be non-empty")
-        if self.form not in ("E", "eta"):
-            raise ValueError(f"unknown form {self.form!r}")
-        for k, _ in self.factors:
-            if k < 1:
-                raise ValueError(f"scale {k} must be positive")
-
-    def shift(self) -> int:
-        if self.form == "E":
-            return 0
-        s24 = sum(k * e for k, e in self.factors)
-        if s24 % 24:
-            raise EtaShiftError(f"24 does not divide {s24}")
-        if s24 < 0:
-            raise EtaShiftError(f"negative q-shift {s24 // 24}")
-        return s24 // 24
-
-
-def eta_quotient(
-    spec: EtaQuotientSpec, order: int, ring: CoefficientRing = ZZ
-) -> tuple[TruncatedSeries, int]:
-    """Expand the E-product part; return (series, q-power shift)."""
-    shift = spec.shift()
-    return theta_quotient([(k, 2 * k, e) for k, e in spec.factors], order, ring), shift
-
-
 def dilate(a: TruncatedSeries, k: int) -> TruncatedSeries:
     """Substitute q -> q^k by index dilation; result order is k*order(a)."""
     if k < 1:
@@ -514,15 +478,6 @@ def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     if order >= a.order:
         return a
     return TruncatedSeries(a.ring, a.data[: order + 1])
-
-
-def regular_quotient(
-    ell: int, r: int, order: int, modulus: int = 0
-) -> TruncatedSeries:
-    """Generating series E_ell^r / E_1^r of ell-regular r-multipartition counts."""
-    ring = ZZ if modulus == 0 else Zmod(modulus)
-    base = mul(euler_E(ell, order, ring), invert(euler_E(1, order, ring)))
-    return power(base, r)
 
 
 # the prefix store: key -> the longest series built for it, and the lock of each key
@@ -553,18 +508,16 @@ def _square(tag: tuple, k: int, order: int, build_base) -> TruncatedSeries:
     return _stored(tag + (k,), order, build)
 
 
-def _stored_power(key, r: int, order: int, tag: tuple, build_base, ring: CoefficientRing) -> TruncatedSeries:
-    """base**r to order, stored under key: the product of the stored squares at the set bits of r."""
-
-    def build(n: int) -> TruncatedSeries:
-        squares = [_square(tag, k, n, build_base) for k in range(r.bit_length()) if r >> k & 1]
-        return reduce(mul, squares) if squares else one(n, ring)
-
-    return _stored(key, order, build)
+def _power(tag: tuple, r: int, order: int, build_base, ring: CoefficientRing) -> TruncatedSeries:
+    """base**r to order: the product of the stored squares of the base at the set bits of r."""
+    if r < 0:
+        raise ValueError("exponent must be nonnegative")
+    squares = [_square(tag, k, order, build_base) for k in range(r.bit_length()) if r >> k & 1]
+    return reduce(mul, squares) if squares else one(order, ring)
 
 
-def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
-    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus) and built from stored pieces."""
+def regular_quotient(ell: int, r: int, order: int, modulus: int = 0) -> TruncatedSeries:
+    """Generating series E_ell^r / E_1^r of ell-regular r-multipartition counts, built from stored pieces."""
     ring = ZZ if modulus == 0 else Zmod(modulus)
 
     def inverse(n: int) -> TruncatedSeries:
@@ -573,9 +526,28 @@ def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> Truncat
     def base(n: int) -> TruncatedSeries:
         return mul(euler_E(ell, n, ring), _stored(("1/E_1", modulus), n, inverse))
 
-    return _stored_power((ell, r, modulus), r, order, ("E_l/E_1", ell, modulus), base, ring)
+    return _power(("E_l/E_1", ell, modulus), r, order, base, ring)
+
+
+def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
+    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus)."""
+    return _stored((ell, r, modulus), order, lambda n: regular_quotient(ell, r, n, modulus))
 
 
 def cached_e1_power(r: int, order: int) -> TruncatedSeries:
     """E_1^r over Z, stored under ("E_1^r", r) and built from the stored squares of E_1."""
-    return _stored_power(("E_1^r", r), r, order, ("E_1",), lambda n: euler_E(1, n), ZZ)
+    return _stored(("E_1^r", r), order, lambda n: _power(("E_1",), r, n, partial(euler_E, 1), ZZ))
+
+
+def eta_quotient(scale: int, exponent: int, order: int) -> TruncatedSeries:
+    """eta(scale z)^exponent = q^shift E_1^exponent(q^scale), shift = scale exponent / 24, to order over Z.
+
+    Its coefficient at scale n + shift is that of q^n in the stored E_1^exponent; every other one is 0.
+    """
+    if scale < 1 or exponent < 0 or scale * exponent % 24:
+        raise ValueError(f"eta({scale}z)^{exponent} needs scale >= 1, exponent >= 0 and 24 | scale*exponent")
+    shift = scale * exponent // 24
+    a = [0] * (order + 1)
+    terms = len(a[shift::scale])
+    a[shift::scale] = cached_e1_power(exponent, max(terms - 1, 0)).coeffs[:terms]
+    return TruncatedSeries(ZZ, a)

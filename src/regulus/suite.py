@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import coefficients as co
 from . import dissections, families, oracle
 from .report import FAIL, PASS, VACUOUS, VerificationReport, aggregate, timed
@@ -55,10 +57,8 @@ def check_frobenius(order: int = 1000) -> VerificationReport:
         for p in ps:
             lhs = euler_E(k * p, order, Zmod(p))
             rhs = power(euler_E(k, order, Zmod(p)), p)
-            for n in range(order + 1):
-                if lhs[n] != rhs[n]:
-                    report.record(n, {"lhs": lhs[n], "rhs": rhs[n]}, k=k, p=p)
-                    break
+            for n in np.flatnonzero(lhs.data != rhs.data)[:1].tolist():
+                report.record(n, {"lhs": lhs[n], "rhs": rhs[n]}, k=k, p=p)
             report.indices_checked += order + 1
     return report
 

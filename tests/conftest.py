@@ -1,8 +1,14 @@
 """Shared fixtures."""
 
+import importlib
+import time
+
 import pytest
 
 from regulus.series import TruncatedSeries
+
+# the module itself; the package's `series` attribute is the constructor function
+series_module = importlib.import_module("regulus.series")
 
 
 @pytest.fixture
@@ -28,3 +34,29 @@ def bump(monkeypatch):
         monkeypatch.setattr(module, name, bumped)
 
     return install
+
+
+class BuildLog(list):
+    """The (key, order) of each build the store starts; each build first sleeps `delay` seconds."""
+
+    delay = 0.0
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty prefix store that logs its builds."""
+    log = BuildLog()
+    real = series_module._stored
+
+    def stored(key, order, build):
+        def logged(n):
+            log.append((key, n))
+            time.sleep(log.delay)
+            return build(n)
+
+        return real(key, order, logged)
+
+    monkeypatch.setattr(series_module, "_stored", stored)
+    monkeypatch.setattr(series_module, "_longest", {})
+    monkeypatch.setattr(series_module, "_key_locks", {})
+    return log

@@ -74,8 +74,9 @@ def test_coeff_oracle_mismatch_is_violation(bump, capsys, profile):
     assert len(mismatches) == 1 and mismatches[0].startswith("7\t")
 
 
-def test_float_residual_guard_exits_usage(monkeypatch, capsys):
-    # a float product left 0.4 off an integer is a crash of the engine, never a violation
+def test_float_residual_guard_exits_usage(builds, monkeypatch, capsys):
+    # a float product left 0.4 off an integer is a crash of the engine, never a violation;
+    # the store starts empty, so coeff builds its pieces rather than reading ones an earlier test stored
     real = np.fft.irfft
 
     def off(*args, **kwargs):

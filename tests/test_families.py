@@ -348,6 +348,21 @@ def test_hypothesis_search_part_ii():
     assert report.params_swept["hypothesis_primes"] == [31, 67, 71]
 
 
+def test_hypothesis_search_builds_no_conclusion_past_the_budget(monkeypatch):
+    # part ii's first conclusion index at p = 31 is 7 * 461760 + 2 = 3232322, past an order of 10^6
+    real = fam.cached_regular_series
+
+    def capped(ell, r, modulus, order):
+        if order > 10**5:
+            raise AssertionError(f"built ({ell}, {r}, {modulus}) to {order}")
+        return real(ell, r, modulus, order)
+
+    monkeypatch.setattr(fam, "cached_regular_series", capped)
+    report = search_hypothesis_primes("ii", 100, 10**6)
+    assert "p=31: conclusion out of series budget" in report.notes
+    assert report.status == VACUOUS
+
+
 def test_thm2_combined_reports():
     for fid in ("thm2.i", "thm2.ii"):
         report = verify_family(get_family(fid), GridBudget(order=2000))

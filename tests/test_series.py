@@ -6,7 +6,6 @@ import json
 import random
 import sys
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -23,8 +22,6 @@ from regulus.families import default_registry
 from regulus.oracle import regular_multipartition_counts
 from regulus.series import (
     ZZ,
-    EtaQuotientSpec,
-    EtaShiftError,
     NonUnitError,
     RingMismatchError,
     TruncatedSeries,
@@ -255,33 +252,51 @@ def test_mul_inverse_is_identity():
 # --- eta quotients ---
 
 
+def reference_eta_power(scale, exponent, order):
+    """q^(scale exponent / 24) E_scale^exponent to order, by repeated squaring of the theta series."""
+    shift = scale * exponent // 24
+    body = power(euler_E(scale, order, ZZ), exponent).coeffs
+    return TruncatedSeries(ZZ, ((0,) * shift + body)[: order + 1])
+
+
 def test_eta_power_shifts():
-    for factors, shift in ((((3, 8),), 1), (((12, 10),), 5), (((4, 6),), 1)):
-        spec = EtaQuotientSpec(factors, "eta")
-        s, got_shift = eta_quotient(spec, 12)
-        assert got_shift == shift
-        assert s[0] == 1
+    for scale, exponent, shift in ((3, 8, 1), (12, 10, 5), (4, 6, 1)):
+        s = eta_quotient(scale, exponent, 12)
+        assert s.coeffs[:shift] == (0,) * shift
+        assert s[shift] == 1
 
 
 def test_eta_series_part_is_e_product():
-    s, _ = eta_quotient(EtaQuotientSpec(((3, 8),), "eta"), 15)
-    assert s == power(euler_E(3, 15, ZZ), 8)
+    # the dilated stored E_1^e against the plain power, including series shorter than their q-shift
+    for scale, exponent in ((1, 24), (2, 12), (3, 8), (4, 6), (6, 4), (8, 3), (12, 10), (24, 1), (1, 0)):
+        for order in (0, 1, 4, 5, 6, 15, 23, 24, 25, 301):
+            assert eta_quotient(scale, exponent, order) == reference_eta_power(scale, exponent, order)
 
 
 def test_eta_shift_must_be_multiple_of_24():
-    with pytest.raises(EtaShiftError):
-        EtaQuotientSpec(((1, 1),), "eta").shift()
+    with pytest.raises(ValueError):
+        eta_quotient(1, 1, 10)
 
 
 def test_eta_negative_shift_rejected():
-    with pytest.raises(EtaShiftError):
-        EtaQuotientSpec(((24, -1),), "eta").shift()
+    with pytest.raises(ValueError):
+        eta_quotient(24, -1, 10)
+
+
+def test_eta_quotient_bad_shift_fails_before_expanding(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("expanded before the shift was checked")
+
+    monkeypatch.setattr(series_module, "cached_e1_power", no_expansion)
+    with pytest.raises(ValueError):
+        eta_quotient(1, 1, 10**6)
+
+
+# an eta quotient prod E_k^e, expanded as the theta quotient of rows (k, 2k, e)
 
 
 def test_eta_quotient_with_denominator():
-    spec = EtaQuotientSpec(((5, 1), (1, -1)), "E")
-    s, shift = eta_quotient(spec, 30)
-    assert shift == 0
+    s = theta_quotient(((5, 10, 1), (1, 2, -1)), 30)
     assert s == mul(euler_E(5, 30, ZZ), invert(euler_E(1, 30, ZZ)))
 
 
@@ -307,21 +322,17 @@ def reference_eta_product(factors, order, ring):
 )
 def test_eta_quotient_matches_repeated_products(factors, m):
     ring = Zmod(m) if m else ZZ
-    s, shift = eta_quotient(EtaQuotientSpec(factors, "E"), 60, ring)
-    assert shift == 0
+    s = theta_quotient([(k, 2 * k, e) for k, e in factors], 60, ring)
     assert s == reference_eta_product(factors, 60, ring)
 
 
-def test_eta_quotient_bad_shift_fails_before_expanding(monkeypatch):
-    def no_expansion(*args):
-        raise AssertionError("expanded before the shift was checked")
-
-    monkeypatch.setattr(series_module, "theta_quotient", no_expansion)
-    with pytest.raises(EtaShiftError):
-        eta_quotient(EtaQuotientSpec(((1, 1),), "eta"), 10**6)
-
-
 # --- the counting quotient ---
+
+
+def reference_regular_quotient(ell, r, order, m=0):
+    """E_ell^r / E_1^r mod m by the plain build, power(E_ell * E_1^-1, r), which reads no store."""
+    ring = Zmod(m) if m else ZZ
+    return power(mul(euler_E(ell, order, ring), invert(euler_E(1, order, ring))), r)
 
 
 def test_regular_quotient_constant_term():
@@ -357,32 +368,6 @@ def _registry_quotient_keys():
 # --- the prefix store; each test that counts builds starts from an empty store, on keys no other test builds ---
 
 
-class BuildLog(list):
-    """The (key, order) of each build the store starts; each build first sleeps `delay` seconds."""
-
-    delay = 0.0
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """An empty prefix store that logs its builds."""
-    log = BuildLog()
-    real = series_module._stored
-
-    def stored(key, order, build):
-        def logged(n):
-            log.append((key, n))
-            time.sleep(log.delay)
-            return build(n)
-
-        return real(key, order, logged)
-
-    monkeypatch.setattr(series_module, "_stored", stored)
-    monkeypatch.setattr(series_module, "_longest", {})
-    monkeypatch.setattr(series_module, "_key_locks", {})
-    return log
-
-
 def quotient_pieces(ell, r, m):
     """The store keys a build of (ell, r, m) reads: the key, every square down to the base, and the inverse."""
     return {(ell, r, m), ("1/E_1", m)} | {("E_l/E_1", ell, m, k) for k in range(r.bit_length())}
@@ -392,14 +377,14 @@ def test_prefix_store_builds_once_per_longer_order(builds):
     # the key, then the base and its inverse (square 0), then square 2, which builds square 1
     pieces = [(13, 5, 9), ("E_l/E_1", 13, 9, 0), ("1/E_1", 9), ("E_l/E_1", 13, 9, 2), ("E_l/E_1", 13, 9, 1)]
     for order in (300, 200, 100, 300):
-        assert cached_regular_series(13, 5, 9, order) == regular_quotient(13, 5, order, 9)
+        assert cached_regular_series(13, 5, 9, order) == reference_regular_quotient(13, 5, order, 9)
     assert builds == [(key, 300) for key in pieces]
-    assert cached_regular_series(13, 5, 9, 301) == regular_quotient(13, 5, 301, 9)
-    assert cached_regular_series(13, 5, 9, 40) == regular_quotient(13, 5, 40, 9)
+    assert cached_regular_series(13, 5, 9, 301) == reference_regular_quotient(13, 5, 301, 9)
+    assert cached_regular_series(13, 5, 9, 40) == reference_regular_quotient(13, 5, 40, 9)
     assert builds == [(key, 300) for key in pieces] + [(key, 301) for key in pieces]
     # a key sharing the base builds only itself: its squares are stored
     del builds[:]
-    assert cached_regular_series(13, 6, 9, 250) == regular_quotient(13, 6, 250, 9)
+    assert cached_regular_series(13, 6, 9, 250) == reference_regular_quotient(13, 6, 250, 9)
     assert builds == [((13, 6, 9), 250)]
     # E_1 powers over Z: the key, then the squares of E_1 from the base up
     del builds[:]
@@ -407,6 +392,45 @@ def test_prefix_store_builds_once_per_longer_order(builds):
         assert cached_e1_power(31, order) == power(euler_E(1, order), 31)
     e1_pieces = [("E_1^r", 31), ("E_1", 0), ("E_1", 1), ("E_1", 2), ("E_1", 3), ("E_1", 4)]
     assert builds == [(key, 90) for key in e1_pieces] + [(key, 91) for key in e1_pieces]
+
+
+def test_regular_quotient_stores_its_pieces_and_the_cache_only_the_key(builds):
+    assert regular_quotient(13, 5, 120, 9) == reference_regular_quotient(13, 5, 120, 9)
+    assert Counter(builds) == Counter((key, 120) for key in quotient_pieces(13, 5, 9) - {(13, 5, 9)})
+    del builds[:]
+    assert cached_regular_series(13, 5, 9, 120) == reference_regular_quotient(13, 5, 120, 9)
+    assert builds == [((13, 5, 9), 120)]
+    # over Z, quotients of different ell share one stored inverse of E_1, as oracle.equivalence's nine do
+    del builds[:]
+    for ell, r in ((3, 12), (5, 6)):
+        assert regular_quotient(ell, r, 60) == reference_regular_quotient(ell, r, 60)
+    assert Counter(key for key, _ in builds)[("1/E_1", 0)] == 1
+
+
+def test_regular_quotient_of_exponent_zero_is_one(builds):
+    assert regular_quotient(7, 0, 10, 5) == one(10, Zmod(5))
+    assert cached_regular_series(7, 0, 5, 10) == one(10, Zmod(5))
+    assert cached_e1_power(0, 10) == one(10, ZZ)
+    assert builds == [((7, 0, 5), 10), (("E_1^r", 0), 10)]
+    # a negative exponent has no set bits to read; it must raise, not return a wrong power
+    for build in (lambda: regular_quotient(7, -3, 10, 5), lambda: cached_e1_power(-3, 10)):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_direct_and_cached_builds_of_one_key_share_the_locks(builds):
+    # two threads build through the cache and two directly, all on one key; none may deadlock
+    builds.delay = 0.01
+    together = threading.Barrier(4)
+
+    def ask(cached):
+        together.wait()
+        return cached_regular_series(23, 13, 6, 150) if cached else regular_quotient(23, 13, 150, 6)
+
+    with ThreadPoolExecutor(4) as pool:
+        results = [f.result(timeout=60) for f in [pool.submit(ask, i % 2 == 0) for i in range(4)]]
+    assert all(s == reference_regular_quotient(23, 13, 150, 6) for s in results)
+    assert Counter(builds) == Counter((key, 150) for key in quotient_pieces(23, 13, 6))
 
 
 def test_prefix_store_builds_once_for_two_threads(builds):
@@ -446,7 +470,7 @@ def test_prefix_store_threads_sharing_a_base_build_each_piece_once(builds):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for r in exponents:
-        assert results[r] == regular_quotient(19, r, 200, 8)
+        assert results[r] == reference_regular_quotient(19, r, 200, 8)
     pieces = set().union(*(quotient_pieces(19, r, 8) for r in exponents))
     assert Counter(builds) == Counter((key, 200) for key in pieces)
 
@@ -456,17 +480,17 @@ def test_keys_sharing_a_base_read_short_and_long_in_either_order(builds, orders)
     first, second = (29, 6, 10), (29, 11, 10)
     for key, order in ((first, orders[0]), (second, orders[1]), (first, orders[1]), (second, orders[0])):
         ell, r, m = key
-        assert cached_regular_series(ell, r, m, order) == regular_quotient(ell, r, order, m)
+        assert cached_regular_series(ell, r, m, order) == reference_regular_quotient(ell, r, order, m)
 
 
 @pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
 def test_stored_series_is_the_regular_quotient(ell, r, m):
-    assert cached_regular_series(ell, r, m, 2000) == regular_quotient(ell, r, 2000, m)
+    assert cached_regular_series(ell, r, m, 2000) == reference_regular_quotient(ell, r, 2000, m)
 
 
 @pytest.mark.parametrize("ell,r,m", [(35, 34, 35), (55, 109, 55), (3, 15, 15)])
 def test_stored_series_is_the_regular_quotient_at_full_fft_length(ell, r, m):
-    assert cached_regular_series(ell, r, m, 32000) == regular_quotient(ell, r, 32000, m)
+    assert cached_regular_series(ell, r, m, 32000) == reference_regular_quotient(ell, r, 32000, m)
 
 
 def test_stored_e1_power_is_the_power_of_e1():

@@ -1,4 +1,4 @@
-"""The suite's canonical report, check by check, against the digests the benchmark records."""
+"""The suite's canonical report against the digests the benchmark records, and the spans its layer counts read."""
 
 import importlib.util
 import sys
@@ -6,20 +6,26 @@ from pathlib import Path
 
 import pytest
 
+from regulus import suite
 from regulus.families import GridBudget, default_registry
 from regulus.series import regular_quotient
 from regulus.suite import run_suite
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_workloads():
-    """bench/workloads.py, which defines the canonical form (the report without its ms fields)."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+def load_bench(name):
+    """bench/<name>.py as a module named bench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """bench/workloads.py, which defines the canonical form (the report without its ms fields)."""
+    return load_bench("workloads")
 
 
 def test_gate_report_matches_recorded_digests():
@@ -37,6 +43,30 @@ def test_two_jobs_give_the_one_job_report():
     canonical = load_workloads().canonical
     two = canonical(run_suite(None, GridBudget(400, 400), jobs=2))
     assert two == canonical(run_suite(None, GridBudget(400, 400), jobs=1))
+
+
+def test_frobenius_records_the_first_mismatch_of_each_pair(bump):
+    bump(suite, "power", 7, 9)
+    report = suite.check_frobenius(40)
+    assert report.status == "fail"
+    pairs = [(k, p) for k in (1, 2, 3, 5, 7, 11) for p in (2, 3, 5, 7, 11)]
+    assert [(v["index"], v["params"]) for v in report.violations] == [(7, {"k": k, "p": p}) for k, p in pairs]
+    assert all(v["value"]["rhs"] == (v["value"]["lhs"] + 1) % p for v, (_, p) in zip(report.violations, pairs))
+
+
+def test_traced_checks_count_every_series_build(builds):
+    # from an empty store, each stored quotient is built by one regular_quotient call under its cache
+    # span, and each eta table by one eta_quotient call: the spans the benchmark's layer counts read
+    tracer = load_bench("tracer").Tracer()
+    checks = ["family.thm1.i", "family.eq30", "bridge.b77_eta6", "hecke.eta8_3z", "support.eta6_4z"]
+    tracer.install()
+    try:
+        run_suite(checks, GridBudget(400, 400))
+    finally:
+        tracer.uninstall()
+    metrics = load_bench("layers").layer_metrics(tracer.spans, 1)
+    assert metrics["families.series_built"] == metrics["series.regular_quotient.calls"] > 0
+    assert metrics["series.eta_quotient.s"] > 0
 
 
 def quotient_workload_keys():
