@@ -43,28 +43,13 @@ k - 1, ..., base, then inverse.  Every thread acquires them in that order,
 so two threads never wait on each other in a cycle.
 
 Every product, over either ring and including the two inside Newton
-inversion, goes through ``_kronecker``, which takes one of two exact paths.
-Two bounds decide which; no size threshold or setting does.
-
-Kronecker substitution (every product the float bound does not admit): each
-operand is packed into a single Python int with ``nbytes`` bytes per
-coefficient, the two ints are multiplied once, and the slots of the product
-are read back.  If every coefficient of a has absolute value at most ``ma``
-and every one of b at most ``mb``, a product coefficient is a sum of at most
-min(len_a, len_b) terms, so its absolute value is at most ``bound =
-max(ma*mb*min(len_a, len_b), ma, mb)`` (the last two terms let a slot hold
-the operands' own coefficients).  Over Z/m, ``ma = mb = m - 1`` and the slots
-are unsigned: ``bound < 256**nbytes``.  Over Z, ``ma`` and ``mb`` are the
-operands' largest ``|c|`` and a slot also carries a sign: ``2 * bound <
-256**nbytes``.  Either way no carry or borrow crosses a slot and every slot
-holds its exact sum; ``nbytes`` is the least width that meets the bound.
-
-Float FFT (``_fft_product``): the operands, as float64 vectors x and y, are
+inversion, goes through ``_product``: numpy's float FFT, rounded to integers.
+Two bounds make it exact and pick how the operands enter it; no size
+threshold or setting does.  Rows x and y of integers, as float64 vectors, are
 zero-padded to L = 2**n >= len_a + len_b - 1 and multiplied as
-``irfft(rfft(x) * rfft(y))``; each entry is rounded to the nearest integer.
-Over Z/m a residue c enters in balanced form (c - m when c > m // 2), so
-``|c| <= ha = m // 2``; over Z, ``ha`` is ``ma``.  The path is taken only
-when both of these hold (``_float_exact``):
+``irfft(rfft(x) * rfft(y))``.  If ``|x_i| <= ha``, ``|y_j| <= hb``, and ``ma``
+and ``mb`` bound the values the rows are made from, every entry is exact once
+rounded when both of these hold (``_float_exact``):
 
 * ``max(ha*hb*min(len_a, len_b), ma, mb) < 2**52``: every input and every
   exact output coefficient is an integer that float64 represents exactly.
@@ -74,22 +59,39 @@ when both of these hold (``_float_exact``):
   eps = 2**-53 and twiddle factors accurate to beta differs from the exact
   one in every entry by less than
   ``|x| |y| ((1+eps)^{3n} (1+eps*sqrt5)^{3n+1} (1+beta)^{3n} - 1)``,
-  where ``|x| <= ha*sqrt(len_a)`` is the Euclidean norm.  The path needs
+  where ``|x| <= ha*sqrt(len_a)`` is the Euclidean norm.  The bound needs
   twice that quantity, evaluated in float through ``math.expm1`` of the
   summed ``log1p`` terms, below 1/4; the factor 2 covers the rounding of
   that evaluation.
 
-The theorem is proved for a textbook radix-2 transform.  The float path
+When the operands pass whole (k = 1), each is one row: over Z/m a residue c
+enters balanced (c - m when c > m // 2), so ``ha = m // 2``, ``ma = m - 1``;
+over Z, ``ha = ma`` is the largest ``|c|``.  Otherwise each coefficient (over
+Z/m the residue's balanced lift, the result reduced mod m at the end) is split
+into k balanced base-2**w digits, ``c = sum_i d_i 2**(w i)`` with
+``-2**(w-1) <= d_i < 2**(w-1)``, one row per digit, where w is the largest
+width the bounds admit with ``ha = hb = ma = mb = 2**(w-1)``.  So each
+product of a digit row of one operand and one of the other is exact as above,
+with integers below 2**52.  Each row is transformed once; each pair product is
+inverse transformed, rounded and guarded on its own, one batched call per row
+of the first operand.  (Summing a diagonal's spectra first would save inverse
+transforms, but leaves the theorem as stated and may pass 2**53.)  int64 sums
+the pair products with i + j = s exactly: at most min(k_a, k_b) of them, each
+below 2**52, carried into base-2**w digits after every 512 rows, so no sum
+reaches 2**62.  ``sum_s 2**(w s)`` times those sums is joined into a Python
+int exactly.
+
+The theorem is proved for a textbook radix-2 transform.  The kernel
 assumes that numpy's pocketfft (the C library in numpy 1.x, the C++ one in
 numpy 2), whose real transforms use mixed radices and a half-length complex
 transform, is no less accurate than that transform at the same length, with
 twiddle factors accurate to beta = 2**-52, twice the unit roundoff.  Under
 that assumption every entry lies within 1/8 of its exact integer, where
 rounding needs only 1/2; the margin is what the assumption may use up.  A
-residual guard checks it on every product: an entry more than 1/4 from its
+residual guard checks it on every float product: an entry more than 1/4 from its
 nearest integer raises ArithmeticError, and there is no fallback.  The guard
 cannot see an error of a whole unit, nor a product past 2**53 that rounds to
-an integer-valued float, so the bound, not the guard, makes the path exact.
+an integer-valued float, so the bound, not the guard, makes the product exact.
 """
 
 from __future__ import annotations
@@ -237,66 +239,14 @@ def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.ring, [x + y for x, y in zip(a.data[:n], b.data[:n])])
 
 
-def _pack(coeffs, nbytes: int) -> int:
-    """Nonnegative coefficients below 256**nbytes as one little-endian int, nbytes bytes each.
-
-    An unsigned array is copied lane by lane with numpy, whatever nbytes; a
-    sequence of Python ints (or an object array) goes through numpy when
-    nbytes <= 8, else through int.to_bytes.
-    """
-    if not (isinstance(coeffs, np.ndarray) and coeffs.dtype.kind == "u"):
-        if nbytes > 8:
-            return int.from_bytes(b"".join(int(c).to_bytes(nbytes, "little") for c in coeffs), "little")
-        coeffs = np.array(coeffs, dtype="<u8")
-    size = coeffs.itemsize
-    raw = np.ascontiguousarray(coeffs, dtype=coeffs.dtype.newbyteorder("<")).view(np.uint8).reshape(-1, size)
-    # every value is below 256**nbytes, so the bytes past either width are zero
-    lanes = np.zeros((len(coeffs), nbytes), dtype=np.uint8)
-    width = min(size, nbytes)
-    lanes[:, :width] = raw[:, :width]
-    return int.from_bytes(lanes.tobytes(), "little")
-
-
-def _pack_signed(coeffs, nbytes: int) -> int:
-    """sum(c_i * 256**(nbytes*i)) for signed |c_i| < 256**nbytes."""
-    pos = _pack([c if c > 0 else 0 for c in coeffs], nbytes)
-    return pos - _pack([-c if c < 0 else 0 for c in coeffs], nbytes)
-
-
-def _unpack(x: int, n_keep: int, nbytes: int, m: int):
-    """The first n_keep nbytes-wide slots of x: a residue array mod m, or a list of signed ints when m == 0.
-
-    A signed slot lies in [-half, half) with half = 2**(8*nbytes - 1); adding half
-    to every slot turns x into unsigned slots with no borrow between them.
-    """
-    half = 1 << (8 * nbytes - 1)
-    if not m:
-        x += int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * n_keep, "little")
-    raw = (x & ((1 << (8 * nbytes * n_keep)) - 1)).to_bytes(n_keep * nbytes, "little")
-    if nbytes <= 8:
-        lanes = np.zeros((n_keep, 8), dtype=np.uint8)
-        lanes[:, :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(n_keep, nbytes)
-        slots = lanes.view("<u8").ravel()
-        if m:
-            # nbytes <= 8 holds (m - 1)**2, so m < 2**32 fits uint64 and every dtype below it
-            return (slots % np.uint64(m)).astype(_dtype(m))
-        # uint64 subtraction wraps mod 2**64; read as int64 it is the signed slot
-        return (slots - np.uint64(half)).view(np.int64).tolist()
-    slots = (int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes))
-    if m:
-        return np.array([c % m for c in slots], dtype=_dtype(m))
-    return [c - half for c in slots]
-
-
 _EPS = 2.0**-53  # float64 unit roundoff
 _BETA = 2.0**-52  # allowance for the error of pocketfft's twiddle factors
 
 
 def _float_exact(ha: int, hb: int, ma: int, mb: int, len_a: int, len_b: int) -> bool:
-    """Whether _fft_product is exact: both bounds of the module docstring hold.
+    """Whether the float product of two rows is exact: both bounds of the module docstring hold.
 
-    ha and hb bound the operands' |c| as the transform sees them (balanced over
-    Z/m); ma and mb bound the values passed in.
+    ha and hb bound the rows' |c|, ma and mb the values the rows are made from.
     """
     if max(ha * hb * min(len_a, len_b), ma, mb) >= 1 << 52:
         return False
@@ -308,47 +258,73 @@ def _float_exact(ha: int, hb: int, ma: int, mb: int, len_a: int, len_b: int) -> 
     return 2 * ha * hb * math.sqrt(len_a * len_b) * math.expm1(log_growth) < 0.25
 
 
-def _fft_product(la, lb, n_out: int, m: int):
-    """The product _kronecker returns, by numpy's float rfft; exact only where _float_exact holds.
+def _rows(coeffs, m: int, w: int, h: int) -> np.ndarray:
+    """The float64 rows the transform takes for one operand, over Z/m, or over Z when m == 0.
 
-    Raises ArithmeticError if an entry lies more than 1/4 from an integer.
+    w == 0: one row, the coefficients themselves, residues balanced.  w >= 1: one row
+    per balanced base-2**w digit; h bounds |c|, and k digits hold |c| < 2**(w k - 2).
     """
-    fft = np.fft
-    size = len(la) + len(lb) - 1
-    length = 1 << (size - 1).bit_length()
-
-    def spectrum(coeffs):
+    if not w:
+        x = coeffs.astype(np.float64) if m else np.array(coeffs, dtype=np.float64)
         if m:
-            x = coeffs.astype(np.float64)
-            x[coeffs > m // 2] -= m  # balanced residues, |c| <= m // 2
-        else:
-            x = np.array(coeffs, dtype=np.float64)
-        return fft.rfft(x, length)
+            x[coeffs > m // 2] -= m  # c - m for c > m // 2, so |c| <= m // 2
+        return x[None]
+    ints = [c - m if c > m // 2 else c for c in coeffs.tolist()] if m else coeffs
+    half, k, n = 1 << (w - 1), (h.bit_length() + 1) // w + 1, len(ints)
+    # half in every digit: the digits of c + offset, in [0, 2**w), less half each
+    offset = half * ((1 << (w * k)) - 1) // ((1 << w) - 1)
+    if w * k <= 64:  # c + offset fits uint64, and c fits int64
+        raw = (np.array(ints, dtype=np.int64).view(np.uint64) + np.uint64(offset)).astype("<u8").view(np.uint8)
+    else:
+        raw = np.frombuffer(b"".join((c + offset).to_bytes((w * k + 7) // 8, "little") for c in ints), np.uint8)
+    bits = np.unpackbits(raw.reshape(n, -1), axis=1, count=w * k, bitorder="little").reshape(n, k, w)
+    return np.ascontiguousarray((bits @ (1 << np.arange(w))).T, dtype=np.float64) - half
 
-    prod = spectrum(la)
-    prod *= prod if lb is la else spectrum(lb)
-    c = fft.irfft(prod, length)[: min(size, n_out + 1)]
-    del prod
+
+def _carry(sums: np.ndarray, w: int) -> np.ndarray:
+    """The column sums sum_s sums[s] 2**(w s) again, every row but the last in [0, 2**w), the last 0 or -1.
+
+    With every |entry| below 2**62 and w >= 2, a carry stays below 2**61 and 63 // w + 1 more rows end it.
+    """
+    out = np.zeros((len(sums) + 63 // w + 2, sums.shape[1]), np.int64)
+    out[: len(sums)] = sums
+    for s in range(len(out) - 1):
+        out[s + 1] += out[s] >> w
+        out[s] &= (1 << w) - 1
+    return out
+
+
+def _join(sums: np.ndarray, w: int) -> list:
+    """The Python ints sum_s sums[s, n] 2**(w s), one per column n of an int64 array (|entries| < 2**62)."""
+    digits = _carry(sums, w)
+    rows, n = len(digits) - 1, sums.shape[1]
+    bits = np.empty((n, 8 * (rows * w // 8 + 1)), np.uint8)  # room for at least one sign bit
+    lanes = np.ascontiguousarray(digits[:-1].T, dtype="<u4").view(np.uint8).reshape(n, rows, 4)
+    bits[:, : rows * w] = np.unpackbits(lanes, axis=2, count=w, bitorder="little").reshape(n, -1)
+    bits[:, rows * w :] = digits[-1, :, None] & 1  # the sign, 0 or -1, extended
+    if (bits[:, 63:] == bits[:, -1:]).all():
+        # every sum repeats its sign from bit 63 up: its low 64 bits, read as int64
+        return np.packbits(bits[:, :64], axis=1, bitorder="little").view("<i8")[:, 0].tolist()
+    raw, nbytes = np.packbits(bits, axis=1, bitorder="little").tobytes(), bits.shape[1] // 8
+    return [int.from_bytes(raw[i : i + nbytes], "little", signed=True) for i in range(0, len(raw), nbytes)]
+
+
+def _rounded(c: np.ndarray) -> np.ndarray:
+    """The float entries of c rounded to int64; raises ArithmeticError if one lies more than 1/4 from an integer."""
     exact = np.rint(c)
     c -= exact
     residual = np.abs(c, out=c).max()
     if residual > 0.25:
         raise ArithmeticError(f"float product left a residual of {residual:.3g}")
-    if m:
-        # the float path needs m // 2 < 2**26, so every entry and its residue fit int64
-        out = _zeros(n_out + 1, m)
-        out[: len(exact)] = exact.astype(np.int64) % m
-        return out
-    return exact.astype(np.int64).tolist() + [0] * (n_out + 1 - len(exact))
+    return exact.astype(np.int64)
 
 
-def _kronecker(la, lb, n_out: int, m: int):
+def _product(la, lb, n_out: int, m: int):
     """Product of two coefficient sequences truncated at n_out, over Z/m, or over Z when m == 0.
 
     Over Z/m the operands and the result are residue arrays of the ring's dtype;
-    over Z they are sequences of Python ints and the result is a list.  Takes the
-    float path when _float_exact admits the operands.  Passing the same sequence
-    twice transforms it once, or packs it once and squares the int.
+    over Z they are sequences of Python ints and the result is a list.  Passing the
+    same sequence twice transforms it once.  Raises ArithmeticError from the guard.
     """
     square = lb is la
     la = la[: n_out + 1]
@@ -359,23 +335,46 @@ def _kronecker(la, lb, n_out: int, m: int):
     else:
         ma = ha = max(map(abs, la))
         mb = hb = ma if square else max(map(abs, lb))
-    if _float_exact(ha, hb, ma, mb, len(la), len(lb)):
-        return _fft_product(la, lb, n_out, m)
-    # |slot sum| <= ma*mb*min(len), and a slot must also hold each operand coefficient
-    bound = max(ma * mb * min(len(la), len(lb)), ma, mb)
-    # over Z one more bit carries the sign
-    nbytes = (bound.bit_length() + (not m) + 7) // 8
-    pack = _pack if m else _pack_signed
-    x = pack(la, nbytes)
-    prod = x * x if square else x * pack(lb, nbytes)
-    return _unpack(prod, n_out + 1, nbytes, m)
+    len_a, len_b = len(la), len(lb)
+    # w == 0: the operands whole; else the largest digit width the bounds admit
+    w = 0 if _float_exact(ha, hb, ma, mb, len_a, len_b) else next(
+        w for w in range(26, 0, -1) if _float_exact(*[1 << (w - 1)] * 4, len_a, len_b)
+    )
+    size = len_a + len_b - 1
+    length = 1 << (size - 1).bit_length()
+    keep = min(size, n_out + 1)
+    fa = np.fft.rfft(_rows(la, m, w, ha), length)
+    fb = fa if square else np.fft.rfft(_rows(lb, m, w, hb), length)
+    if not w:
+        fa *= fb  # one row each, multiplied in place; each spectrum is freed once read
+        del fb
+        c = np.fft.irfft(fa, length)[0, :keep]
+        del fa
+        values = _rounded(c)
+    else:
+        # sums[s]: the digit products (i, j) with i + j = s, each rounded on its own
+        sums = np.zeros((len(fa) + len(fb) - 1, keep), np.int64)
+        for i, row in enumerate(fa):
+            j = i if square else 0
+            pairs = _rounded(np.fft.irfft(row * fb[j:], length)[:, :keep])
+            if square:
+                pairs[1:] *= 2  # (i, j) and (j, i)
+            sums[i + j : i + len(fb)] += pairs
+            if i % 512 == 511:  # 512 pair products below 2**53 each (doubled in a square): below 2**62
+                sums = _carry(sums, w)
+        values = _join(sums, w)
+    if not m:
+        return (values if w else values.tolist()) + [0] * (n_out + 1 - keep)
+    out = _zeros(n_out + 1, m)
+    out[:keep] = [v % m for v in values] if w else values % m
+    return out
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(order(a), order(b))."""
     _check_rings(a, b)
     n = min(a.order, b.order)
-    return TruncatedSeries(a.ring, _kronecker(a.data, b.data, n, a.ring.modulus))
+    return TruncatedSeries(a.ring, _product(a.data, b.data, n, a.ring.modulus))
 
 
 def power(a: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -414,10 +413,10 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     prec = 1
     while prec <= n_out:
         prec = min(2 * prec, n_out + 1)
-        ab = _kronecker(a.data, b, prec - 1, m)
+        ab = _product(a.data, b, prec - 1, m)
         t = _neg_mod(ab, m) if m else [-x for x in ab]
         t[0] = a.ring.reduce(int(t[0]) + 2)
-        b = _kronecker(b, t, prec - 1, m)
+        b = _product(b, t, prec - 1, m)
     return TruncatedSeries(a.ring, b)
 
 

@@ -81,7 +81,7 @@ def test_float_residual_guard_exits_usage(builds, monkeypatch, capsys):
 
     def off(*args, **kwargs):
         out = real(*args, **kwargs)
-        out[1] += 0.4
+        out[..., 1] += 0.4
         return out
 
     monkeypatch.setattr(np.fft, "irfft", off)

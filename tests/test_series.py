@@ -42,7 +42,7 @@ from regulus.series import (
     theta_quotient,
     truncate,
 )
-from regulus.series import _fft_product, _kronecker
+from regulus.series import _product
 
 # the module itself; the package's `series` attribute is the constructor function
 series_module = importlib.import_module("regulus.series")
@@ -498,7 +498,7 @@ def test_stored_e1_power_is_the_power_of_e1():
         assert cached_e1_power(r, 300) == power(euler_E(1, 300), r)
 
 
-# --- the Kronecker kernel against a schoolbook product, over Z (m == 0) and Z/m ---
+# --- the product kernel against a schoolbook product, over Z (m == 0) and Z/m ---
 
 KERNEL_MODULI = (2, 3, 10, 55, 2**31 - 1, 2**61 - 1, 10**30 + 57)
 
@@ -520,6 +520,34 @@ def residues(values, m):
     return np.array(values, dtype=series_module._dtype(m)) if m else values
 
 
+def reference_kronecker_product(la, lb, n_out, m):
+    """The product by Kronecker substitution, over Z/m, or over Z when m == 0: the kernel's reference.
+
+    Each operand becomes one Python int with nbytes bytes per coefficient, and one
+    big-int multiply gives every coefficient of the product in its own slot.  A
+    slot sums at most min(len_a, len_b) terms, so its absolute value is at most
+    max(ma*mb*min(len_a, len_b), ma, mb); one more bit carries its sign, so no
+    carry or borrow crosses a slot.  Adding half a slot to every slot reads each
+    one back unsigned.
+    """
+    la = [int(c) for c in la[: n_out + 1]]
+    lb = [int(c) for c in lb[: n_out + 1]]
+    ma, mb = max(map(abs, la)), max(map(abs, lb))
+    nbytes = (max(ma * mb * min(len(la), len(lb)), ma, mb).bit_length() + 1 + 7) // 8
+
+    def joined(coeffs):
+        return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in coeffs), "little")
+
+    def pack(coeffs):
+        return joined(max(c, 0) for c in coeffs) - joined(max(-c, 0) for c in coeffs)
+
+    half = 1 << (8 * nbytes - 1)
+    x = pack(la) * pack(lb) + int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * (n_out + 1), "little")
+    raw = (x & ((1 << (8 * nbytes * (n_out + 1))) - 1)).to_bytes(nbytes * (n_out + 1), "little")
+    out = [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
+    return [c % m for c in out] if m else out
+
+
 @pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
 @pytest.mark.parametrize("la,lb", [(1, 1), (1, 9), (9, 1), (2, 7), (17, 5), (40, 40), (64, 33)])
 def test_kernel_matches_schoolbook(m, la, lb):
@@ -529,24 +557,23 @@ def test_kernel_matches_schoolbook(m, la, lb):
     xa, xb = residues(a, m), residues(b, m)
     # every truncation, up to the full product of la + lb - 1 coefficients
     for n_out in sorted({0, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2}):
-        assert list(_kronecker(xa, xb, n_out, m)) == naive_mod_mul(a, b, n_out, m)
-        assert list(_kronecker(xa, xa, n_out, m)) == naive_mod_mul(a, a, n_out, m)
+        assert list(_product(xa, xb, n_out, m)) == naive_mod_mul(a, b, n_out, m)
+        assert list(_product(xa, xa, n_out, m)) == naive_mod_mul(a, a, n_out, m)
 
 
 @pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
 @pytest.mark.parametrize("length", [1, 2, 31, 257])
 def test_kernel_at_slot_bound(m, length):
-    # all-(m-1) residues, or all -(2**b) integers over Z, make every slot sum reach
-    # the bound ma*mb*min(len_a, len_b); over Z, b = 31 at length 1 fills all 8
-    # bytes of a numpy lane, and b = 100 takes the int.to_bytes path
+    # all-(m-1) residues, or all -(2**b) integers over Z, make every coefficient of the
+    # product reach its largest absolute value, c*c*min(len_a, len_b)
     ring = Zmod(m) if m else ZZ
     for c in (m - 1,) if m else (-(2**31), -(2**100)):
         top = [c] * length
         x = residues(top, m)
-        assert list(_kronecker(x, x, length - 1, m)) == naive_mod_mul(top, top, length - 1, m)
-        assert list(_kronecker(x, residues([abs(c)], m), length - 1, m)) == naive_mod_mul(top, [abs(c)], length - 1, m)
-        # the slot width must still fit the coefficients of the nonzero operand
-        assert list(_kronecker(residues([0] * length, m), x, length - 1, m)) == [0] * length
+        assert list(_product(x, x, length - 1, m)) == naive_mod_mul(top, top, length - 1, m)
+        assert list(_product(x, residues([abs(c)], m), length - 1, m)) == naive_mod_mul(top, [abs(c)], length - 1, m)
+        # the digits of the wide operand against a zero one
+        assert list(_product(residues([0] * length, m), x, length - 1, m)) == [0] * length
         a = series(top, ring)
         assert list(mul(a, a).coeffs) == naive_mod_mul(top, top, length - 1, m)
 
@@ -573,48 +600,38 @@ def test_invert_mod_m_is_two_sided(m, order):
     assert mul(a, b) == mul(b, a) == one(order, Zmod(m))
 
 
-# --- the float FFT path against Kronecker, and the bound that chooses it ---
+# --- the float transform against Kronecker, and the bounds that choose the rows ---
 
 
 @pytest.fixture
-def float_calls(monkeypatch):
-    """The operand lengths of every product _kronecker sends down the float path."""
-    calls = []
+def row_shapes(monkeypatch):
+    """(rows, length, w) for every operand the kernel transforms: w == 0 is one row, the operand whole."""
+    real, shapes = series_module._rows, []
 
-    def spy(la, lb, n_out, m):
-        calls.append((len(la), len(lb)))
-        return _fft_product(la, lb, n_out, m)
+    def spy(coeffs, m, w, h):
+        rows = real(coeffs, m, w, h)
+        shapes.append((*rows.shape, w))
+        return rows
 
-    monkeypatch.setattr(series_module, "_fft_product", spy)
-    return calls
-
-
-@pytest.fixture
-def kronecker_only(monkeypatch):
-    """_kronecker with the float path turned off: the Kronecker substitution alone."""
-
-    def product(la, lb, n_out, m):
-        with monkeypatch.context() as patch:
-            patch.setattr(series_module, "_float_exact", lambda *bounds: False)
-            return _kronecker(la, lb, n_out, m)
-
-    return product
+    monkeypatch.setattr(series_module, "_rows", spy)
+    return shapes
 
 
-def percival_admits(h, top, length):
-    """The float-path bound for two operands of this length with |c| <= h, in 60-digit decimals.
+def percival_admits(h, top, len_a, len_b=None):
+    """The float bound for two rows of these lengths with |c| <= h, in 60-digit decimals.
 
-    Written apart from series._float_exact: max(h*h*len, top) < 2**52 and
-    2 * (h*sqrt(len))**2 * ((1+eps)^3n (1+eps*sqrt5)^(3n+1) (1+beta)^3n - 1) < 1/4.
+    Written apart from series._float_exact: max(h*h*min(len), top) < 2**52 and
+    2 * h*h*sqrt(len_a*len_b) * ((1+eps)^3n (1+eps*sqrt5)^(3n+1) (1+beta)^3n - 1) < 1/4.
     """
-    if max(h * h * length, top) >= 2**52:
+    len_b = len_a if len_b is None else len_b
+    if max(h * h * min(len_a, len_b), top) >= 2**52:
         return False
     with localcontext() as ctx:
         ctx.prec = 60
         eps, beta = Decimal(2) ** -53, Decimal(2) ** -52
-        n = (2 * length - 2).bit_length()
+        n = (len_a + len_b - 2).bit_length()
         growth = (1 + eps) ** (3 * n) * (1 + eps * Decimal(5).sqrt()) ** (3 * n + 1) * (1 + beta) ** (3 * n) - 1
-        return 2 * h * h * length * growth < Decimal(1) / 4
+        return 2 * h * h * Decimal(len_a * len_b).sqrt() * growth < Decimal(1) / 4
 
 
 def largest_admitted(h, top):
@@ -629,27 +646,31 @@ def largest_admitted(h, top):
     return lo
 
 
+def digit_width(len_a, len_b):
+    """The widest w whose digits, |d| <= 2**(w-1), percival_admits at these lengths."""
+    return max(w for w in range(1, 27) if percival_admits(2 ** (w - 1), 2 ** (w - 1), len_a, len_b))
+
+
 @pytest.mark.parametrize("m", [2, 3, 10, 55])
 @pytest.mark.parametrize("length", [1, 2, 2000, 32001])
-def test_fft_product_matches_kronecker_mod_m(m, length, kronecker_only, float_calls):
+def test_fft_product_matches_kronecker_mod_m(m, length, row_shapes):
     rng = random.Random(f"fft-{m}-{length}")
     a = residues([rng.randrange(m) for _ in range(length)], m)
     b = residues([rng.randrange(m) for _ in range(length)], m)
-    assert list(_fft_product(a, b, length - 1, m)) == list(kronecker_only(a, b, length - 1, m))
-    assert list(_fft_product(a, a, length - 1, m)) == list(kronecker_only(a, a, length - 1, m))
+    assert list(_product(a, b, length - 1, m)) == reference_kronecker_product(a, b, length - 1, m)
+    assert list(_product(a, a, length - 1, m)) == reference_kronecker_product(a, a, length - 1, m)
     # the whole product, and one truncated below the longer operand
     short = b[: length // 2 + 1]
     for n_out in (2 * length - 2, length // 2):
-        assert list(_fft_product(a, short, n_out, m)) == list(kronecker_only(a, short, n_out, m))
+        assert list(_product(a, short, n_out, m)) == reference_kronecker_product(a, short, n_out, m)
     # past the product's last coefficient the result is zero-padded
-    assert list(_fft_product(a, short, 2 * length + 3, m)) == list(kronecker_only(a, short, 2 * length + 3, m))
-    # every one of these the dispatcher itself sends down the float path
-    assert list(_kronecker(a, b, length - 1, m)) == list(kronecker_only(a, b, length - 1, m))
-    assert float_calls == [(length, length)]
+    assert list(_product(a, short, 2 * length + 3, m)) == reference_kronecker_product(a, short, 2 * length + 3, m)
+    # every operand went to the transform whole, as one row
+    assert {(rows, w) for rows, _, w in row_shapes} == {(1, 0)}
 
 
 @pytest.mark.parametrize("bits", range(1, 21))
-def test_fft_product_matches_kronecker_over_z(bits, kronecker_only, float_calls):
+def test_fft_product_matches_kronecker_over_z(bits, row_shapes):
     # signed coefficients of up to `bits` bits, at the longest length (at most 2000) the bound admits
     top = 2**bits
     length = min(largest_admitted(top, top), 2000)
@@ -657,49 +678,55 @@ def test_fft_product_matches_kronecker_over_z(bits, kronecker_only, float_calls)
     a = [rng.randrange(-top, top + 1) for _ in range(length)]
     b = [rng.randrange(-top, top + 1) for _ in range(length)]
     for la, lb in ((a, b), (a, a), (a, b[: length // 3 + 1])):
-        expected = kronecker_only(la, lb, length - 1, 0)
-        assert _fft_product(la, lb, length - 1, 0) == expected
-        assert _kronecker(la, lb, length - 1, 0) == expected
-    assert len(float_calls) == 3
+        assert _product(la, lb, length - 1, 0) == reference_kronecker_product(la, lb, length - 1, 0)
+    assert {(rows, w) for rows, _, w in row_shapes} == {(1, 0)}
 
 
 @pytest.mark.parametrize("m,h", [(65537, 32768), (100003, 50001), (2**17 - 1, 2**16 - 1), (0, 2**15), (0, 2**16)])
-def test_float_path_at_its_bound(m, h, float_calls):
-    """At the longest admitted length the float path runs and is exact; one longer stays on Kronecker."""
+def test_float_path_at_its_bound(m, h, row_shapes):
+    """At the longest admitted length each operand is one row; one longer, it splits into k = 2 digit rows."""
     # h bounds the balanced residues (m // 2) over Z/m, and the coefficients over Z
     top = m - 1 if m else h
     edge = largest_admitted(h, top)
     assert 500 < edge < 5000
+    w = digit_width(edge + 1, edge + 1)
     # all-(m-1) residues, the worst balanced residue m // 2, or all -h over Z
-    constants = (m - 1, m // 2) if m else (-h,)
-    for length, floated in ((edge, True), (edge + 1, False)):
-        for c in constants:
+    for c in (m - 1, m // 2) if m else (-h,):
+        for length, shape in ((edge, (1, edge, 0)), (edge + 1, (2, edge + 1, w))):
             a, b = residues([c] * length, m), residues([c] * length, m)
             # a constant operand of length L squared: coefficient k is c*c*(k+1)
             expected = [c * c * (k + 1) % m if m else c * c * (k + 1) for k in range(length)]
-            float_calls.clear()
-            assert list(_kronecker(a, a, length - 1, m)) == expected
-            assert list(_kronecker(a, b, length - 1, m)) == expected
-            assert float_calls == ([(length, length)] * 2 if floated else [])
+            row_shapes.clear()
+            assert list(_product(a, a, length - 1, m)) == expected
+            assert list(_product(a, b, length - 1, m)) == expected
+            assert row_shapes == [shape] * 3
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-def test_float_path_refused_past_the_bound(float_calls):
-    # products near 2**72: a looser bound would send these to a float path that cannot hold them
+def test_float_path_refused_past_the_bound(monkeypatch, row_shapes):
+    # products near 2**72: a looser bound would send these to one row, which cannot hold them
     m, length = 2**31 - 1, 4096
+    w = digit_width(length, length)
     top = residues([m - 1] * length, m)
-    assert list(_kronecker(top, top, length - 1, m)) == [(k + 1) % m for k in range(length)]
+    assert list(_product(top, top, length - 1, m)) == [(k + 1) % m for k in range(length)]
     half = residues([m // 2] * length, m)
     expected = [(m // 2) ** 2 * (k + 1) % m for k in range(length)]
-    assert list(_kronecker(half, half, length - 1, m)) == expected
-    assert float_calls == []
+    assert list(_product(half, half, length - 1, m)) == expected
+    # both split into the digits of the bound m // 2 = 2**30 - 1
+    assert row_shapes[0] == row_shapes[1] and row_shapes[0][1:] == (length, w) and row_shapes[0][0] >= 2
+    # the same product forced onto one row is wrong, or its residual guard raises
+    monkeypatch.setattr(series_module, "_float_exact", lambda *bounds: True)
     try:
-        assert list(_fft_product(half, half, length - 1, m)) != expected
+        assert list(_product(half, half, length - 1, m)) != expected
     except ArithmeticError:
         pass
-    # an operand float64 cannot hold stays on Kronecker even against a zero operand
-    assert _kronecker([10**400], [0, 0], 1, 0) == [0, 0]
-    assert float_calls == []
+
+
+def test_operand_float64_cannot_hold_is_split_against_a_zero_operand(row_shapes):
+    # 10**400 overflows float64, so it is split even when the other operand is zero
+    assert _product([10**400], [0, 0], 1, 0) == [0, 0]
+    assert _product([10**400], [1, -1], 1, 0) == [10**400, -(10**400)]
+    assert all(w for *_, w in row_shapes) and row_shapes[0][0] > 1
 
 
 def test_float_path_transforms_balanced_residues(monkeypatch):
@@ -714,7 +741,7 @@ def test_float_path_transforms_balanced_residues(monkeypatch):
     m = 55
     a = list(range(m)) * 3
     x = residues(a, m)
-    assert list(_kronecker(x, x, len(a) - 1, m)) == naive_mod_mul(a, a, len(a) - 1, m)
+    assert list(_product(x, x, len(a) - 1, m)) == naive_mod_mul(a, a, len(a) - 1, m)
     assert seen == [(-(m // 2), m // 2)]
 
 
@@ -723,13 +750,131 @@ def test_float_residual_guard(monkeypatch):
 
     def off(*args, **kwargs):
         out = real(*args, **kwargs)
-        out[3] += 0.4
+        out[..., 3] += 0.4
         return out
 
     monkeypatch.setattr(np.fft, "irfft", off)
     a = series([1, 2, 3, 4, 5, 6], Zmod(55))
     with pytest.raises(ArithmeticError, match="residual"):
         mul(a, a)
+
+
+def test_digit_residual_guard(monkeypatch):
+    # a digit product left 0.4 off an integer raises too; the guard covers every digit pair
+    real = np.fft.irfft
+
+    def off(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[-1, 2] += 0.4
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", off)
+    a = [3**90, -(5**70), 7**60]
+    with pytest.raises(ArithmeticError, match="residual"):
+        _product(a, a, 2, 0)
+
+
+# --- wide coefficients: the balanced digit split against the reference ---
+
+
+def signed_extremes(bits):
+    """Coefficients of exactly `bits` bits in both signs: the largest and the smallest, and 2**bits's neighbour."""
+    top = 2**bits - 1
+    return [top, -top, 2 ** (bits - 1), -(2 ** (bits - 1)), -(2**bits) + 2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("lengths", [(1, 1), (3, 2), (40, 40), (300, 257)])
+def test_digit_product_matches_kronecker_at_digit_edges(k, lengths, row_shapes):
+    """Coefficients of k*w - 1, k*w and k*w + 1 bits, where a balanced split needs k or k + 1 digits."""
+    len_a, len_b = lengths
+    w = digit_width(len_a, len_b)
+    rng = random.Random(f"digits-{k}-{lengths}")
+    for bits in (k * w - 1, k * w, k * w + 1):
+        pool = signed_extremes(bits)
+        a = [rng.choice(pool) for _ in range(len_a)]
+        b = [rng.choice(pool) for _ in range(len_b)]
+        # the full product, a truncation below both operands, and one past the product's length
+        for n_out in (len_a + len_b - 2, max(0, min(len_a, len_b) - 2), len_a + len_b + 3):
+            assert _product(a, b, n_out, 0) == reference_kronecker_product(a, b, n_out, 0)
+            assert _product(b, a, n_out, 0) == reference_kronecker_product(b, a, n_out, 0)
+            assert _product(a, a, n_out, 0) == reference_kronecker_product(a, a, n_out, 0)
+    # k * w + 1 bits took k + 1 digits of the untruncated operands' width
+    assert (k + 1, len_a, w) in row_shapes
+
+
+@pytest.mark.parametrize("length,widths", [(n, (1, 7, 60, 61, 150, 600, 1200)) for n in (1, 2, 64, 501)] + [(2001, (1, 40, 150))])
+def test_digit_product_matches_kronecker_to_1200_bits(length, widths):
+    rng = random.Random(f"wide-{length}")
+    a = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice(widths)) for _ in range(length)]
+    b = [rng.choice((-1, 1)) * rng.getrandbits(rng.choice(widths)) for _ in range(length)]
+    for n_out in (length - 1, length // 3, 2 * length - 2, 2 * length + 1):
+        assert _product(a, b, n_out, 0) == reference_kronecker_product(a, b, n_out, 0)
+        assert _product(a, a, n_out, 0) == reference_kronecker_product(a, a, n_out, 0)
+
+
+@pytest.mark.parametrize("m,length", [(65537, 5000), (2**31 - 1, 1), (2**31 - 1, 700), (2**64 + 13, 1), (2**64 + 13, 400)])
+def test_digit_product_matches_kronecker_mod_m(m, length, row_shapes):
+    # 65537 is split only past the float bound's edge; 2**31 - 1 always; 2**64 + 13 is an object array
+    rng = random.Random(f"digits-mod-{m}-{length}")
+    values = [m - 1, m // 2, m // 2 + 1, 0, 1]
+    a = residues([rng.choice(values + [rng.randrange(m)]) for _ in range(length)], m)
+    b = residues([rng.randrange(m) for _ in range(length)], m)
+    for n_out in (length - 1, length // 2, 2 * length + 2):
+        for x, y in ((a, b), (a, a), (b, a[: length // 3 + 1])):
+            got = _product(x, y, n_out, m)
+            assert got.dtype == series_module._dtype(m) and got.shape == (n_out + 1,)
+            assert list(got) == reference_kronecker_product(x, y, n_out, m)
+    # the first product, a by b in full, was split into digits
+    assert row_shapes[0][2] > 0 and row_shapes[1][2] > 0
+
+
+def test_digit_sums_carried_past_512_rows():
+    # every digit of c is -2**(w-1), 1100 of them: the int64 diagonal sums are carried twice mid-product
+    w = digit_width(3, 3)
+    c = -(2 ** (w - 1)) * (2 ** (w * 1100) - 1) // (2**w - 1)
+    a, b = [c, c, c], [c, -c, c]
+    assert _product(a, b, 4, 0) == naive_poly_mul(a, b, 4)
+    assert _product(a, a, 4, 0) == naive_poly_mul(a, a, 4)
+
+
+@pytest.mark.parametrize(
+    "m,bits_a,bits_b,len_a,len_b",
+    [(0, 40, 40, 2000, 2000), (0, 155, 155, 300, 500), (0, 700, 700, 64, 64), (0, 3, 90, 1000, 9), (2**31 - 1, 30, 30, 300, 200)],
+)
+def test_digit_rows_stay_inside_the_bound(m, bits_a, bits_b, len_a, len_b, monkeypatch):
+    """Every row the digit split transforms has |d| <= 2**(w-1), for the largest w _float_exact admits."""
+    real_exact, real_rfft = series_module._float_exact, np.fft.rfft
+    admitted, seen = [], []
+
+    def exact_spy(*bounds):
+        ok = real_exact(*bounds)
+        admitted.append((bounds, ok))
+        return ok
+
+    def rfft_spy(x, *args, **kwargs):
+        seen.append(np.abs(x).max())
+        return real_rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(series_module, "_float_exact", exact_spy)
+    monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+    rng = random.Random(f"bound-{m}-{bits_a}-{len_a}")
+    # each operand reaches its extreme -2**bits, or the balanced residue m // 2
+    a = [-(2**bits_a)] + [rng.randrange(-(2**bits_a), 2**bits_a) for _ in range(len_a - 1)]
+    b = [m // 2 if m else -(2**bits_b)] + [rng.randrange(-(2**bits_b), 2**bits_b) for _ in range(len_b - 1)]
+    x, y = (residues([c % m for c in a], m), residues([c % m for c in b], m)) if m else (a, b)
+    n_out = len_a + len_b - 2
+    assert list(_product(x, y, n_out, m)) == reference_kronecker_product(x, y, n_out, m)
+    # the whole operands were refused, then widths were tried from the widest down
+    (_, whole), *widths = admitted
+    *refused, (bounds, ok) = widths
+    assert not whole and ok and not any(ok for _, ok in refused)
+    h = bounds[0]
+    assert bounds == (h, h, h, h, len_a, len_b) and h & (h - 1) == 0
+    # so w is the largest admitted width: the next one up is refused
+    assert not real_exact(2 * h, 2 * h, 2 * h, 2 * h, len_a, len_b)
+    # each operand's rows were transformed once, and no digit exceeds the bound
+    assert len(seen) == 2 and max(seen) <= h
 
 
 @lru_cache(maxsize=None)

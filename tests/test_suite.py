@@ -2,6 +2,8 @@
 
 import importlib.util
 import sys
+import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,21 @@ def test_two_jobs_give_the_one_job_report():
     canonical = load_workloads().canonical
     two = canonical(run_suite(None, GridBudget(400, 400), jobs=2))
     assert two == canonical(run_suite(None, GridBudget(400, 400), jobs=1))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_job_runs_the_checks_on_the_calling_thread(jobs, monkeypatch):
+    # a profiler of the calling thread sees one job's checks; two jobs run them on pool threads
+    threads = []
+
+    def check(name):
+        threads.append(threading.get_ident())
+        return suite.VerificationReport(id=name)
+
+    monkeypatch.setattr(suite, "_checks", lambda budget, registry: {c: partial(check, c) for c in ("a", "b", "c")})
+    report = run_suite(None, GridBudget(400, 400), jobs=jobs)
+    assert [c["id"] for c in report["checks"]] == ["a", "b", "c"]
+    assert len(threads) == 3 and (set(threads) == {threading.get_ident()}) == (jobs == 1)
 
 
 def test_frobenius_records_the_first_mismatch_of_each_pair(bump):
