@@ -75,7 +75,7 @@ product of a digit row of one operand and one of the other is exact as above,
 with integers below 2**52.  Each row is transformed once; each pair product is
 inverse transformed, rounded and guarded on its own, one batched call per row
 of the first operand.  (Summing a diagonal's spectra first would save inverse
-transforms, but leaves the theorem as stated and may pass 2**53.)  int64 sums
+transforms, but that sum is no product the theorem covers.)  int64 sums
 the pair products with i + j = s exactly: at most min(k_a, k_b) of them, each
 below 2**52, carried into base-2**w digits after every 512 rows, so no sum
 reaches 2**62.  ``sum_s 2**(w s)`` times those sums is joined into a Python
