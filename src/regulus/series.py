@@ -68,18 +68,17 @@ When the operands pass whole (k = 1), each is one row: over Z/m a residue c
 enters balanced (c - m when c > m // 2), so ``ha = m // 2``, ``ma = m - 1``;
 over Z, ``ha = ma`` is the largest ``|c|``.  Otherwise each coefficient (over
 Z/m the residue's balanced lift, the result reduced mod m at the end) is split
-into k balanced base-2**w digits, ``c = sum_i d_i 2**(w i)`` with
-``-2**(w-1) <= d_i < 2**(w-1)``, one row per digit, where w is the largest
-width the bounds admit with ``ha = hb = ma = mb = 2**(w-1)``.  So each
-product of a digit row of one operand and one of the other is exact as above,
-with integers below 2**52.  Each row is transformed once; each pair product is
-inverse transformed, rounded and guarded on its own, one batched call per row
-of the first operand.  (Summing a diagonal's spectra first would save inverse
-transforms, but that sum is no product the theorem covers.)  int64 sums
-the pair products with i + j = s exactly: at most min(k_a, k_b) of them, each
+into k balanced base-2**w digits, ``c = sum_i d_i 2**(w i)``, one row per
+digit with ``-2**(w-1) <= d_i < 2**(w-1)``, where w is the largest width the
+bounds admit with ``ha = hb = ma = mb = 2**(w-1)``.  So each product of a
+digit row of one operand and one of the other is exact as above, with integers
+below 2**52.  Each row is transformed once; each pair product is inverse
+transformed, rounded and guarded on its own, one batched call per row of the
+first operand.  (Summing a diagonal's spectra first would save inverse
+transforms, but that sum is no product the theorem covers.)  int64 sums the
+pair products with i + j = s exactly: at most min(k_a, k_b) of them, each
 below 2**52, carried into base-2**w digits after every 512 rows, so no sum
-reaches 2**62.  ``sum_s 2**(w s)`` times those sums is joined into a Python
-int exactly.
+reaches 2**62.  ``sum_s 2**(w s)`` times those sums is one Python int.
 
 The theorem is proved for a textbook radix-2 transform.  The kernel
 assumes that numpy's pocketfft (the C library in numpy 1.x, the C++ one in
