@@ -1,34 +1,104 @@
-"""Coefficient tables of E_1^r and eta powers, with their recurrences.
+"""Coefficient tables of E_1^r and eta powers, and the linear relations between their progressions.
 
-Covers Newman's three-term recurrence for the coefficients of E_1^r, the
-composed four-step version of it, the three fixed eta powers (q E_3^8,
-q E_4^6, q^5 E_12^10) with their Hecke eigen-relations and support classes,
-the congruence bridges linking multipartition counts to these tables, and
-the p^2-scaling congruences along extracted progressions.
+Each check states one ``Relation`` row, sum(lhs) = sum(rhs) mod M for
+first <= n <= last (over Z when M = 0), and ``check_relation`` evaluates it.
+A ``Term`` is coeff * S(step k + offset), k = n, where S holds the
+coefficients of one store read (``_e1_power``, ``_eta_table`` or
+``cached_regular_series``) at the order its check reads.  A term with a
+residue class n = at (mod every) has k = (n - at) / every on that class for
+n >= at, and is 0 at every other n: the a(n/p) and a((n - d)/p) terms.  When
+M > 0 both sides are reduced mod M.  Coefficients that depend on the data,
+a(d) and a(p), are read when the row is built, as 0 past the read, where the
+row checks no index.  A row of no n is skipped, with a note.
 
-Each fact is one row, and the checks derive from the rows.  A form's row
-gives its weight w, character chi and inert class; at an inert prime p (in
-the class, chi(p) != 0) a(pn) + chi(p) p^(w-1) a(n/p) = 0, and a(p) = 0 for
-an eigenform.  A form's table is ``series.eta_quotient``: the power
-eta(scale z)^e = q^shift E_1^e(q^scale), shift = scale e / 24, read off the
-coefficients a_e of E_1^e, so a(scale n + shift) = a_e(n) and every other
-a(n) is 0.  A ``BRIDGES`` row (ell, r, step, offset, k, factor) states
-s(step n + offset) = factor * a_k(n) mod ell for s = E_ell^r / E_1^r; for
-an eta power of exponent k, a_k(n) is its a(scale n + shift).  A
-``SCALINGS`` row (bridge, p, n_max) reads that power's two-term relation at
-an inert p != ell through the bridge: n moves to p^2 n + shift (p^2 - 1) /
-scale, times -chi(p) p^(w-1).
+Where the sides differ at n, a violation is recorded at the index the first
+left term reads, with param n unless the row is unnumbered (bridges, scalings,
+support), and with the value the row's shape gives: ``lhs``, the left side
+(vanishing, support); ``expected``, the left side with param expected= the
+right side (Newman and its four-step composition); ``sides``, {"lhs", "rhs"}
+(Hecke, scalings, Theorem 2 in ``families``); ``series``, {"series": left,
+"table": right} (bridges).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
-from .report import SKIPPED, VerificationReport, timed
+from .report import PASS, SKIPPED, VerificationReport, timed
 from .series import cached_e1_power, cached_regular_series, eta_quotient
+
+
+@dataclass(frozen=True)
+class Term:
+    """coeff * S(step k + offset), k = (n - at) / every, on n = at (mod every) with n >= at; 0 at other n."""
+
+    source: Sequence[int] = field(repr=False)
+    step: int
+    offset: int
+    coeff: int = 1
+    at: int = 0
+    every: int = 1
+
+    def index(self, n: int) -> int:
+        return self.step * ((n - self.at) // self.every) + self.offset
+
+    def column(self, first: int, count: int) -> list[int]:
+        """The term at n = first .. first + count - 1, read as slices of its source."""
+        start = max(first, self.at)
+        start += (self.at - start) % self.every  # the first n of the class
+        hits = len(range(start, first + count, self.every))
+        values = self.source[self.index(start) : self.index(start + self.every * hits) : self.step]
+        if len(values) != hits:
+            raise IndexError(f"term reads past its source, index {self.index(start + self.every * (hits - 1))}")
+        column = [0] * count
+        column[start - first :: self.every] = values
+        return column if self.coeff == 1 else [self.coeff * v for v in column]
+
+
+SHAPES = {  # each shape's violation value and params besides n, from the two sides
+    "lhs": lambda lhs, rhs: (lhs, {}),
+    "expected": lambda lhs, rhs: (lhs, {"expected": rhs}),
+    "sides": lambda lhs, rhs: ({"lhs": lhs, "rhs": rhs}, {}),
+    "series": lambda lhs, rhs: ({"series": lhs, "table": rhs}, {}),
+}
+
+
+@dataclass(frozen=True)
+class Relation:
+    """sum(lhs) = sum(rhs) mod modulus (over Z when 0) for first <= n <= last."""
+
+    lhs: tuple[Term, ...]
+    rhs: tuple[Term, ...]
+    last: int
+    first: int = 0
+    modulus: int = 0
+    shape: str = "sides"  # a key of SHAPES
+    numbered: bool = True  # violations carry param n
+
+
+def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int) -> list[int]:
+    total = terms[0].column(first, count)
+    for term in terms[1:]:
+        total = [t + v for t, v in zip(total, term.column(first, count))]
+    return [v % modulus for v in total] if modulus else total
+
+
+def check_relation(report: VerificationReport, row: Relation) -> VerificationReport:
+    """Record the row's violations in the order of n and count its indices; a row of no n is skipped."""
+    shape, count = SHAPES[row.shape], max(0, row.last - row.first + 1)
+    lhs, rhs = (_side(terms, row.first, count, row.modulus) for terms in (row.lhs, row.rhs))
+    for n, left, right in zip(itertools.count(row.first), lhs, rhs):
+        if left != right:
+            value, params = shape(left, right)
+            report.record(row.lhs[0].index(n), value, **({"n": n} | params if row.numbered else params))
+    report.indices_checked += count
+    if not count:
+        report.notes.append("smallest index exceeds the coefficient budget")
+        report.status = SKIPPED if report.status == PASS else report.status
+    return report
 
 
 @dataclass(frozen=True)
@@ -105,71 +175,39 @@ def _eta_table(form: EtaPowerForm, n_max: int) -> tuple[int, ...]:
     return eta_quotient(form.scale, form.exponent, n_max).coeffs
 
 
+def four_step(a: Callable[[int, int, int], Term], params: NewmanParams, A: int) -> tuple[tuple[Term, ...], ...]:
+    """Sides a(p^4 n + d4) = A(A^2 - 2w) a(pn + d) - w(A^2 - w) a(n), A = a(d); a(k, c, x) is x a(kn + c)."""
+    p, w = params.p, params.w
+    return (a(p**4, params.delta4, 1),), (a(p, params.delta, A * (A * A - 2 * w)), a(1, 0, -w * (A * A - w)))
+
+
 @timed
 def newman_check(params: NewmanParams, n_max: int) -> VerificationReport:
     """a_r(pn + d) = a_r(d) a_r(n) - p^(r/2-1) a_r((n-d)/p), d = r(p-1)/24."""
-    r, p, delta, w = params.r, params.p, params.delta, params.w
+    r, p, delta = params.r, params.p, params.delta
     a = _e1_power(r, n_max)
-    ad = a[delta]
-    report = VerificationReport(
-        id=f"newman.r{r}.p{p}", params_swept={"r": r, "p": p, "delta": delta}
-    )
-    n = 0
-    while p * n + delta <= n_max:
-        third = 0
-        if (n - delta) >= 0 and (n - delta) % p == 0:
-            third = a[(n - delta) // p]
-        expected = ad * a[n] - w * third
-        if a[p * n + delta] != expected:
-            report.record(p * n + delta, a[p * n + delta], n=n, expected=expected)
-        report.indices_checked += 1
-        n += 1
-    return report
-
-
-def four_step_terms(a: Callable[[int], int], params: NewmanParams, n_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, a(p^4 n + d4), A(A^2 - 2w) a(pn + d) - w(A^2 - w) a(n)) for 0 <= n <= n_max, A = a(d).
-
-    The two sides agree for a = a_r: Newman's recurrence composed four times.
-    """
-    p, d, d4, w = params.p, params.delta, params.delta4, params.w
-    A = a(d)
-    for n in range(n_max + 1):
-        yield n, a(p**4 * n + d4), A * (A * A - 2 * w) * a(p * n + d) - w * (A * A - w) * a(n)
+    rhs = (Term(a, 1, 0, a[delta] if delta <= n_max else 0), Term(a, 1, 0, -params.w, at=delta, every=p))
+    report = VerificationReport(id=f"newman.r{r}.p{p}", params_swept={"r": r, "p": p, "delta": delta})
+    return check_relation(report, Relation((Term(a, p, delta),), rhs, (n_max - delta) // p, shape="expected"))
 
 
 @timed
 def newman_four_step(r: int, p: int, n_max_index: int) -> VerificationReport:
     """Composed recurrence expressing a_r(p^4 n + d4) via a_r(pn + d) and a_r(n)."""
-    params = NewmanParams(r, p)
-    a = _e1_power(r, n_max_index)
-    report = VerificationReport(
-        id=f"newman4.r{r}.p{p}",
-        params_swept={"r": r, "p": p, "delta4": params.delta4},
-    )
-    for n, lhs, rhs in four_step_terms(a.__getitem__, params, (n_max_index - params.delta4) // p**4):
-        if lhs != rhs:
-            report.record(p**4 * n + params.delta4, lhs, n=n, expected=rhs)
-        report.indices_checked += 1
-    if report.indices_checked == 0:
-        report.status = SKIPPED
-        report.notes.append("smallest index exceeds the coefficient budget")
-    return report
+    params, a = NewmanParams(r, p), _e1_power(r, n_max_index)
+    A = a[params.delta] if params.delta <= n_max_index else 0
+    lhs, rhs = four_step(lambda k, c, x: Term(a, k, c, x), params, A)
+    report = VerificationReport(id=f"newman4.r{r}.p{p}", params_swept={"r": r, "p": p, "delta4": params.delta4})
+    return check_relation(report, Relation(lhs, rhs, (n_max_index - params.delta4) // p**4, shape="expected"))
 
 
 @timed
 def support_check(form: EtaPowerForm, n_max: int) -> VerificationReport:
-    """All coefficients outside the form's residue class vanish."""
+    """All coefficients outside the form's residue class vanish: a(n) is its part on the class."""
     a = _eta_table(form, n_max)
-    report = VerificationReport(
-        id=f"support.{form.id}",
-        params_swept={"mod": form.scale, "residue": form.shift},
-        indices_checked=n_max + 1,
-    )
-    for n, c in enumerate(a):
-        if c and n % form.scale != form.shift:
-            report.record(n, c)
-    return report
+    on_class = Term(a, form.scale, form.shift, at=form.shift, every=form.scale)
+    report = VerificationReport(id=f"support.{form.id}", params_swept={"mod": form.scale, "residue": form.shift})
+    return check_relation(report, Relation((Term(a, 1, 0),), (on_class,), n_max, shape="lhs", numbered=False))
 
 
 @timed
@@ -178,17 +216,9 @@ def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationRep
     if not form.eigenform:
         raise ValueError(f"{form.id} is not an eigenform; its eigen relation is out of scope")
     a = _eta_table(form, n_max)
-    ap = a[p] if p <= n_max else 0
-    weight = form.hecke_factor(p)
-    report = VerificationReport(id=f"hecke.{form.id}.p{p}", params_swept={"p": p})
-    for n in range(1, n_max // p + 1):
-        lower = a[n // p] if n % p == 0 else 0
-        lhs = a[p * n] + weight * lower
-        rhs = ap * a[n]
-        if lhs != rhs:
-            report.record(p * n, {"lhs": lhs, "rhs": rhs}, n=n)
-        report.indices_checked += 1
-    return report
+    lhs = (Term(a, p, 0), Term(a, 1, 0, form.hecke_factor(p), every=p))
+    row = Relation(lhs, (Term(a, 1, 0, a[p] if p <= n_max else 0),), n_max // p, first=1)
+    return check_relation(VerificationReport(id=f"hecke.{form.id}.p{p}", params_swept={"p": p}), row)
 
 
 @timed
@@ -196,17 +226,12 @@ def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> Verif
     """Two-term relation a(pn) + chi(p) p^(w-1) a(n/p) = 0 at an inert prime p."""
     if not form.inert(p):
         raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0")
-    coeff = form.hecke_factor(p)
     a = _eta_table(form, n_max)
     report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
     if form.eigenform and p <= n_max and a[p] != 0:
         report.record(p, a[p], reason="a(p) expected to vanish")
-    for n in range(1, n_max // p + 1):
-        lower = a[n // p] if n % p == 0 else 0
-        if a[p * n] + coeff * lower != 0:
-            report.record(p * n, a[p * n], n=n)
-        report.indices_checked += 1
-    return report
+    lower = Term(a, 1, 0, -form.hecke_factor(p), every=p)
+    return check_relation(report, Relation((Term(a, p, 0),), (lower,), n_max // p, first=1, shape="lhs"))
 
 
 @dataclass(frozen=True)
@@ -241,16 +266,11 @@ BRIDGE_IDS = tuple(BRIDGES)
 @timed
 def bridge_congruence_check(bridge: str, n_max: int) -> VerificationReport:
     """Congruence between a multipartition series and a coefficient table."""
-    row = BRIDGES[bridge]
-    s = cached_regular_series(row.ell, row.r, row.ell, row.index(n_max))
-    table = _e1_power(row.table, n_max)
-    report = VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max})
-    for n in range(n_max + 1):
-        index, rhs = row.index(n), row.factor * table[n] % row.ell
-        if s[index] != rhs:
-            report.record(index, {"series": s[index], "table": rhs})
-        report.indices_checked += 1
-    return report
+    b = BRIDGES[bridge]
+    s = cached_regular_series(b.ell, b.r, b.ell, b.index(n_max))
+    table = Term(_e1_power(b.table, n_max), 1, 0, b.factor)
+    row = Relation((Term(s, b.step, b.offset),), (table,), n_max, modulus=b.ell, shape="series", numbered=False)
+    return check_relation(VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max}), row)
 
 
 # scaling id -> (bridge id, prime, n_max) of the case the suite checks
@@ -263,26 +283,17 @@ SCALINGS = {
 
 @timed
 def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:
-    """p^2-scaling of extracted progressions of the multipartition series."""
-    row = BRIDGES[SCALINGS[which][0]]
-    form, m = row.form, row.ell
+    """a(pn) = -chi(p) p^(w-1) a(n/p) of the bridge's eta power, at an inert p != ell, read through the bridge:
+    s(index(p^2 n + shift (p^2 - 1) / scale)) = -chi(p) p^(w-1) s(index(n)) mod ell."""
+    b = BRIDGES[SCALINGS[which][0]]
+    form, m = b.form, b.ell
     if not form.inert(p) or p == m:
-        raise ValueError(
-            f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0, p != {m}"
-        )
+        raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0, p != {m}")
     shift = form.shift * (p * p - 1) // form.scale
-    multiplier = -form.hecke_factor(p) % m
-    s = cached_regular_series(m, row.r, m, row.index(p * p * n_max + shift))
-    report = VerificationReport(
-        id=f"scaling.{which}.p{p}", params_swept={"p": p, "n_max": n_max}
-    )
-    for n in range(n_max + 1):
-        index = row.index(p * p * n + shift)
-        lhs, rhs = s[index], multiplier * s[row.index(n)] % m
-        if lhs != rhs:
-            report.record(index, {"lhs": lhs, "rhs": rhs})
-        report.indices_checked += 1
-    return report
+    s = cached_regular_series(m, b.r, m, b.index(p * p * n_max + shift))
+    lhs, rhs = Term(s, b.step * p * p, b.index(shift)), Term(s, b.step, b.offset, -form.hecke_factor(p))
+    report = VerificationReport(id=f"scaling.{which}.p{p}", params_swept={"p": p, "n_max": n_max})
+    return check_relation(report, Relation((lhs,), (rhs,), n_max, modulus=m, numbered=False))
 
 
 def _is_prime(n: int) -> bool:

@@ -6,29 +6,28 @@ tuple p1..pk (with P, Q, pl abbreviating the products that appear in the
 multi-prime statements).  The registry ships as JSON and can be replaced at
 run time, so new families need no code changes.
 
-Every progression index is affine in n: ``load_registry`` raises ValueError
-for an index with another symbol, with n under ``**`` or in a divisor, or of
-degree in n other than 1, for an ``r`` formula in any symbol but t, for an
-unknown ``j`` constraint or one without primes, for a kind other than
-progression or thm2, for a thm2 family whose part is unknown or whose ell, r
-or modulus is not its bridge's, for an ell or modulus that is not an integer
->= 2, for an index or r that is not a string, for primes that are not an
-object, whose count is not many or one, or whose class may hold no prime, and
-for an alpha that is not a non-empty list of integers.  Each
-subformula of an accepted index is A*n + B, and a division exact at n = 0
-and n = 1 divides B and A, so it is exact at every n.  A grid point is thus
-resolved once, to offset = index(n=0) and stride = index(n=1) - offset
-(below 1 raises ValueError), and the sweep reads the slice s[offset::stride]
-without evaluating a formula per n.
+Every progression index is affine in n.  ``load_registry`` raises ValueError
+for an entry it cannot resolve: an id that is not a lowercase string, an ell
+or modulus that is not an integer >= 2, an index or r that is not a string,
+an index with another symbol, with n under ``**`` or in a divisor, or of
+degree in n other than 1, an ``r`` formula in any symbol but t, an unknown
+kind or ``j`` constraint, a ``j`` constraint without primes, a thm2 part that
+is unknown or whose ell, r or modulus is not its bridge's, primes that are
+not an object, whose count is not many or one, whose class may hold no prime
+or whose exclude is not a list of integers, and an alpha that is not a
+non-empty list of integers.  Each subformula of an accepted index is A*n + B,
+and a division exact at n = 0 and n = 1 divides B and A, so it is exact at
+every n.  A grid point is thus resolved once, to offset = index(n=0) and
+stride = index(n=1) - offset (below 1 raises ValueError), and the sweep
+reads the slice s[offset::stride] without evaluating a formula per n.
 
-Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge
-of ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset)
-mod m (m = ell) are the coefficients of E_1^k, and the n cap per prime of its
-unconditional check.  ``NewmanParams(k, p)`` gives d, d4 = k(p^4-1)/24 and
-w = p^(k/2-1); its ValueError and p != m exclude the primes a part does not
-admit.  The unconditional check is Newman's recurrence composed four times;
-the hypothesis is a(d) = 0, read at index step d + offset, and its
-conclusion is a(p^4 n + d4) = w^2 a(n) mod m.
+Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
+``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
+m (m = ell) are the coefficients of E_1^k, and the n cap per prime of its
+unconditional check; ``_newman`` excludes the primes a part does not admit.
+Both checks are ``coefficients.Relation`` rows mod m over one read of s:
+Newman's recurrence composed four times, and the conclusion a(p^4 n + d4) =
+w^2 a(n) of the hypothesis a(d) = 0.
 """
 
 from __future__ import annotations
@@ -44,7 +43,8 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from . import expr
-from .coefficients import BRIDGES, Bridge, NewmanParams, _is_prime, four_step_terms, primes_upto, smallest_primes
+from .coefficients import BRIDGES, Bridge, NewmanParams, Relation, Term, check_relation, four_step
+from .coefficients import _is_prime, primes_upto, smallest_primes
 from .oracle import regular_multipartition_counts
 from .report import FAIL, PASS, SKIPPED, VACUOUS, VerificationReport, timed
 from .series import cached_regular_series
@@ -87,6 +87,8 @@ class CongruenceFamily:
 
 
 def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
+    if type(d["id"]) is not str or d["id"] != d["id"].lower():  # get_family looks ids up lowercased
+        raise ValueError(f"family {d['id']!r}: id must be a lowercase string")
     for key in ("ell", "modulus"):
         # JSON true loads as a bool, which isinstance(..., int) would admit
         if type(d[key]) is not int or d[key] < 2:
@@ -99,7 +101,10 @@ def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
         raise ValueError(f"family {d['id']}: primes must be an object, got {p!r}")
     pc = None
     if p:
-        pc = PrimeConstraint(p["count"], p["residue"], p["residue_mod"], tuple(p.get("exclude", ())))
+        exclude = p.get("exclude", [])
+        if not (isinstance(exclude, list) and all(type(x) is int for x in exclude)):
+            raise ValueError(f"family {d['id']}: primes exclude must be a list of integers, got {exclude!r}")
+        pc = PrimeConstraint(p["count"], p["residue"], p["residue_mod"], tuple(exclude))
         if pc.count not in ("many", "one"):
             raise ValueError(f"family {d['id']}: primes count must be 'many' or 'one', got {pc.count!r}")
         a, m = pc.residue, pc.residue_mod
@@ -347,23 +352,13 @@ def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationRepo
     function, so it is strictly stronger desk-scale evidence than the
     conditional statement itself.
     """
-    bridge = _thm2_bridge(part)
-    params = _newman(bridge, p)
-    m = bridge.ell
-    s = cached_regular_series(bridge.ell, bridge.r, m, bridge.index(p**4 * n_max + params.delta4))
-
-    def a(n: int) -> int:
-        return bridge.factor * s[bridge.index(n)] % m
-
-    report = VerificationReport(
-        id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max}
-    )
-    for n, lhs, rhs in four_step_terms(a, params, n_max):
-        rhs %= m
-        if lhs != rhs:
-            report.record(bridge.index(p**4 * n + params.delta4), {"lhs": lhs, "rhs": rhs}, n=n)
-        report.indices_checked += 1
-    return report
+    b = _thm2_bridge(part)
+    params = _newman(b, p)
+    s = cached_regular_series(b.ell, b.r, b.ell, b.index(p**4 * n_max + params.delta4))
+    A = b.factor * s[b.index(params.delta)] % b.ell
+    lhs, rhs = four_step(lambda k, c, x: Term(s, b.step * k, b.index(c), b.factor * x), params, A)
+    report = VerificationReport(id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max})
+    return check_relation(report, Relation(lhs, rhs, n_max, modulus=b.ell))
 
 
 @timed
@@ -401,19 +396,12 @@ def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 200
 @timed
 def _verify_thm2_conclusion(part: str, p: int, order: int) -> VerificationReport:
     """s(index(p^4 n + d4)) = w^2 s(index(n)) mod m for every index within order."""
-    bridge = _thm2_bridge(part)
-    params = _newman(bridge, p)
-    m, w2 = bridge.ell, params.w**2
-    s = cached_regular_series(bridge.ell, bridge.r, m, order)
-    report = VerificationReport(id=f"thm2.{part}.conclusion.p{p}")
-    n = 0
-    while (index := bridge.index(p**4 * n + params.delta4)) <= order:
-        lhs, rhs = s[index], w2 * s[bridge.index(n)] % m
-        if lhs != rhs:
-            report.record(index, {"lhs": lhs, "rhs": rhs}, n=n)
-        report.indices_checked += 1
-        n += 1
-    return report
+    b = _thm2_bridge(part)
+    params = _newman(b, p)
+    s = cached_regular_series(b.ell, b.r, b.ell, order)
+    lhs, rhs = Term(s, b.step * p**4, b.index(params.delta4)), Term(s, b.step, b.offset, params.w**2)
+    row = Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell)
+    return check_relation(VerificationReport(id=f"thm2.{part}.conclusion.p{p}"), row)
 
 
 @timed

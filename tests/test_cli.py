@@ -243,6 +243,12 @@ def test_verify_bad_registry_path(capsys):
         {"alpha": [1, "2"]},
         # with no prime to sweep j over, the grid was empty (exit 0, skipped)
         {"j": "coprime"},
+        # get_family looks ids up lowercased, so neither id could ever be found (exit 2, unknown family)
+        {"id": "Probe"},
+        {"id": 7},
+        # a string excluded nothing (exit 0); an integer crashed with a TypeError
+        {"primes": {"count": "one", "residue": 2, "residue_mod": 3, "exclude": "5"}},
+        {"primes": {"count": "one", "residue": 2, "residue_mod": 3, "exclude": 5}},
     ],
     ids=lambda change: ",".join(f"{key}={value}" for key, value in change.items()),
 )

@@ -30,14 +30,16 @@ def load_workloads():
     return load_bench("workloads")
 
 
-def test_gate_report_matches_recorded_digests():
+@pytest.mark.parametrize("kind, order", [("gate", 400), ("gate", 2000), ("families", 4000)])
+def test_gate_report_matches_recorded_digests(kind, order):
+    # gate@400, and the gate@2000 and families@4000 records the benchmark workloads verify
     wl = load_workloads()
-    expected = wl.load_expected()["suite"]["gate@400"]
-    got = wl.suite_digests(run_suite(None, GridBudget(400, 400)))
+    expected = wl.load_expected()["suite"][wl.suite_key(kind, order)]
+    check_ids = wl.suite_check_ids(suite, default_registry(), kind)
+    got = wl.suite_digests(run_suite(check_ids, GridBudget(order, order)))
     ids = expected["checks"].keys() | got["checks"].keys()
     assert sorted(c for c in ids if got["checks"].get(c) != expected["checks"].get(c)) == []
     assert got["report"] == expected["report"]
-
 
 
 def test_two_jobs_give_the_one_job_report():
