@@ -250,6 +250,10 @@ def _argument_problem(args) -> str | None:
     if r is not None and r < 1:
         return f"--r must be at least 1, got {r}"
     profile = getattr(args, "profile", None)
+    if profile is not None and (ell is not None or r is not None):
+        return "--profile cannot be combined with --ell or --r"
+    if getattr(args, "n", None) is not None and args.n_max is not None:
+        return "--n cannot be combined with --n-max"
     if profile is not None:
         try:
             bounds = _profile_bounds(profile)

@@ -4,7 +4,8 @@ Each check states one ``Relation`` row, sum(lhs) = sum(rhs) mod M for
 first <= n <= last (over Z when M = 0), and ``check_relation`` evaluates it.
 A ``Term`` is coeff * S(step k + offset), k = n, where S holds the
 coefficients of one store read (``_e1_power``, ``_eta_table`` or
-``cached_regular_series``) at the order its check reads.  A term with a
+``cached_regular_series``) at the order its check reads; the check declares
+that read beside it (``*_reads``), for the suite's plan.  A term with a
 residue class n = at (mod every) has k = (n - at) / every on that class for
 n >= at, and is 0 at every other n: the a(n/p) and a((n - d)/p) terms.  When
 M > 0 both sides are reduced mod M.  Coefficients that depend on the data,
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .report import PASS, SKIPPED, VerificationReport, timed
-from .series import cached_e1_power, cached_regular_series, eta_quotient
+from .series import cached_e1_power, cached_regular_series, eta_quotient, eta_read
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,8 @@ class NewmanParams:
     p: int
 
     def __post_init__(self) -> None:
+        if not _is_prime(self.p):
+            raise ValueError(f"p={self.p} must be a prime")
         if self.r % 2 or not 0 < self.r <= 24:
             raise ValueError(f"r={self.r} must be even and in (0, 24]")
         if self.r * (self.p - 1) % 24:
@@ -175,10 +178,23 @@ def _eta_table(form: EtaPowerForm, n_max: int) -> tuple[int, ...]:
     return eta_quotient(form.scale, form.exponent, n_max).coeffs
 
 
+# Each check that reads the store declares those reads beside it, as a function of the check's own
+# arguments: ("E_1^r", r, order) for cached_e1_power, (ell, r, m, order) for cached_regular_series.
+
+
+def eta_table_reads(form: EtaPowerForm, n_max: int) -> list[tuple]:
+    """The store read of _eta_table(form, n_max), which the support, Hecke and vanishing checks make."""
+    return [eta_read(form.scale, form.exponent, n_max)]
+
+
 def four_step(a: Callable[[int, int, int], Term], params: NewmanParams, A: int) -> tuple[tuple[Term, ...], ...]:
     """Sides a(p^4 n + d4) = A(A^2 - 2w) a(pn + d) - w(A^2 - w) a(n), A = a(d); a(k, c, x) is x a(kn + c)."""
     p, w = params.p, params.w
     return (a(p**4, params.delta4, 1),), (a(p, params.delta, A * (A * A - 2 * w)), a(1, 0, -w * (A * A - w)))
+
+
+def newman_reads(params: NewmanParams, n_max: int) -> list[tuple]:
+    return [("E_1^r", params.r, n_max)]
 
 
 @timed
@@ -189,6 +205,10 @@ def newman_check(params: NewmanParams, n_max: int) -> VerificationReport:
     rhs = (Term(a, 1, 0, a[delta] if delta <= n_max else 0), Term(a, 1, 0, -params.w, at=delta, every=p))
     report = VerificationReport(id=f"newman.r{r}.p{p}", params_swept={"r": r, "p": p, "delta": delta})
     return check_relation(report, Relation((Term(a, p, delta),), rhs, (n_max - delta) // p, shape="expected"))
+
+
+def newman_four_step_reads(r: int, p: int, n_max_index: int) -> list[tuple]:
+    return [("E_1^r", r, n_max_index)]
 
 
 @timed
@@ -215,6 +235,8 @@ def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationRep
     """a(pn) + chi(p) p^(w-1) a(n/p) = a(p) a(n) for 1 <= n <= n_max/p."""
     if not form.eigenform:
         raise ValueError(f"{form.id} is not an eigenform; its eigen relation is out of scope")
+    if not _is_prime(p):
+        raise ValueError(f"requires a prime p, got {p}")
     a = _eta_table(form, n_max)
     lhs = (Term(a, p, 0), Term(a, 1, 0, form.hecke_factor(p), every=p))
     row = Relation(lhs, (Term(a, 1, 0, a[p] if p <= n_max else 0),), n_max // p, first=1)
@@ -263,6 +285,11 @@ BRIDGES = {
 BRIDGE_IDS = tuple(BRIDGES)
 
 
+def bridge_reads(bridge: str, n_max: int) -> list[tuple]:
+    b = BRIDGES[bridge]
+    return [(b.ell, b.r, b.ell, b.index(n_max)), ("E_1^r", b.table, n_max)]
+
+
 @timed
 def bridge_congruence_check(bridge: str, n_max: int) -> VerificationReport:
     """Congruence between a multipartition series and a coefficient table."""
@@ -281,6 +308,16 @@ SCALINGS = {
 }
 
 
+def _scaling_order(b: Bridge, p: int, n_max: int) -> int:
+    """The last index the scaling at p reads: index(p^2 n_max + shift (p^2 - 1) / scale)."""
+    return b.index(p * p * n_max + b.form.shift * (p * p - 1) // b.form.scale)
+
+
+def scaling_reads(which: str, p: int, n_max: int) -> list[tuple]:
+    b = BRIDGES[SCALINGS[which][0]]
+    return [(b.ell, b.r, b.ell, _scaling_order(b, p, n_max))]
+
+
 @timed
 def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:
     """a(pn) = -chi(p) p^(w-1) a(n/p) of the bridge's eta power, at an inert p != ell, read through the bridge:
@@ -290,7 +327,7 @@ def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationRepo
     if not form.inert(p) or p == m:
         raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0, p != {m}")
     shift = form.shift * (p * p - 1) // form.scale
-    s = cached_regular_series(m, b.r, m, b.index(p * p * n_max + shift))
+    s = cached_regular_series(m, b.r, m, _scaling_order(b, p, n_max))
     lhs, rhs = Term(s, b.step * p * p, b.index(shift)), Term(s, b.step, b.offset, -form.hecke_factor(p))
     report = VerificationReport(id=f"scaling.{which}.p{p}", params_swept={"p": p, "n_max": n_max})
     return check_relation(report, Relation((lhs,), (rhs,), n_max, modulus=m, numbered=False))

@@ -19,7 +19,9 @@ non-empty list of integers.  Each subformula of an accepted index is A*n + B,
 and a division exact at n = 0 and n = 1 divides B and A, so it is exact at
 every n.  A grid point is thus resolved once, to offset = index(n=0) and
 stride = index(n=1) - offset (below 1 raises ValueError), and the sweep
-reads the slice s[offset::stride] without evaluating a formula per n.
+reads the slice s[offset::stride] without evaluating a formula per n, of the
+series read to min(order, offset + stride n_max): the read ``point_read``
+declares for the suite's plan (``family_reads``).
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
 ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
@@ -51,6 +53,7 @@ from .series import cached_regular_series
 
 ORACLE_CROSSCHECK_LIMIT = 300
 PRIMES_PER_FAMILY = 2  # smallest admissible primes swept per t
+HYPOTHESIS_P_MAX = 100  # Theorem 2's search scans the primes up to this
 
 
 class UnknownFamilyError(KeyError):
@@ -279,6 +282,21 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
     return grid
 
 
+def point_read(family: CongruenceFamily, point: GridPoint, budget: GridBudget) -> tuple:
+    """The store read of one grid point: its series to offset + stride n_max, the last index its sweep reads."""
+    last = min(budget.order, point.offset + point.stride * budget.n_max)
+    return (family.ell, family.r_value(point.t), family.modulus, last)
+
+
+def family_reads(family: CongruenceFamily, budget: GridBudget, grid: Optional[ParameterGrid] = None) -> list[tuple]:
+    """The store reads verify_family(family, budget, grid) makes."""
+    if family.kind == "thm2":
+        return _thm2_reads(family.part, budget)
+    if grid is None:
+        grid = generate_grid(family, budget)
+    return [point_read(family, point, budget) for point in grid.points]
+
+
 @timed
 def verify_family(
     family: CongruenceFamily,
@@ -297,10 +315,10 @@ def verify_family(
     sub_primes = [] if _is_prime(m) else [p for p in primes_upto(m) if m % p == 0]
     oracle = cache(lambda r: regular_multipartition_counts(family.ell, r, ORACLE_CROSSCHECK_LIMIT).values)
     for point in grid.points:
-        r = family.r_value(point.t)
-        s = cached_regular_series(family.ell, r, m, budget.order)
+        ell, r, _, last = point_read(family, point, budget)
+        s = cached_regular_series(ell, r, m, last)
         where = {"t": point.t, "primes": point.primes, "j": point.j, "alpha": point.alpha}
-        sweep = s.data[point.offset : budget.order + 1 : point.stride][: budget.n_max + 1]
+        sweep = s.data[point.offset :: point.stride]
         # a violation needs a nonzero coefficient or an index the oracle cross-checks
         crosschecked = max(0, (ORACLE_CROSSCHECK_LIMIT - point.offset) // point.stride + 1)
         for n in sorted(set(range(min(len(sweep), crosschecked))).union(np.flatnonzero(sweep).tolist())):
@@ -344,6 +362,40 @@ def _newman(bridge: Bridge, p: int) -> NewmanParams:
     return NewmanParams(bridge.table, p)
 
 
+def _admitted(bridge: Bridge, p_max: int) -> list[NewmanParams]:
+    """Newman's parameters at each prime up to p_max that the part admits."""
+    admitted = []
+    for p in primes_upto(p_max):
+        try:
+            admitted.append(_newman(bridge, p))
+        except ValueError:
+            continue
+    return admitted
+
+
+def _unconditional_order(bridge: Bridge, params: NewmanParams, n_max: int) -> int:
+    return bridge.index(params.p**4 * n_max + params.delta4)
+
+
+def _search_order(bridge: Bridge, p_max: int) -> int:
+    """Covers index(d) for d = k(p-1)/24 at every p <= p_max."""
+    return max(bridge.index(bridge.table * (p_max - 1) // 24), 64)
+
+
+def _thm2_reads(part: str, budget: GridBudget) -> list[tuple]:
+    """The store reads of verify_thm2: each unconditional check's and the search's, and a conclusion's.
+
+    Which primes the search finds depends on the series, so the conclusion's read, to budget.order, is
+    declared when any admitted prime's first conclusion index lies within the budget.
+    """
+    b = _thm2_bridge(part)
+    orders = [_unconditional_order(b, _newman(b, p), n_max) for p, n_max in THM2_PARTS[part][1].items()]
+    orders.append(_search_order(b, HYPOTHESIS_P_MAX))
+    if any(b.index(params.delta4) <= budget.order for params in _admitted(b, HYPOTHESIS_P_MAX)):
+        orders.append(budget.order)
+    return [(b.ell, b.r, b.ell, order) for order in orders]
+
+
 @timed
 def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationReport:
     """Three-term relation behind the conditional scaling statement.
@@ -354,7 +406,7 @@ def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationRepo
     """
     b = _thm2_bridge(part)
     params = _newman(b, p)
-    s = cached_regular_series(b.ell, b.r, b.ell, b.index(p**4 * n_max + params.delta4))
+    s = cached_regular_series(b.ell, b.r, b.ell, _unconditional_order(b, params, n_max))
     A = b.factor * s[b.index(params.delta)] % b.ell
     lhs, rhs = four_step(lambda k, c, x: Term(s, b.step * k, b.index(c), b.factor * x), params, A)
     report = VerificationReport(id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max})
@@ -366,17 +418,12 @@ def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 200
     """Scan for primes satisfying the conditional hypothesis; verify any hits."""
     bridge = _thm2_bridge(part)
     report = VerificationReport(id=f"thm2.{part}.search", params_swept={"p_max": p_max})
-    order = max(bridge.index(bridge.table * (p_max - 1) // 24), 64)  # covers d = k(p-1)/24 for every p <= p_max
-    s = cached_regular_series(bridge.ell, bridge.r, bridge.ell, order)
+    s = cached_regular_series(bridge.ell, bridge.r, bridge.ell, _search_order(bridge, p_max))
     found: list[int] = []
-    for p in primes_upto(p_max):
-        try:
-            params = _newman(bridge, p)
-        except ValueError:
-            continue
+    for params in _admitted(bridge, p_max):
         report.indices_checked += 1
         if s[bridge.index(params.delta)] == 0:
-            found.append(p)
+            found.append(params.p)
     report.params_swept["hypothesis_primes"] = found
     verified_any = False
     for p in found:
@@ -412,7 +459,7 @@ def verify_thm2(family: CongruenceFamily, budget: GridBudget) -> VerificationRep
     report = VerificationReport(id=f"family.{family.id}", params_swept={"primes": list(caps)})
     for p, n_max in caps.items():
         report.absorb(verify_thm2_unconditional(part, p, n_max))
-    search = search_hypothesis_primes(part, 100, budget.order)
+    search = search_hypothesis_primes(part, HYPOTHESIS_P_MAX, budget.order)
     report.absorb(search)
     report.notes.extend(search.notes)
     report.params_swept["hypothesis_primes"] = search.params_swept["hypothesis_primes"]

@@ -35,12 +35,33 @@ product of the squares at the set bits of r, and ``cached_regular_series``
 stores it under ``(ell, r, m)``; ``cached_e1_power`` stores E_1^r, built the
 same way, under ``("E_1^r", r)``.  ``eta_quotient(scale, e, order)``, the
 power eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e
-from there.
+from there, to the order ``eta_read`` gives.
+
+A suite run plans the store's reads before any check runs.  Each check
+declares its reads, ``(ell, r, m, order)`` of ``cached_regular_series`` and
+``("E_1^r", r, order)`` of ``cached_e1_power``, and ``plan`` merges them:
+
+* one modulus M_ell per ell, the lcm of the nonzero moduli read with ell;
+* one target order per store key and per piece under it, the largest order
+  a planned read reaches through it.
+
+Inside ``planned(reads)`` a read of (ell, r, m) with m | M_ell is the stored
+(ell, r, M_ell) reduced mod m, stored under (ell, r, m): Z/M_ell maps onto
+Z/m.  So the moduli of one ell share one build, one base and one inverse.  A
+modulus keeps its own build where M_ell needs a wider dtype than it does, or
+where one row of residues mod M_ell fails ``_float_exact`` at the largest
+order read with ell; then a merged product would cost more than the ones it
+replaces.  A miss builds to the larger of the order asked and the key's
+target, so each key is built once per run, lazily, inside the first check
+that reads it.  Outside a run the plan is empty: a read builds its own
+modulus to the order it asks, as a direct call always does.
 
 Each key has its own lock, held while its series is built.  A build takes
-the locks of the pieces it reads in one order: key, then square k, square
-k - 1, ..., base, then inverse.  Every thread acquires them in that order,
-so two threads never wait on each other in a cycle.
+the locks of the keys it reads in one order: the reduced key (ell, r, m),
+then (ell, r, M_ell), then square k, square k - 1, ..., base, then inverse.
+A reduced key's modulus properly divides the next one's, and every thread
+acquires the rest in that order, so two threads never wait on each other in
+a cycle.
 
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_product``: numpy's float FFT, rounded to integers.
@@ -97,7 +118,8 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
@@ -483,14 +505,77 @@ _longest: dict = {}
 _key_locks: dict = {}
 
 
-def _stored(key, order: int, build) -> TruncatedSeries:
-    """The key's series to order: build(order) if the longest one held is shorter, else its prefix.
+@dataclass(frozen=True)
+class Plan:
+    """A run's store reads, merged: the modulus each ell is built under, and each store key's target order."""
 
-    A build blocks only readers of its own key; setdefault is atomic for the store's tuple keys.
+    moduli: dict = field(default_factory=dict)  # ell -> M_ell, the lcm of the moduli read with ell
+    targets: dict = field(default_factory=dict)  # store key -> the largest order a planned read reaches through it
+
+    def merged(self, ell: int, m: int) -> int:
+        """The modulus a read of (ell, r, m) is built under: M_ell if m divides it in the same dtype, else m."""
+        big = self.moduli.get(ell, m)
+        return big if m and big % m == 0 and _dtype(big) == _dtype(m) else m
+
+
+_plan = Plan()  # the plan of the run in progress; empty outside one
+
+
+def _pieces(key: tuple, merged) -> list:
+    """The store keys a read of key reaches: the key, the merged key, each square down to the base, the inverse."""
+    if key[0] == "E_1^r":
+        return [key] + [("E_1", k) for k in range(key[1].bit_length())]
+    ell, r, m = key
+    big = merged(ell, m)
+    keys = [key] + ([(ell, r, big)] if big != m else [])
+    return keys + [("E_l/E_1", ell, big, k) for k in range(r.bit_length())] + ([("1/E_1", big)] if r else [])
+
+
+def plan(reads) -> Plan:
+    """Merge store reads, (ell, r, m, order) of cached_regular_series and ("E_1^r", r, order) of cached_e1_power.
+
+    Each ell's nonzero moduli merge into their lcm M_ell, unless one row of M_ell's residues fails
+    _float_exact at the largest order read with ell; a modulus that does not share M_ell's dtype keeps its own.
+    """
+    longest: dict = {}  # store key -> the largest order read
+    for read in reads:
+        longest[read[:-1]] = max(longest.get(read[:-1], 0), read[-1])
+    moduli = {}
+    for ell in {key[0] for key in longest if key[0] != "E_1^r"}:
+        own = [(key[2], order) for key, order in longest.items() if key[0] == ell and key[2]]
+        if own:
+            big, n = math.lcm(*(m for m, _ in own)), max(order for _, order in own) + 1
+            if _float_exact(big // 2, big // 2, big - 1, big - 1, n, n):
+                moduli[ell] = big
+    merged = Plan(moduli).merged
+    targets: dict = {}
+    for key, order in longest.items():
+        for piece in _pieces(key, merged):
+            targets[piece] = max(targets.get(piece, 0), order)
+    return Plan(moduli, targets)
+
+
+@contextmanager
+def planned(reads):
+    """Serve the store's reads inside the block by plan(reads); one plan at a time per process."""
+    global _plan
+    outer, _plan = _plan, plan(reads)
+    try:
+        yield _plan
+    finally:
+        _plan = outer
+
+
+def _stored(key, order: int, build) -> TruncatedSeries:
+    """The key's series to order: built if the longest one held is shorter, else its prefix.
+
+    A miss builds to the larger of order and the key's target in the plan, so that every planned read
+    of the key finds it built.  A build blocks only readers of its own key; setdefault is atomic for
+    the store's tuple keys.
     """
     with _key_locks.setdefault(key, threading.Lock()):
         if key not in _longest or _longest[key].order < order:
-            _longest[key] = build(order)
+            _longest[key] = build(max(order, _plan.targets.get(key, order)))
         return truncate(_longest[key], order)
 
 
@@ -528,13 +613,28 @@ def regular_quotient(ell: int, r: int, order: int, modulus: int = 0) -> Truncate
 
 
 def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
-    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus)."""
-    return _stored((ell, r, modulus), order, lambda n: regular_quotient(ell, r, n, modulus))
+    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus).
+
+    Where the plan merges modulus into M = M_ell, the key is the stored (ell, r, M) reduced mod modulus.
+    """
+    big = _plan.merged(ell, modulus)
+
+    def build(n: int) -> TruncatedSeries:
+        if big == modulus:
+            return regular_quotient(ell, r, n, modulus)
+        return TruncatedSeries(Zmod(modulus), cached_regular_series(ell, r, big, n).data % modulus)
+
+    return _stored((ell, r, modulus), order, build)
 
 
 def cached_e1_power(r: int, order: int) -> TruncatedSeries:
     """E_1^r over Z, stored under ("E_1^r", r) and built from the stored squares of E_1."""
     return _stored(("E_1^r", r), order, lambda n: _power(("E_1",), r, n, partial(euler_E, 1), ZZ))
+
+
+def eta_read(scale: int, exponent: int, order: int) -> tuple:
+    """The store read eta_quotient(scale, exponent, order) makes: E_1^exponent to the last term below order."""
+    return ("E_1^r", exponent, max((order - scale * exponent // 24) // scale, 0))
 
 
 def eta_quotient(scale: int, exponent: int, order: int) -> TruncatedSeries:
@@ -547,5 +647,6 @@ def eta_quotient(scale: int, exponent: int, order: int) -> TruncatedSeries:
     shift = scale * exponent // 24
     a = [0] * (order + 1)
     terms = len(a[shift::scale])
-    a[shift::scale] = cached_e1_power(exponent, max(terms - 1, 0)).coeffs[:terms]
+    _, _, n = eta_read(scale, exponent, order)
+    a[shift::scale] = cached_e1_power(exponent, n).coeffs[:terms]
     return TruncatedSeries(ZZ, a)

@@ -1,24 +1,26 @@
 """Full verification suite: every identity, recurrence, bridge, and family.
 
-``_checks`` is the list of checks: a table from each check id to a
-zero-argument call, built from the rows of ``dissections``, ``coefficients``
-and the family registry.  Its key is the report id: ``run_suite`` stamps each
-report with its key and sorts the report by id, so two runs differ only in
-timing fields.
+``_checks`` is the list of checks: a table from each check id to a ``Check``,
+a zero-argument call and the store reads it declares, built from the rows of
+``dissections``, ``coefficients`` and the family registry.  Its key is the
+report id: ``run_suite`` stamps each report with its key and sorts the report
+by id, so two runs differ only in timing fields.  Before any check runs,
+``run_suite`` lists the reads of every selected check and runs them all under
+their plan (``series.planned``), so that the store builds each key once.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from typing import Callable, Optional
+from functools import cache, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import coefficients as co
 from . import dissections, families, oracle
 from .report import FAIL, PASS, VACUOUS, VerificationReport, aggregate, timed
-from .series import Zmod, euler_E, power, regular_quotient
+from .series import Zmod, euler_E, planned, power, regular_quotient
 
 REPORT_VERSION = 1
 
@@ -92,6 +94,15 @@ def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
     return report
 
 
+def oracle_equivalence_reads(n_max: int) -> list[tuple]:
+    """The reads of the stored pieces each quotient over Z is built from; the quotients themselves are not stored."""
+    return [(ell, r, 0, n_max) for ell, r in ORACLE_PAIRS]
+
+
+def eigenvalue_vanishing_reads(n_max: int) -> list[tuple]:
+    return [read for form in co.FORMS.values() if form.eigenform for read in co.eta_table_reads(form, n_max)]
+
+
 @timed
 def check_eigenvalue_vanishing(n_max: int = 200) -> VerificationReport:
     """a(p) = 0 at every inert prime p <= 200 for the two eigenform powers."""
@@ -110,19 +121,51 @@ def check_eigenvalue_vanishing(n_max: int = 200) -> VerificationReport:
 DUAL_CONDITION_PRIMES = (11, 23)  # the smallest primes = 11 (mod 12)
 
 
-def check_thm3_iii_dual_condition(budget: families.GridBudget) -> VerificationReport:
-    """Primes meeting both stated and proof-side conditions (11 mod 12)."""
+def _dual_condition_grid(budget: families.GridBudget) -> families.ParameterGrid:
     fam = families.get_family("thm3.iii")
-    grid = families.progression_grid(fam, budget.order, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
-    report = families.verify_family(fam, budget, grid=grid)
+    return families.progression_grid(fam, budget.order, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
+
+
+def check_thm3_iii_dual_condition(
+    budget: families.GridBudget, grid: Optional[families.ParameterGrid] = None
+) -> VerificationReport:
+    """Primes meeting both stated and proof-side conditions (11 mod 12), over _dual_condition_grid(budget)."""
+    fam = families.get_family("thm3.iii")
+    report = families.verify_family(fam, budget, grid=grid if grid is not None else _dual_condition_grid(budget))
     report.notes.append(
         "stated condition is 3 mod 4 but the proof route needs 2 mod 3; this sweep uses primes meeting both"
     )
     return report
 
 
-def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], VerificationReport]]:
-    """The suite's checks, report id -> zero-argument call, each built from the row that states it.
+class Check(NamedTuple):
+    """A zero-argument check, and a zero-argument call that lists the store reads the check makes."""
+
+    run: Callable[[], VerificationReport]
+    reads: Callable[[], list] = list
+
+    def __call__(self) -> VerificationReport:
+        return self.run()
+
+
+def _declared(check: Callable[..., VerificationReport], reads: Callable[..., list], *args) -> Check:
+    """check(*args), which makes the store reads that reads(*args) lists."""
+    return Check(partial(check, *args), partial(reads, *args))
+
+
+def _family_check(
+    family: families.CongruenceFamily,
+    budget: families.GridBudget,
+    make_grid: Callable[[], Optional[families.ParameterGrid]],
+    verify: Callable[[Optional[families.ParameterGrid]], VerificationReport],
+) -> Check:
+    """verify(grid), which reads what family_reads(family, budget, grid) lists, over one grid made once for both."""
+    grid, reads = cache(make_grid), families.family_reads
+    return Check(lambda: verify(grid()), lambda: reads(family, budget, grid()))
+
+
+def _checks(budget: families.GridBudget, registry) -> dict[str, Check]:
+    """The suite's checks, report id -> Check, each built from the row that states it.
 
     Each check function is read through its module when the table is built, so
     a table built per run calls whatever that attribute holds at the time.
@@ -130,37 +173,50 @@ def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], Ver
     order, short, medium = budget.order, min(budget.order, 1000), min(budget.order, 1500)
     pairs = co.admissible_newman_pairs(13)
 
-    def over(check_id, swept, check, cases):
-        """One report over check(*case) for each case; the generator runs inside aggregate's timing."""
-        return {check_id: lambda: aggregate(check_id, swept, (check(*case) for case in cases))}
+    def over(check_id, swept, check, cases, reads):
+        """One report over check(*case) for each case, which reads what reads(*case) lists.
+
+        The generator runs inside aggregate's timing.
+        """
+        return {check_id: Check(lambda: aggregate(check_id, swept, (check(*case) for case in cases)),
+                                lambda: [read for case in cases for read in reads(*case)])}
+
+    def eta_table(form, p, n_max):
+        return co.eta_table_reads(form, n_max)
 
     checks = {
-        "frobenius": partial(check_frobenius, short),
-        "oracle.equivalence": partial(check_oracle_equivalence, 300),
-        "oracle.enumeration": partial(check_oracle_enumeration, 20),
-        "vanishing.prime_coefficients": partial(check_eigenvalue_vanishing, 200),
-        "family.thm3.iii.dualcondition": partial(check_thm3_iii_dual_condition, budget),
+        "frobenius": Check(partial(check_frobenius, short)),
+        "oracle.equivalence": _declared(check_oracle_equivalence, oracle_equivalence_reads, 300),
+        "oracle.enumeration": Check(partial(check_oracle_enumeration, 20)),
+        "vanishing.prime_coefficients": _declared(check_eigenvalue_vanishing, eigenvalue_vanishing_reads, 200),
+        "family.thm3.iii.dualcondition": _family_check(families.get_family("thm3.iii"), budget,
+                                                       partial(_dual_condition_grid, budget),
+                                                       partial(check_thm3_iii_dual_condition, budget)),
         **over("newman.recurrence", {"n_max": order, "pairs": [[p.r, p.p] for p in pairs]},
-               co.newman_check, [(p, order) for p in pairs]),
+               co.newman_check, [(p, order) for p in pairs], co.newman_reads),
         **over("newman.fourstep", {"cases": [list(c) for c in FOUR_STEP_CASES]},
-               co.newman_four_step, [(r, p, order) for r, p in FOUR_STEP_CASES]),
+               co.newman_four_step, [(r, p, order) for r, p in FOUR_STEP_CASES], co.newman_four_step_reads),
     }
     for name in dissections.IDENTITY_IDS:
-        checks[f"identity.{name}"] = partial(dissections.verify_dissection, name, short)
+        checks[f"identity.{name}"] = Check(partial(dissections.verify_dissection, name, short))
     for form in co.FORMS.values():
-        checks[f"support.{form.id}"] = partial(co.support_check, form, order)
+        checks[f"support.{form.id}"] = _declared(co.support_check, co.eta_table_reads, form, order)
         primes = co.smallest_primes(form.inert, 3)
         checks |= over(f"vanishing.{form.id}", {"primes": primes},
-                       co.vanishing_consequence_check, [(form, p, medium) for p in primes])
+                       co.vanishing_consequence_check, [(form, p, medium) for p in primes], eta_table)
         if form.eigenform:
             checks |= over(f"hecke.{form.id}", {"n_max": medium},
-                           co.hecke_eigen_check, [(form, p, medium) for p in co.primes_upto(13)])
+                           co.hecke_eigen_check, [(form, p, medium) for p in co.primes_upto(13)], eta_table)
     for name, row in co.BRIDGES.items():
-        checks[f"bridge.{name}"] = partial(co.bridge_congruence_check, name, (order - row.offset) // row.step)
+        n_max = (order - row.offset) // row.step
+        checks[f"bridge.{name}"] = _declared(co.bridge_congruence_check, co.bridge_reads, name, n_max)
     for name, (_, p, n_max) in co.SCALINGS.items():
-        checks[f"scaling.{name}"] = partial(co.scaling_congruence_check, name, p, n_max)
+        checks[f"scaling.{name}"] = _declared(co.scaling_congruence_check, co.scaling_reads, name, p, n_max)
     for fid, family in registry.items():
-        checks[f"family.{fid}"] = partial(families.verify_family, family, budget)
+        # Theorem 2's families sweep no grid
+        make_grid = partial(families.generate_grid, family, budget) if family.kind == "progression" else lambda: None
+        verify = partial(families.verify_family, family, budget)
+        checks[f"family.{fid}"] = _family_check(family, budget, make_grid, verify)
     return checks
 
 
@@ -184,7 +240,9 @@ def run_suite(
     """Run selected checks (all by default); aggregate a JSON-ready report sorted by id."""
     checks = _checks(budget, registry or families.default_registry())
     tasks = {cid: _build_check(cid, checks) for cid in sorted(set(check_ids or checks))}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    # every read merged before any check runs; the checks still build what they read, each key once
+    reads = [read for cid in tasks for read in checks[cid].reads()]
+    with planned(reads), ThreadPoolExecutor(max_workers=jobs) as pool:
         # one job runs on the calling thread, where a profiler or tracer of that thread sees the work
         run = map if jobs == 1 else pool.map
         reports = dict(zip(tasks, run(lambda fn: fn(), tasks.values())))

@@ -60,3 +60,22 @@ def builds(monkeypatch):
     monkeypatch.setattr(series_module, "_longest", {})
     monkeypatch.setattr(series_module, "_key_locks", {})
     return log
+
+
+@pytest.fixture
+def past_plan(monkeypatch):
+    """The (key, order, target) of every store read past its key's target in the plan of the run in progress.
+
+    Outside a run the plan is empty and no read is recorded.  A check that reads more than it declares shows here.
+    """
+    past = []
+    real = series_module._stored
+
+    def stored(key, order, build):
+        plan = series_module._plan
+        if plan.targets and order > plan.targets.get(key, -1):
+            past.append((key, order, plan.targets.get(key)))
+        return real(key, order, build)
+
+    monkeypatch.setattr(series_module, "_stored", stored)
+    return past

@@ -428,6 +428,11 @@ def test_negative_count_exits_usage(capsys, argv):
         (("coeff", "--ell", "3", "--r", "0", "--n", "4"), "--r"),
         (("oracle", "--ell", "3", "--r", "-1", "--n", "4"), "--r"),
         (("suite", "--all", "--only", "frobenius"), "--only"),
+        (("coeff", "--profile", "3", "--ell", "5", "--r", "2", "--n", "4"), "--profile"),
+        (("oracle", "--profile", "3,5", "--r", "2", "--n", "4"), "--profile"),
+        (("coeff", "--profile", "3", "--ell", "5", "--n", "4"), "--profile"),
+        (("coeff", "--ell", "3", "--r", "2", "--n", "4", "--n-max", "10"), "--n-max"),
+        (("oracle", "--profile", "3,3", "--n", "4", "--n-max", "10"), "--n-max"),
     ],
 )
 def test_bad_argument_exits_usage(capsys, argv, flag):

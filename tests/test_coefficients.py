@@ -235,6 +235,19 @@ def test_vanishing_eta6_p3_direct():
             assert a[3 * n] == 0
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 25])
+def test_non_prime_p_is_rejected(p):
+    # each relation holds only at primes; at p = 25, 24 | 24 (p - 1) would admit Newman's parameters otherwise
+    with pytest.raises(ValueError, match="prime"):
+        co.NewmanParams(24, p)
+    with pytest.raises(ValueError, match="prime"):
+        co.newman_four_step(24, p, 200)
+    with pytest.raises(ValueError, match="prime"):
+        co.hecke_eigen_check(co.ETA8_3Z, p, 200)
+    with pytest.raises(ValueError, match="prime"):
+        co.vanishing_consequence_check(co.ETA8_3Z, p, 200)
+
+
 def test_vanishing_precondition_errors():
     with pytest.raises(ValueError):
         co.vanishing_consequence_check(co.ETA8_3Z, 7, 100)  # 7 = 1 mod 3

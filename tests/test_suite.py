@@ -58,7 +58,7 @@ def test_one_job_runs_the_checks_on_the_calling_thread(jobs, monkeypatch):
         threads.append(threading.get_ident())
         return suite.VerificationReport(id=name)
 
-    monkeypatch.setattr(suite, "_checks", lambda budget, registry: {c: partial(check, c) for c in ("a", "b", "c")})
+    monkeypatch.setattr(suite, "_checks", lambda budget, registry: {c: suite.Check(partial(check, c)) for c in "abc"})
     report = run_suite(None, GridBudget(400, 400), jobs=jobs)
     assert [c["id"] for c in report["checks"]] == ["a", "b", "c"]
     assert len(threads) == 3 and (set(threads) == {threading.get_ident()}) == (jobs == 1)
