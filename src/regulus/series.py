@@ -119,7 +119,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
@@ -505,12 +505,14 @@ _longest: dict = {}
 _key_locks: dict = {}
 
 
-@dataclass(frozen=True)
 class Plan:
     """A run's store reads, merged: the modulus each ell is built under, and each store key's target order."""
 
-    moduli: dict = field(default_factory=dict)  # ell -> M_ell, the lcm of the moduli read with ell
-    targets: dict = field(default_factory=dict)  # store key -> the largest order a planned read reaches through it
+    __slots__ = ("moduli", "targets")
+
+    def __init__(self, moduli: dict | None = None, targets: dict | None = None) -> None:
+        self.moduli = moduli or {}  # ell -> M_ell, the lcm of the moduli read with ell
+        self.targets = targets or {}  # store key -> the largest order a planned read reaches through it
 
     def merged(self, ell: int, m: int) -> int:
         """The modulus a read of (ell, r, m) is built under: M_ell if m divides it in the same dtype, else m."""
