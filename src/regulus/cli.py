@@ -2,14 +2,12 @@
 
 Exit codes: 0 all-pass, 1 mathematical violation, 2 usage or config error
 (and any unexpected crash), 3 vacuous or skipped result under --strict.
-REGULUS_BUDGET_N overrides the default series order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 from functools import reduce
@@ -25,22 +23,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_VACUOUS = 3
 
-# the smallest series order accepted from --order or REGULUS_BUDGET_N
-MIN_ORDER = 64
-
-
-def _default_order() -> int:
-    raw = os.environ.get("REGULUS_BUDGET_N")
-    if raw is None:
-        return 2000
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value < MIN_ORDER:
-        print(f"REGULUS_BUDGET_N must be an integer >= {MIN_ORDER}, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return value
+MIN_ORDER = 64  # the smallest series order --order accepts
 
 
 def _profile_bounds(text: str) -> tuple[int, ...]:
@@ -207,11 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identity", help="verify a dissection identity")
     p_ident.add_argument("--name", required=True)
-    p_ident.add_argument("--order", type=int, default=_default_order())
+    p_ident.add_argument("--order", type=int, default=2000)
     p_ident.set_defaults(func=cmd_identity)
 
     def report_args(p):
-        p.add_argument("--order", type=int, default=_default_order())
+        p.add_argument("--order", type=int, default=2000)
         p.add_argument("--n-max", dest="n_max", type=int, default=2000)
         p.add_argument("--report", type=str)
         p.add_argument("--format", choices=("json", "markdown"), default="json")
@@ -272,7 +255,6 @@ def _argument_problem(args) -> str | None:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads REGULUS_BUDGET_N, which may reject its value
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already

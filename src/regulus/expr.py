@@ -6,9 +6,6 @@ is exact integer division and raises if the quotient is not an integer;
 a non-exact division signals a transcription bug or an inadmissible
 parameter combination.
 
-``evaluate`` compiles each formula text once into a tree of closures and
-caches it, so a sweep over many parameter points walks no syntax tree.
-
 ``degree`` reads a formula's degree in one symbol without evaluating it, and
 rejects the symbol under ``**`` or in a divisor, where it would make the
 formula no polynomial in that symbol.
@@ -17,9 +14,7 @@ formula no polynomial in that symbol.
 from __future__ import annotations
 
 import ast
-import operator
 from functools import lru_cache
-from typing import Callable
 
 
 class ExpressionError(ValueError):
@@ -40,8 +35,12 @@ def _parse(text: str) -> ast.expr:
 
 
 def evaluate(text: str, env: dict[str, int]) -> int:
-    """Evaluate an index formula over integer-valued symbols."""
-    return _compile(text)(env)
+    """Evaluate an index formula over integer-valued symbols.
+
+    Every error is raised where a left-to-right walk of the formula reaches
+    its node.
+    """
+    return _evaluate(_parse(text), env, text)
 
 
 def _literal(node: ast.Constant, text: str) -> int:
@@ -50,85 +49,40 @@ def _literal(node: ast.Constant, text: str) -> int:
     return node.value
 
 
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
-
-_Compiled = Callable[[dict[str, int]], int]
-
-
-@lru_cache(maxsize=None)
-def _compile(text: str) -> _Compiled:
-    """The formula as a closure of env, built once per text.
-
-    Every error is raised when the closure reaches the offending node, in the
-    left-to-right order a recursive evaluation would reach it, never at compile
-    time.
-    """
-    return _closure(_parse(text), text)
-
-
-def _fail(message: str) -> _Compiled:
-    def fail(env: dict[str, int]) -> int:
-        raise ExpressionError(message)
-
-    return fail
-
-
-def _closure(node: ast.expr, text: str) -> _Compiled:
-    if isinstance(node, ast.Constant):
-        try:
-            value = _literal(node, text)
-        except ExpressionError as exc:
-            return _fail(str(exc))
-        return lambda env: value
-    if isinstance(node, ast.Name):
-        name = node.id
-
-        def symbol(env: dict[str, int]) -> int:
-            try:
-                return env[name]
-            except KeyError as exc:
-                raise ExpressionError(f"unknown symbol {name!r} in {text!r}") from exc
-
-        return symbol
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand = _closure(node.operand, text)
-        return lambda env: -operand(env)
-    if not isinstance(node, ast.BinOp):
-        return _fail(f"unsupported construct in {text!r}")
-    left = _closure(node.left, text)
-    right = _closure(node.right, text)
-    op = type(node.op)
-    if op in _OPERATORS:
-        apply = _OPERATORS[op]
-        return lambda env: apply(left(env), right(env))
-    if op in (ast.Div, ast.FloorDiv):
-
-        def divide(env: dict[str, int]) -> int:
-            dividend, divisor = left(env), right(env)
-            if divisor == 0:
+def _evaluate(node: ast.expr, env: dict[str, int], text: str) -> int:
+    # exact type tests, the most frequent node first: a sweep resolves every grid point through here
+    kind = type(node)
+    if kind is ast.BinOp:
+        left = _evaluate(node.left, env, text)
+        right = _evaluate(node.right, env, text)
+        op = type(node.op)
+        if op is ast.Add:
+            return left + right
+        if op is ast.Sub:
+            return left - right
+        if op is ast.Mult:
+            return left * right
+        if op is ast.Div or op is ast.FloorDiv:
+            if right == 0:
                 raise NonExactDivisionError(f"division by zero in {text!r}")
-            quotient, remainder = divmod(dividend, divisor)
+            quotient, remainder = divmod(left, right)
             if remainder:
-                raise NonExactDivisionError(f"{dividend} / {divisor} is not exact in {text!r}")
+                raise NonExactDivisionError(f"{left} / {right} is not exact in {text!r}")
             return quotient
-
-        return divide
-    if op is ast.Pow:
-
-        def raise_to(env: dict[str, int]) -> int:
-            base, exponent = left(env), right(env)
-            if exponent < 0:
+        if op is ast.Pow:
+            if right < 0:
                 raise ExpressionError(f"negative exponent in {text!r}")
-            return base**exponent
-
-        return raise_to
-
-    def unsupported(env: dict[str, int]) -> int:
-        left(env)
-        right(env)
-        raise ExpressionError(f"unsupported construct in {text!r}")
-
-    return unsupported
+            return left**right
+    elif kind is ast.Name:
+        try:
+            return env[node.id]
+        except KeyError as exc:
+            raise ExpressionError(f"unknown symbol {node.id!r} in {text!r}") from exc
+    elif kind is ast.Constant:
+        return _literal(node, text)
+    elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return -_evaluate(node.operand, env, text)
+    raise ExpressionError(f"unsupported construct in {text!r}")
 
 
 def symbols_used(text: str) -> set[str]:

@@ -8,8 +8,9 @@ run time, so new families need no code changes.
 
 Every progression index is affine in n.  ``load_registry`` raises ValueError
 for an entry it cannot resolve: an id that is not a lowercase string, an ell
-or modulus that is not an integer >= 2, an index or r that is not a string,
-an index with another symbol, with n under ``**`` or in a divisor, or of
+or modulus that is not an integer >= 2, a kind, index, r, part or note that
+is not a string, a j that is neither a string nor null, an index with another
+symbol, with n under ``**`` or in a divisor, or of
 degree in n other than 1, an ``r`` formula in any symbol but t, an unknown
 kind or ``j`` constraint, a ``j`` constraint without primes, a thm2 part that
 is unknown or whose ell, r or modulus is not its bridge's, primes that are
@@ -18,10 +19,14 @@ or whose exclude is not a list of integers, and an alpha that is not a
 non-empty list of integers.  Each subformula of an accepted index is A*n + B,
 and a division exact at n = 0 and n = 1 divides B and A, so it is exact at
 every n.  A grid point is thus resolved once, to offset = index(n=0) and
-stride = index(n=1) - offset (below 1 raises ValueError), and the sweep
-reads the slice s[offset::stride] without evaluating a formula per n, of the
-series read to min(order, offset + stride n_max): the read ``point_read``
-declares for the suite's plan (``family_reads``).
+stride = index(n=1) - offset, and the pair is cached by (index, t, j, alpha,
+primes).  ``family_index`` returns offset + stride n from that pair, so it
+evaluates no formula after a point's first call, and a division exact at
+n = 0 but not at n = 1, as in (n + 4)/4, raises NonExactDivisionError at
+every n, n = 0 included.  ``progression_grid`` reads the same pair (a stride
+below 1 raises ValueError), and the sweep reads the slice s[offset::stride],
+of the series read to min(order, offset + stride n_max): the read
+``point_read`` declares for the suite's plan (``family_reads``).
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
 ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
@@ -96,9 +101,11 @@ def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:
         # JSON true loads as a bool, which isinstance(..., int) would admit
         if type(d[key]) is not int or d[key] < 2:
             raise ValueError(f"family {d['id']}: {key} must be an integer >= 2, got {d[key]!r}")
-    for key in ("index", "r"):
+    for key in ("kind", "index", "r", "part", "note"):
         if not isinstance(d.get(key, ""), str):
             raise ValueError(f"family {d['id']}: {key} must be a string, got {d[key]!r}")
+    if not isinstance(d.get("j", ""), (str, type(None))):
+        raise ValueError(f"family {d['id']}: j must be a string or null, got {d['j']!r}")
     p = d.get("primes")
     if p is not None and not isinstance(p, dict):
         raise ValueError(f"family {d['id']}: primes must be an object, got {p!r}")
@@ -194,6 +201,24 @@ def get_family(family_id: str, registry: Optional[dict] = None) -> CongruenceFam
         raise UnknownFamilyError(family_id) from exc
 
 
+def index_env(n: int, t: int, j: int, alpha: int, primes: tuple[int, ...]) -> dict[str, int]:
+    """The symbols an index formula reads at one n of one parameter point."""
+    env: dict[str, int] = {"n": n, "t": t, "j": j, "alpha": alpha}
+    if primes:
+        env |= {f"p{i}": p for i, p in enumerate(primes, start=1)}
+        env["P"] = math.prod(p * p for p in primes)
+        env["Q"] = env["P"] // primes[-1] ** 2
+        env["pl"] = primes[-1]
+    return env
+
+
+@cache
+def _resolve(index_formula: str, t: int, j: int, alpha: int, primes: tuple[int, ...]) -> tuple[int, int]:
+    """One point's (offset, stride): the index at n = 0, and index(n=1) - offset."""
+    offset = expr.evaluate(index_formula, index_env(0, t, j, alpha, primes))
+    return offset, expr.evaluate(index_formula, index_env(1, t, j, alpha, primes)) - offset
+
+
 def family_index(
     family: CongruenceFamily,
     n: int,
@@ -203,13 +228,8 @@ def family_index(
     primes: tuple[int, ...] = (),
 ) -> int:
     """Exact coefficient index for one parameter point."""
-    env: dict[str, int] = {"n": n, "t": t, "j": j, "alpha": alpha}
-    if primes:
-        env |= {f"p{i}": p for i, p in enumerate(primes, start=1)}
-        env["P"] = math.prod(p * p for p in primes)
-        env["Q"] = env["P"] // primes[-1] ** 2
-        env["pl"] = primes[-1]
-    value = expr.evaluate(family.index_formula, env)
+    offset, stride = _resolve(family.index_formula, t, j, alpha, primes)
+    value = offset + stride * n
     if value < 0:
         raise ValueError(f"negative index {value} for family {family.id}")
     return value
@@ -257,11 +277,12 @@ def progression_grid(family: CongruenceFamily, order: int, candidates: Iterable[
     for t, primes in candidates:
         for j in _J_RESIDUES[family.j_constraint](primes[-1] if primes else 0):
             for alpha in family.alphas or (0,):
-                offset = family_index(family, 0, t, j, alpha, primes)
+                offset, stride = _resolve(family.index_formula, t, j, alpha, primes)
+                if offset < 0:
+                    raise ValueError(f"negative index {offset} for family {family.id}")
                 if offset > order:
                     grid.skipped.append(GridPoint(t, primes, j, alpha, offset))
                     continue
-                stride = family_index(family, 1, t, j, alpha, primes) - offset
                 if stride < 1:
                     where = f"t={t}, primes={primes}, j={j}, alpha={alpha}"
                     raise ValueError(f"family {family.id}: index stride {stride} < 1 at {where}")

@@ -249,6 +249,13 @@ def test_verify_bad_registry_path(capsys):
         # a string excluded nothing (exit 0); an integer crashed with a TypeError
         {"primes": {"count": "one", "residue": 2, "residue_mod": 3, "exclude": "5"}},
         {"primes": {"count": "one", "residue": 2, "residue_mod": 3, "exclude": 5}},
+        # a list where a string belongs: j and a thm2 part crashed as unhashable (internal error), and
+        # a progression's part and a non-string note loaded unread (exit 0)
+        {"part": ["i"]},
+        {"kind": "thm2", "part": ["i"]},
+        {"j": ["coprime"]},
+        {"kind": ["progression"]},
+        {"note": 5},
     ],
     ids=lambda change: ",".join(f"{key}={value}" for key, value in change.items()),
 )
@@ -375,26 +382,6 @@ def test_usage_error_from_argparse(capsys):
         assert code == EXIT_USAGE
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "error:" in err
-
-
-def test_budget_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("REGULUS_BUDGET_N", "12")
-    with pytest.raises(SystemExit):
-        from regulus.cli import _default_order
-
-        _default_order()
-    monkeypatch.setenv("REGULUS_BUDGET_N", "128")
-    from regulus.cli import _default_order
-
-    assert _default_order() == 128
-
-
-def test_bad_budget_env_var_exits_usage(monkeypatch, capsys):
-    for raw in ("abc", "12"):
-        monkeypatch.setenv("REGULUS_BUDGET_N", raw)
-        code, _, err = run(capsys, "suite", "--all")
-        assert code == EXIT_USAGE
-        assert "REGULUS_BUDGET_N" in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,11 @@
 
 import ast
 import itertools
-import math
 
 import pytest
 
 from regulus.expr import ExpressionError, NonExactDivisionError, degree, evaluate, symbols_used
-from regulus.families import default_registry
+from regulus.families import default_registry, index_env
 
 
 def test_basic_arithmetic():
@@ -73,11 +72,11 @@ def test_degree_rejects_non_polynomial_formulas(text):
         degree(text, "n")
 
 
-# --- compiled formulas against a plain recursive evaluator ---
+# --- evaluate against an independent recursive evaluator ---
 
 
 def reference_eval(node, env, text):
-    """A recursive walk of the syntax tree: the evaluator the compiled closures replace."""
+    """A recursive walk of the syntax tree, kept apart from the package's own."""
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, int) or isinstance(node.value, bool):
             raise ExpressionError(f"non-integer literal in {text!r}")
@@ -122,17 +121,6 @@ def outcome(evaluator, text, env):
 
 def reference(text, env):
     return reference_eval(ast.parse(text, mode="eval").body, env, text)
-
-
-def index_env(n, t, j, alpha, primes):
-    """The symbols families.family_index binds."""
-    env = {"n": n, "t": t, "j": j, "alpha": alpha}
-    if primes:
-        env |= {f"p{i}": p for i, p in enumerate(primes, start=1)}
-        env["P"] = math.prod(p * p for p in primes)
-        env["Q"] = env["P"] // primes[-1] ** 2
-        env["pl"] = primes[-1]
-    return env
 
 
 REGISTRY_FORMULAS = sorted(

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from regulus import expr
 from regulus import families as fam
 from regulus import suite
 from regulus.expr import NonExactDivisionError
@@ -19,6 +20,7 @@ from regulus.families import (
     family_index,
     generate_grid,
     get_family,
+    index_env,
     load_registry,
     progression_grid,
     search_hypothesis_primes,
@@ -134,9 +136,17 @@ def test_j_candidates():
 PROGRESSION_IDS = sorted(fid for fid, f in default_registry().items() if f.kind == "progression")
 
 
+def load_probe(tmp_path, index):
+    """A one-family registry with this index, loaded from a file."""
+    path = tmp_path / "registry.json"
+    entry = {"id": "probe", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": index}
+    path.write_text(json.dumps({"families": [entry]}))
+    return load_registry(str(path))["probe"]
+
+
 @pytest.mark.parametrize("grid_id", PROGRESSION_IDS + ["thm3.iii.dualcondition"])
 def test_offset_and_stride_reproduce_family_index(grid_id):
-    # the sweep reads offset + stride*n; family_index evaluates the formula at n
+    # the sweep and family_index read offset + stride*n; the formula itself is evaluated at n
     budget = GridBudget(order=2000)
     if grid_id == "thm3.iii.dualcondition":
         f = get_family("thm3.iii")
@@ -145,11 +155,37 @@ def test_offset_and_stride_reproduce_family_index(grid_id):
         f = get_family(grid_id)
         grid = generate_grid(f, budget)
     for pt in grid.skipped:
-        assert pt.offset == family_index(f, 0, pt.t, pt.j, pt.alpha, pt.primes) > budget.order
+        assert pt.offset == expr.evaluate(f.index_formula, index_env(0, pt.t, pt.j, pt.alpha, pt.primes))
+        assert pt.offset > budget.order
     for pt in grid.points:
         last = min(budget.n_max, (budget.order - pt.offset) // pt.stride)
         for n in (0, 1, 2, last):
-            assert pt.offset + pt.stride * n == family_index(f, n, pt.t, pt.j, pt.alpha, pt.primes)
+            index = expr.evaluate(f.index_formula, index_env(n, pt.t, pt.j, pt.alpha, pt.primes))
+            assert pt.offset + pt.stride * n == index == family_index(f, n, pt.t, pt.j, pt.alpha, pt.primes)
+
+
+def test_family_index_evaluates_a_point_once(monkeypatch):
+    # a formula no other test resolves, so the point's first call below is its first anywhere
+    f = dataclasses.replace(get_family("eq30"), index_formula="2*n + 1 + 0*alpha")
+    calls = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda text, env: calls.append(text) or evaluate(text, env))
+    assert family_index(f, 0, alpha=3) == 1
+    first = len(calls)
+    assert first == 2  # the index at n = 0 and at n = 1
+    assert [family_index(f, n, alpha=3) for n in (1, 5, 0, 1000)] == [3, 11, 1, 2001]
+    assert len(calls) == first
+    assert family_index(f, 2, alpha=4) == 5  # another point resolves on its own
+    assert len(calls) > first
+
+
+def test_point_with_no_exact_stride_raises_at_every_n(tmp_path):
+    # (n + 4)/4 is affine in n and loads, but 4 divides B = 4 and not A = 1, so the point resolves
+    # to no stride: family_index raises at every n, even at n = 4, where 8/4 is exact
+    f = load_probe(tmp_path, "(n + 4)/4")
+    for n in (0, 1, 4):
+        with pytest.raises(NonExactDivisionError):
+            family_index(f, n)
 
 
 def test_sweep_reads_n_up_to_n_max_and_indices_up_to_order():
@@ -162,11 +198,17 @@ def test_sweep_reads_n_up_to_n_max_and_indices_up_to_order():
 
 @pytest.mark.parametrize("index", ["50 - n", "n - n + 5"])
 def test_stride_below_one_is_rejected(tmp_path, index):
-    path = tmp_path / "registry.json"
-    entry = {"id": "down", "kind": "progression", "ell": 5, "r": "9", "modulus": 5, "index": index}
-    path.write_text(json.dumps({"families": [entry]}))
     with pytest.raises(ValueError, match="stride"):
-        generate_grid(load_registry(str(path))["down"], GridBudget(order=100))
+        generate_grid(load_probe(tmp_path, index), GridBudget(order=100))
+
+
+def test_negative_offset_is_rejected(tmp_path):
+    f = load_probe(tmp_path, "n - 3")
+    with pytest.raises(ValueError, match="negative index -3"):
+        generate_grid(f, GridBudget(order=100))
+    assert family_index(f, 3) == 0
+    with pytest.raises(ValueError, match="negative index -1"):
+        family_index(f, 2)
 
 
 def test_grid_reports_skipped_points():
