@@ -91,7 +91,13 @@ class CongruenceFamily:
     part: str = ""
 
     def r_value(self, t: int) -> int:
-        return expr.evaluate(self.r_formula, {"t": t})
+        return _r_value(self.r_formula, t)
+
+
+@cache
+def _r_value(r_formula: str, t: int) -> int:
+    """r at t, evaluated once per (formula, t): every grid point of a family reads it, twice per run."""
+    return expr.evaluate(r_formula, {"t": t})
 
 
 def _family_from_dict(d: dict[str, Any]) -> CongruenceFamily:

@@ -25,43 +25,66 @@ longer order, and serves a shorter one as a prefix, which exact arithmetic
 makes equal to a build at that order.  A builder reads its pieces from the
 store, each under its own key, so that builds sharing a piece build it once:
 
-* ``("1/E_1", m)``: the inverse of E_1 mod m (over Z when m == 0);
+* ``("S", p, a, e1, ea)``: E_1^e1 E_a^ea mod a prime p, one level of a
+  Frobenius chain (a == 1 when ea == 0);
+* ``("E_1^d", p, d)``: a digit power E_1^d mod p, 0 < d < p, for d not a
+  power of 2 (E_1^(2^k) is a square);
+* ``("E_1", m, k)``: E_1^(2^k) mod m, over Z when m == 0, the square of
+  piece k - 1 when k >= 1;
+* ``("1/E_1", m)``: Newton's inverse of E_1 mod m (over Z when m == 0);
 * ``("E_l/E_1", ell, m, k)``: the base E_ell * (1/E_1) mod m when k == 0, and
-  its square base**(2**k), the square of piece k - 1, when k >= 1;
-* ``("E_1", k)``: the same squaring chain over Z on the base E_1.
+  its square base**(2**k), the square of piece k - 1, when k >= 1.
 
-``regular_quotient(ell, r, order, m)`` returns E_ell^r / E_1^r mod m, the
-product of the squares at the set bits of r, and ``cached_regular_series``
-stores it under ``(ell, r, m)``; ``cached_e1_power`` stores E_1^r, built the
-same way, under ``("E_1^r", r)``.  ``eta_quotient(scale, e, order)``, the
-power eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e
-from there, to the order ``eta_read`` gives.
+``regular_quotient(ell, r, order, m)`` returns E_ell^r / E_1^r mod m.  It
+splits m (``_split``) into the primes p | m with p <= order and p**2 not
+dividing m, and the rest of m.  Mod a prime p, f(q)^p = f(q^p) for every
+series f over Z, 1/E_1 included: the cross terms of the p-th power have
+coefficients divisible by p, and c^p = c (Fermat).  With ell = a p^v and p not
+dividing a, E_ell(q) = E_a(q^(p^v)) = E_a^(p^v), so the key mod p is
+S(e1, ea) = E_1^e1 E_a^ea with e1 = -r and ea = r p^v, or E_1^(r (p^v - 1))
+when a == 1 (``_form``).  Splitting off one p-adic digit of each exponent,
+
+    S(e1, ea) = E_1^(e1 mod p) E_a^(ea mod p) S(e1 // p, ea // p)(q^p)  (mod p),
+
+so S to order n reads the next level to order n // p (``_chain``).  Below q^p
+a dilated level is 1, so the chain ends at the first level of order below p.
+A digit power is the product of the stored squares of E_1 mod p at the set
+bits of its digit, stored for every chain that reads it; E_a^d to order n is
+E_1^d to order n // a at q -> q^a.  Each level is a key of its own,
+so chains share their tails.  The division shrinks |e| until an exponent
+reaches 0 or e1 reaches -1, and every -r chain ends in S(-1, 0) = 1/E_1 mod p
+= E_1^(p-1) (1/E_1)(q^p), whose levels one build computes.  No level inverts.
+
+The rest (a prime power, a prime above the order, or all of Z when m == 0)
+keeps the generic build (``_generic``): the product of the stored squares of
+the base at the set bits of r, over Newton's inverse of E_1.  ``_crt`` joins
+the parts by Garner's method: residues X mod M gain t = (x - X) / M mod q for
+a part x mod q, and X + M t < M q <= m, so no entry leaves m's dtype.
+``cached_regular_series`` stores the result under ``(ell, r, m)``;
+``cached_e1_power`` stores E_1^r over Z, the product of its stored squares,
+under ``("E_1^r", r)``.  ``eta_quotient(scale, e, order)``, the power
+eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e from
+there, to the order ``eta_read`` gives.
 
 A suite run plans the store's reads before any check runs.  Each check
 declares its reads, ``(ell, r, m, order)`` of ``cached_regular_series`` and
-``("E_1^r", r, order)`` of ``cached_e1_power``, and ``plan`` merges them:
-
-* one modulus M_ell per ell, the lcm of the nonzero moduli read with ell;
-* one target order per store key and per piece under it, the largest order
-  a planned read reaches through it.
-
-Inside ``planned(reads)`` a read of (ell, r, m) with m | M_ell is the stored
-(ell, r, M_ell) reduced mod m, stored under (ell, r, m): Z/M_ell maps onto
-Z/m.  So the moduli of one ell share one build, one base and one inverse.  A
-modulus keeps its own build where M_ell needs a wider dtype than it does, or
-where one row of residues mod M_ell fails ``_float_exact`` at the largest
-order read with ell; then a merged product would cost more than the ones it
-replaces.  A miss builds to the larger of the order asked and the key's
-target, so each key is built once per run, lazily, inside the first check
-that reads it.  Outside a run the plan is empty: a read builds its own
-modulus to the order it asks, as a direct call always does.
+``("E_1^r", r, order)`` of ``cached_e1_power``, and ``plan`` gives each store
+key a target order: the largest order a planned read reaches through it
+(``_pieces``).  A key read to n reaches each chain level at n, n // p, ...,
+each level's digit powers and their squares at its order (and at its order
+// a for E_a), and the rest's squares and inverse at n.  A miss builds to the larger of the order
+asked and the key's target, so each key is built once per run, lazily, inside
+the first check that reads it.  Outside a run the plan is empty: a read builds
+to the order it asks, as a direct call always does.
 
 Each key has its own lock, held while its series is built.  A build takes
-the locks of the keys it reads in one order: the reduced key (ell, r, m),
-then (ell, r, M_ell), then square k, square k - 1, ..., base, then inverse.
-A reduced key's modulus properly divides the next one's, and every thread
-acquires the rest in that order, so two threads never wait on each other in
-a cycle.
+the locks of the keys it reads in one order: the key (ell, r, m), then its
+prime parts by increasing p, each as its chain levels by decreasing order,
+then a digit power, then its squares k, k - 1, ..., E_1; then the rest's
+squares k, ..., base, then its inverse.  A level reads only shorter levels
+and digit powers, a digit power only squares, a square only lower squares,
+and no piece reads a key, so two threads never wait on each other in a
+cycle.
 
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_product``: numpy's float FFT, rounded to integers.
@@ -120,7 +143,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -279,6 +302,15 @@ def _float_exact(ha: int, hb: int, ma: int, mb: int, len_a: int, len_b: int) -> 
     return 2 * ha * hb * math.sqrt(len_a * len_b) * math.expm1(log_growth) < 0.25
 
 
+@cache
+def _balanced(m: int) -> np.ndarray:
+    """The balanced lift of each residue mod m as a float: c, or c - m when c > m // 2."""
+    lift = np.arange(m, dtype=np.float64)
+    lift[m // 2 + 1 :] -= m
+    lift.flags.writeable = False  # one array per m, shared by every product
+    return lift
+
+
 def _rows(coeffs, m: int, w: int, h: int) -> np.ndarray:
     """The float64 rows the transform takes for one operand, over Z/m, or over Z when m == 0.
 
@@ -286,6 +318,10 @@ def _rows(coeffs, m: int, w: int, h: int) -> np.ndarray:
     per balanced base-2**w digit; h bounds |c|, and k digits hold |c| < 2**(w k - 2).
     """
     if not w:
+        if m and coeffs.dtype == np.uint8:
+            # one lookup, where the three array passes below would each release the interpreter lock: under
+            # --jobs 2 every release can hand it to a thread running Python for a whole switch interval
+            return _balanced(m).take(coeffs)[None]
         x = coeffs.astype(np.float64) if m else np.array(coeffs, dtype=np.float64)
         if m:
             x[coeffs > m // 2] -= m  # c - m for c > m // 2, so |c| <= m // 2
@@ -387,7 +423,10 @@ def _product(la, lb, n_out: int, m: int):
     if not m:
         return (values if w else values.tolist()) + [0] * (n_out + 1 - keep)
     out = _zeros(n_out + 1, m)
-    out[:keep] = [v % m for v in values] if w else values % m
+    if w:
+        out[:keep] = [v % m for v in values]
+    else:
+        np.remainder(values, m, out=out[:keep], casting="unsafe")  # residues in [0, m): the cast is exact
     return out
 
 
@@ -483,14 +522,15 @@ def theta_quotient(factors, order: int, ring: CoefficientRing = ZZ) -> Truncated
     return invert(den) if num is None else mul(num, invert(den))
 
 
-def dilate(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Substitute q -> q^k by index dilation; result order is k*order(a)."""
+def dilate(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
+    """Substitute q -> q^k by index dilation, to order: k*order(a) by default, at most k*order(a) + k - 1."""
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
+    n = k * a.order if order is None else order
     if k == 1:
-        return a
-    out = _zeros(k * a.order + 1, a.ring.modulus)
-    out[::k] = a.data
+        return truncate(a, n)
+    out = _zeros(n + 1, a.ring.modulus)
+    out[::k] = a.data[: n // k + 1]
     return TruncatedSeries(a.ring, out)
 
 
@@ -503,69 +543,89 @@ def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
 # the prefix store: key -> the longest series built for it, and the lock of each key
 _longest: dict = {}
 _key_locks: dict = {}
+_targets: dict = {}  # the plan of the run in progress, store key -> target order; empty outside one
 
 
-class Plan:
-    """A run's store reads, merged: the modulus each ell is built under, and each store key's target order."""
-
-    __slots__ = ("moduli", "targets")
-
-    def __init__(self, moduli: dict | None = None, targets: dict | None = None) -> None:
-        self.moduli = moduli or {}  # ell -> M_ell, the lcm of the moduli read with ell
-        self.targets = targets or {}  # store key -> the largest order a planned read reaches through it
-
-    def merged(self, ell: int, m: int) -> int:
-        """The modulus a read of (ell, r, m) is built under: M_ell if m divides it in the same dtype, else m."""
-        big = self.moduli.get(ell, m)
-        return big if m and big % m == 0 and _dtype(big) == _dtype(m) else m
-
-
-_plan = Plan()  # the plan of the run in progress; empty outside one
-
-
-def _pieces(key: tuple, merged) -> list:
-    """The store keys a read of key reaches: the key, the merged key, each square down to the base, the inverse."""
-    if key[0] == "E_1^r":
-        return [key] + [("E_1", k) for k in range(key[1].bit_length())]
-    ell, r, m = key
-    big = merged(ell, m)
-    keys = [key] + ([(ell, r, big)] if big != m else [])
-    return keys + [("E_l/E_1", ell, big, k) for k in range(r.bit_length())] + ([("1/E_1", big)] if r else [])
+@cache
+def _split(m: int, order: int) -> tuple[tuple[int, ...], int]:
+    """The primes p | m with p <= order and p**2 not dividing m, increasing, and m over their product."""
+    primes, left, d = [], m, 2
+    while d <= order and d * d <= left:
+        if left % d == 0:
+            left //= d
+            if left % d:
+                primes.append(d)
+            while left % d == 0:
+                left //= d
+        d += 1
+    if 1 < left <= order:  # no factor below d and left < d**2: left is a prime that divides m once
+        primes.append(left)
+    return tuple(primes), m // math.prod(primes)
 
 
-def plan(reads) -> Plan:
-    """Merge store reads, (ell, r, m, order) of cached_regular_series and ("E_1^r", r, order) of cached_e1_power.
+def _form(ell: int, r: int, p: int) -> tuple[int, int, int]:
+    """(a, e1, ea) with E_ell^r / E_1^r = E_1^e1 E_a^ea mod p: ell = a p^v, p not dividing a."""
+    v = 0
+    while ell % p == 0:
+        ell //= p
+        v += 1
+    return (1, r * (p**v - 1), 0) if ell == 1 else (ell, -r, r * p**v)
 
-    Each ell's nonzero moduli merge into their lcm M_ell, unless one row of M_ell's residues fails
-    _float_exact at the largest order read with ell; a modulus that does not share M_ell's dtype keeps its own.
+
+def _digit_reads(p: int, d: int, n: int) -> list:
+    """The store keys E_1^d mod p to order n reads: its own key unless d is 0 or a power of 2, and its squares."""
+    own = [(("E_1^d", p, d), n)] if d & (d - 1) else []
+    return own + [(("E_1", p, k), n) for k in range(d.bit_length())]
+
+
+def _pieces(key: tuple, order: int) -> list:
+    """The (store key, order) pairs a build of key to order reads, the key first.
+
+    A regular key reads each chain level of each Frobenius prime with its digit powers, then the
+    rest's squares down to its base, then the rest's inverse; a key ("E_1^r", r) reads the squares of E_1.
     """
-    longest: dict = {}  # store key -> the largest order read
+    if key[0] == "E_1^r":
+        return [(key, order)] + [(("E_1", 0, k), order) for k in range(key[1].bit_length())]
+    ell, r, m = key
+    primes, rest = _split(m, order) if m else ((), 0)
+    reads = [(key, order)]
+    for p in primes:
+        a, e1, ea, n = *_form(ell, r, p), order
+        while e1 or ea:
+            a = a if ea else 1
+            reads += [(("S", p, a, e1, ea), n)] + _digit_reads(p, e1 % p, n) + _digit_reads(p, ea % p, n // a)
+            if n < p or (e1, ea) == (-1, 0):  # the chain's end, or 1/E_1, whose levels are one build
+                break
+            e1, ea, n = e1 // p, ea // p, n // p
+    if rest != 1 and r:
+        reads += [(("E_l/E_1", ell, rest, k), order) for k in range(r.bit_length())] + [(("1/E_1", rest), order)]
+    return reads
+
+
+def plan(reads) -> dict:
+    """Each store key's target order: the largest order a read reaches through it.
+
+    The reads are (ell, r, m, order) of cached_regular_series and ("E_1^r", r, order) of cached_e1_power.
+    """
+    longest: dict = {}  # read key -> the largest order read
     for read in reads:
         longest[read[:-1]] = max(longest.get(read[:-1], 0), read[-1])
-    moduli = {}
-    for ell in {key[0] for key in longest if key[0] != "E_1^r"}:
-        own = [(key[2], order) for key, order in longest.items() if key[0] == ell and key[2]]
-        if own:
-            big, n = math.lcm(*(m for m, _ in own)), max(order for _, order in own) + 1
-            if _float_exact(big // 2, big // 2, big - 1, big - 1, n, n):
-                moduli[ell] = big
-    merged = Plan(moduli).merged
     targets: dict = {}
     for key, order in longest.items():
-        for piece in _pieces(key, merged):
-            targets[piece] = max(targets.get(piece, 0), order)
-    return Plan(moduli, targets)
+        for piece, n in _pieces(key, order):
+            targets[piece] = max(targets.get(piece, 0), n)
+    return targets
 
 
 @contextmanager
 def planned(reads):
     """Serve the store's reads inside the block by plan(reads); one plan at a time per process."""
-    global _plan
-    outer, _plan = _plan, plan(reads)
+    global _targets
+    outer, _targets = _targets, plan(reads)
     try:
-        yield _plan
+        yield _targets
     finally:
-        _plan = outer
+        _targets = outer
 
 
 def _stored(key, order: int, build) -> TruncatedSeries:
@@ -577,7 +637,7 @@ def _stored(key, order: int, build) -> TruncatedSeries:
     """
     with _key_locks.setdefault(key, threading.Lock()):
         if key not in _longest or _longest[key].order < order:
-            _longest[key] = build(max(order, _plan.targets.get(key, order)))
+            _longest[key] = build(max(order, _targets.get(key, order)))
         return truncate(_longest[key], order)
 
 
@@ -601,37 +661,96 @@ def _power(tag: tuple, r: int, order: int, build_base, ring: CoefficientRing) ->
     return reduce(mul, squares) if squares else one(order, ring)
 
 
-def regular_quotient(ell: int, r: int, order: int, modulus: int = 0) -> TruncatedSeries:
-    """Generating series E_ell^r / E_1^r of ell-regular r-multipartition counts, built from stored pieces."""
-    ring = ZZ if modulus == 0 else Zmod(modulus)
+def _e1_power(m: int, d: int, order: int) -> TruncatedSeries:
+    """E_1**d mod m (over Z when m == 0) to order, from the stored squares of E_1."""
+    ring = Zmod(m) if m else ZZ
+    return _power(("E_1", m), d, order, partial(euler_E, 1, ring=ring), ring)
+
+
+def _digit_power(p: int, d: int, order: int) -> TruncatedSeries:
+    """E_1^d mod p to order, 0 < d < p, stored under ("E_1^d", p, d) unless it is a square of E_1."""
+    if d & (d - 1):
+        return _stored(("E_1^d", p, d), order, partial(_e1_power, p, d))
+    return _e1_power(p, d, order)
+
+
+def _chain(p: int, a: int, e1: int, ea: int, order: int) -> TruncatedSeries:
+    """E_1^e1 E_a^ea mod p to order, stored under ("S", p, a, e1, ea) (a = 1 when ea == 0)."""
+    a = a if ea else 1
+    if not (e1 or ea):
+        return one(order, Zmod(p))
+    return _stored(("S", p, a, e1, ea), order, partial(_level, p, a, e1, ea))
+
+
+def _level(p: int, a: int, e1: int, ea: int, n: int) -> TruncatedSeries:
+    """One chain level to order n: the digit powers E_1^(e1 mod p) E_a^(ea mod p) times the next level at q -> q^p.
+
+    The next level has the exponents e1 // p and ea // p, to order n // p; below q^p it is 1.
+    """
+    factors = [_digit_power(p, e1 % p, n)] if e1 % p else []
+    if ea % p:
+        factors.append(dilate(_digit_power(p, ea % p, n // a), a, n))
+    tail = (e1 // p, ea // p)
+    if n >= p and any(tail):  # 1/E_1 = E_1^(p-1) (1/E_1)(q^p) reads itself, inside this build
+        below = _level(p, a, e1, ea, n // p) if tail == (e1, ea) else _chain(p, a, *tail, n // p)
+        factors.append(dilate(below, p, n))
+    return reduce(mul, factors) if factors else one(n, Zmod(p))
+
+
+def _generic(ell: int, r: int, order: int, m: int) -> TruncatedSeries:
+    """E_ell^r / E_1^r mod m (over Z when m == 0) to order: the stored squares of E_ell * (1/E_1) at r's set bits."""
+    ring = Zmod(m) if m else ZZ
 
     def inverse(n: int) -> TruncatedSeries:
         return invert(euler_E(1, n, ring))
 
     def base(n: int) -> TruncatedSeries:
-        return mul(euler_E(ell, n, ring), _stored(("1/E_1", modulus), n, inverse))
+        return mul(euler_E(ell, n, ring), _stored(("1/E_1", m), n, inverse))
 
-    return _power(("E_l/E_1", ell, modulus), r, order, base, ring)
+    return _power(("E_l/E_1", ell, m), r, order, base, ring)
+
+
+def _crt(parts: list, m: int) -> TruncatedSeries:
+    """The series mod m with the given residues mod each (q, series) of parts: coprime q whose product is m.
+
+    Garner's join: the residues X mod M so far gain t = (x - X) / M mod q, so X + M t < M q.  Every
+    q after the first is a prime p <= order, so int64 holds the products below q**2 that t takes.
+    """
+    (big, first), *rest = parts
+    if not rest:
+        return first
+    dt = _dtype(m)
+    acc = first.data.astype(dt)
+    for q, part in rest:
+        t = (part.data.astype(np.int64) - (acc % q).astype(np.int64)) % q * pow(big, -1, q) % q
+        acc = acc + t.astype(dt) * dt.type(big)
+        big *= q
+    return TruncatedSeries(Zmod(m), acc)
+
+
+def regular_quotient(ell: int, r: int, order: int, modulus: int = 0) -> TruncatedSeries:
+    """Generating series E_ell^r / E_1^r of ell-regular r-multipartition counts, built from stored pieces.
+
+    Mod each prime p of the modulus with p <= order and p**2 not dividing it, a Frobenius chain; the
+    rest of the modulus, or Z, by the generic build; the Chinese remainder theorem joins the parts.
+    """
+    if r < 0:
+        raise ValueError("exponent must be nonnegative")
+    primes, rest = _split(modulus, order) if modulus else ((), 0)
+    parts = [(p, _chain(p, *_form(ell, r, p), order)) for p in primes]
+    if rest != 1:
+        parts.insert(0, (rest, _generic(ell, r, order, rest)))  # first: _crt steps only by the primes
+    return _crt(parts, modulus)
 
 
 def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
-    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus).
-
-    Where the plan merges modulus into M = M_ell, the key is the stored (ell, r, M) reduced mod modulus.
-    """
-    big = _plan.merged(ell, modulus)
-
-    def build(n: int) -> TruncatedSeries:
-        if big == modulus:
-            return regular_quotient(ell, r, n, modulus)
-        return TruncatedSeries(Zmod(modulus), cached_regular_series(ell, r, big, n).data % modulus)
-
-    return _stored((ell, r, modulus), order, build)
+    """regular_quotient(ell, r, order, modulus), stored under (ell, r, modulus)."""
+    return _stored((ell, r, modulus), order, lambda n: regular_quotient(ell, r, n, modulus))
 
 
 def cached_e1_power(r: int, order: int) -> TruncatedSeries:
     """E_1^r over Z, stored under ("E_1^r", r) and built from the stored squares of E_1."""
-    return _stored(("E_1^r", r), order, lambda n: _power(("E_1",), r, n, partial(euler_E, 1), ZZ))
+    return _stored(("E_1^r", r), order, lambda n: _e1_power(0, r, n))
 
 
 def eta_read(scale: int, exponent: int, order: int) -> tuple:

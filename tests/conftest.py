@@ -72,9 +72,9 @@ def past_plan(monkeypatch):
     real = series_module._stored
 
     def stored(key, order, build):
-        plan = series_module._plan
-        if plan.targets and order > plan.targets.get(key, -1):
-            past.append((key, order, plan.targets.get(key)))
+        targets = series_module._targets
+        if targets and order > targets.get(key, -1):
+            past.append((key, order, targets.get(key)))
         return real(key, order, build)
 
     monkeypatch.setattr(series_module, "_stored", stored)

@@ -179,6 +179,21 @@ def test_family_index_evaluates_a_point_once(monkeypatch):
     assert len(calls) > first
 
 
+def test_a_families_run_evaluates_each_r_formula_once_per_t(monkeypatch):
+    calls = []
+    evaluate = expr.evaluate
+    monkeypatch.setattr(expr, "evaluate", lambda text, env: calls.append((text, env)) or evaluate(text, env))
+    fam._r_value.cache_clear()
+    ids = [cid for cid in suite.default_check_ids() if cid.startswith("family.")]
+    suite.run_suite(ids, GridBudget(order=4000, n_max=4000))
+    r_calls = [(text, env["t"]) for text, env in calls if set(env) == {"t"}]
+    progression = [f for f in default_registry().values() if f.kind == "progression"]
+    budget = GridBudget(order=4000, n_max=4000)
+    read = {(f.r_formula, pt.t) for f in progression for pt in generate_grid(f, budget).points}
+    # the plan's reads and the sweep both read r at each of 860 grid points; each (formula, t) is evaluated once
+    assert sorted(r_calls) == sorted(read) and len(read) == 33
+
+
 def test_point_with_no_exact_stride_raises_at_every_n(tmp_path):
     # (n + 4)/4 is affine in n and loads, but 4 divides B = 4 and not A = 1, so the point resolves
     # to no stride: family_index raises at every n, even at n = 4, where 8/4 is exact

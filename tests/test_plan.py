@@ -1,5 +1,5 @@
-"""The plan of a suite run's store reads: each key built once, to the order its checks read, and every
-read of a composite modulus served from the lcm of its ell's moduli."""
+"""The plan of a suite run's store reads: each key built once, to the order its checks read, and the
+Frobenius chain of each prime shared by every modulus that prime divides."""
 
 import importlib
 import json
@@ -15,6 +15,7 @@ from regulus.families import GridBudget, default_registry, load_registry
 from regulus.series import cached_regular_series, plan, planned, regular_quotient
 
 series_module = importlib.import_module("regulus.series")
+generic = series_module._generic  # the Newton and squaring-chain build, every other build's reference
 
 
 def declared_reads(budget, check_ids=None):
@@ -33,7 +34,7 @@ def test_counted_gate_run_builds_each_key_once(builds, past_plan, order):
     assert suite.suite_status(report) == "pass"
     assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
     # each key is built to its target: the largest order a declared read reaches through it
-    targets = plan(declared_reads(GridBudget(order, order))).targets
+    targets = plan(declared_reads(GridBudget(order, order)))
     assert [(key, n) for key, n in builds if n != targets[key]] == []
     assert past_plan == []
 
@@ -48,7 +49,7 @@ def test_families_run_builds_nothing_past_its_reads(builds, past_plan):
     # at n_max = 500 most grid points read far less than the order
     budget = GridBudget(order=8000, n_max=500)
     suite.run_suite(family_ids(), budget)
-    targets = plan(declared_reads(budget, family_ids())).targets
+    targets = plan(declared_reads(budget, family_ids()))
     assert [(key, n) for key, n in builds if n > targets[key]] == []
     assert past_plan == []
     keys = {key: n for key, n in builds if len(key) == 3 and isinstance(key[0], int)}
@@ -69,14 +70,18 @@ def test_a_read_past_its_declaration_is_caught(builds, past_plan, monkeypatch):
 
 
 def test_a_direct_call_has_no_plan(builds):
-    assert series_module._plan.targets == {} and series_module._plan.moduli == {}
-    assert cached_regular_series(3, 12, 3, 50) == regular_quotient(3, 12, 50, 3)
-    assert {key[2] for key, _ in builds if key[0] == "E_l/E_1"} == {3}
+    assert series_module._targets == {}
+    got = cached_regular_series(3, 12, 3, 50)
+    # E_3^12 / E_1^12 = E_1^24 mod 3: its chain and the squares of E_1 mod 3, no Newton inverse
+    chain = [key for key, _ in builds if key[0] == "S"]
+    assert chain == [("S", 3, 1, 24, 0), ("S", 3, 1, 8, 0), ("S", 3, 1, 2, 0)]
+    assert {key for key, _ in builds} == {(3, 12, 3), ("E_1", 3, 0), ("E_1", 3, 1), *chain}
+    assert got == generic(3, 12, 50, 3)
 
 
-def test_threads_reducing_one_merged_key_build_each_key_once(builds):
-    # six threads, more than a small machine has cores, each on its own modulus of one merged key mod 60;
-    # the locks, reduced key before merged key, must neither deadlock nor build any key twice
+def test_threads_sharing_prime_chains_build_each_key_once(builds):
+    # six threads, more than a small machine has cores, each on its own modulus; the moduli share the
+    # chains mod 2, 3 and 5, and 4 and 60 the generic build mod 4. No thread may deadlock or build twice
     builds.delay = 0.01
     moduli = (2, 3, 4, 5, 6, 10)
     together = threading.Barrier(len(moduli))
@@ -98,32 +103,50 @@ def test_threads_reducing_one_merged_key_build_each_key_once(builds):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(results[m] == regular_quotient(19, 6, 200, m) for m in moduli)
-    assert Counter(key for key, _ in builds if key[0] == 19) == Counter((19, 6, m) for m in moduli + (60,))
+    assert Counter(key for key, _ in builds if key[0] == 19) == Counter((19, 6, m) for m in moduli)
     assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
+    tops = {key[1]: key for key, _ in builds if key[0] == "S" and key[3:] == (-6, 6)}
+    assert tops == {p: ("S", p, 19, -6, 6) for p in (2, 3, 5)}
+    assert {key[-2] for key, _ in builds if key[0] == "E_l/E_1"} == {key[1] for key, _ in builds if key[0] == "1/E_1"} == {4}
+    assert all(results[m] == generic(19, 6, 200, m) for m in moduli)
 
 
-def test_plan_merges_each_ells_moduli_into_their_lcm():
-    reads = [(3, 12, 2, 100), (3, 12, 3, 400), (3, 15, 15, 50), (5, 6, 5, 70), (7, 7, 7, 10), (3, 9, 0, 30)]
-    p = plan(reads + [("E_1^r", 6, 90)])
-    assert p.moduli == {3: 30, 5: 5, 7: 7}
-    assert [p.merged(3, m) for m in (2, 3, 5, 6, 15, 30, 0, 7)] == [30, 30, 30, 30, 30, 30, 0, 7]
-    # a key, its merged key, then one target per piece: the largest order any read reaches through it
-    assert p.targets[(3, 12, 2)] == 100 and p.targets[(3, 12, 30)] == 400
-    assert p.targets[(3, 15, 30)] == 50 and ("E_l/E_1", 3, 30, 4) not in p.targets
-    assert p.targets[("E_l/E_1", 3, 30, 3)] == p.targets[("1/E_1", 30)] == 400
-    assert p.targets[(3, 9, 0)] == p.targets[("E_l/E_1", 3, 0, 3)] == p.targets[("1/E_1", 0)] == 30
-    assert p.targets[("E_1^r", 6)] == p.targets[("E_1", 2)] == 90 and ("E_1", 3) not in p.targets
+def test_plan_shares_each_primes_chain_across_moduli():
+    reads = [(3, 12, 2, 100), (3, 12, 3, 400), (3, 15, 15, 50), (3, 15, 3, 200), (3, 15, 5, 300)]
+    targets = plan(reads + [(5, 6, 5, 70), (7, 7, 7, 10), (3, 9, 0, 30), ("E_1^r", 6, 90)])
+    assert targets[(3, 12, 2)] == 100 and targets[(3, 12, 3)] == 400
+    # mod 3, E_3^r / E_1^r = E_1^(2r); mod 5, E_1^-r E_3^r: one chain per prime, shared by 3, 5 and 15
+    assert targets[("S", 3, 1, 30, 0)] == 200 and targets[("S", 5, 3, -15, 15)] == 300
+    assert targets[(3, 15, 15)] == 50 and not any(key[0] == 3 and key[2] in (6, 30) for key in targets)
+    # one level per digit, at order // p; its digit powers from the squares of E_1 mod p
+    assert targets[("S", 3, 1, 24, 0)] == 400 and targets[("S", 3, 1, 8, 0)] == 133
+    assert targets[("S", 3, 1, 2, 0)] == 44 and ("S", 3, 1, 0, 0) not in targets
+    assert targets[("E_1", 3, 0)] == targets[("E_1", 3, 1)] == 133 and ("E_1", 3, 2) not in targets
+    # every -r chain ends in 1/E_1 mod p, shared across ell: here E_1^-12 E_3^12 mod 2 and E_1^-15 E_3^15 mod 5
+    assert targets[("S", 2, 1, -1, 0)] == 100 // 2**4 and targets[("S", 5, 1, -1, 0)] == 300 // 25
+    assert targets[(3, 9, 0)] == targets[("E_l/E_1", 3, 0, 3)] == targets[("1/E_1", 0)] == 30
+    assert not any(key[0] in ("E_l/E_1", "1/E_1") and key[-2 if key[0] == "E_l/E_1" else -1] for key in targets)
+    assert targets[("E_1^r", 6)] == targets[("E_1", 0, 2)] == 90 and ("E_1", 0, 3) not in targets
 
 
-def test_plan_keeps_a_modulus_whose_lcm_leaves_its_dtype_or_one_float_row():
-    # 251 and 256 are uint8 residues, their lcm 64256 is not
-    assert plan([(5, 3, 251, 300), (5, 3, 256, 300)]).merged(5, 251) == 251
-    # 2 and 3 times k fit uint64, as 6k does, but one row of residues mod 6k is past 2**52
+def test_plan_splits_wide_moduli_into_prime_parts_and_a_generic_rest():
+    split = series_module._split
+    assert split(251, 300) == ((251,), 1) and split(256, 300) == ((), 256) and split(251, 250) == ((), 251)
     k = 1 << 40
-    p = plan([(5, 3, 2 * k, 300), (5, 3, 3 * k, 300)])
-    assert p.moduli == {} and p.merged(5, 2 * k) == 2 * k
-    assert plan([(5, 3, 2, 300), (5, 3, 3, 300)]).moduli == {5: 6}
+    assert split(2 * k, 300) == ((), 2 * k) and split(3 * k, 300) == ((3,), k)
+    assert split(12, 2000) == ((3,), 4) and split(60, 100) == ((3, 5), 4) and split(55, 10) == ((5,), 11)
+    assert split(2**64 + 13, 2000) == ((), 2**64 + 13) and split(10**30 + 57, 2000) == ((), 10**30 + 57)
+    # 251 has its chain, 256 the generic build, and nothing is built mod their product
+    targets = plan([(5, 3, 251, 300), (5, 3, 256, 300)])
+    assert targets[("S", 251, 5, -3, 3)] == 300 and targets[("1/E_1", 256)] == 300
+    assert not [key for key in targets if 64256 in key]
+    # 2 * 2**40 is all rest; 3 * 2**40 is the chain mod 3 joined with the rest 2**40
+    targets = plan([(5, 3, 2 * k, 300), (5, 3, 3 * k, 300)])
+    assert targets[("1/E_1", 2 * k)] == targets[("1/E_1", k)] == targets[("S", 3, 5, -3, 3)] == 300
+    targets = plan([(5, 3, 2, 300), (5, 3, 3, 300)])
+    assert targets[("S", 2, 5, -3, 3)] == targets[("S", 3, 5, -3, 3)] == 300 and not [key for key in targets if 6 in key]
+    for m in (251, 256, 2 * k, 3 * k, 12):
+        assert regular_quotient(5, 3, 300, m) == generic(5, 3, 300, m)
 
 
 def registry_keys():
@@ -137,30 +160,34 @@ def test_planned_reads_equal_the_regular_quotient(builds):
     keys = registry_keys()
     with planned([key + (order,) for key in keys]):
         got = {key: cached_regular_series(*key, order) for key in keys}
-    merged = {key[2] for key, _ in builds if len(key) == 3 and isinstance(key[0], int)}
-    assert {30, 10, 35, 55} <= merged and not {2, 3, 5, 6, 15} & {k[2] for k, _ in builds if k[0] == "E_l/E_1"}
-    assert [key for key in keys if got[key] != regular_quotient(key[0], key[1], order, key[2])] == []
+    # every registry modulus is squarefree: all of them are built by chains, none by Newton
+    assert {key[1] for key, _ in builds if key[0] == "S"} == {2, 3, 5, 7, 11}
+    assert not [key for key, _ in builds if key[0] in ("E_l/E_1", "1/E_1")]
+    assert [key for key in keys if got[key] != generic(key[0], key[1], order, key[2])] == []
 
 
 @pytest.mark.parametrize("key", [(3, 15, 5), (55, 76, 11), (35, 39, 7)], ids=lambda key: "{},{},{}".format(*key))
 def test_planned_read_equals_the_regular_quotient_at_full_fft_length(builds, key):
     order, (ell, r, m) = 32000, key
-    with planned([k + (order,) for k in registry_keys()]) as p:
+    with planned([k + (order,) for k in registry_keys()]):
         got = cached_regular_series(ell, r, m, order)
-    assert p.merged(ell, m) != m and ((ell, r, p.merged(ell, m)), order) in builds
-    assert got == regular_quotient(ell, r, order, m)
+    a = ell // m if ell % m == 0 else ell
+    assert (("S", m, a, -r, r * ell // a), order) in builds
+    assert got == generic(ell, r, order, m)
 
 
-def test_moduli_whose_lcm_leaves_uint8_are_built_apart(builds, tmp_path):
+def test_moduli_past_uint8_share_their_prime_chains(builds, tmp_path):
     entry = {"kind": "progression", "ell": 5, "r": "3", "index": "n"}
     path = tmp_path / "registry.json"
-    families_json = [{"id": "a", "modulus": 251, **entry}, {"id": "b", "modulus": 256, **entry}]
-    path.write_text(json.dumps({"families": families_json}))
+    moduli = {"a": 251, "b": 256, "c": 502}  # 502 = 2 * 251 is a uint16 residue, and shares the chain mod 251
+    path.write_text(json.dumps({"families": [{"id": name, "modulus": m, **entry} for name, m in moduli.items()]}))
     registry = load_registry(str(path))
-    suite.run_suite(["family.a", "family.b"], GridBudget(300, 300), registry)
-    assert {key[2] for key, _ in builds if len(key) == 3} == {251, 256}
-    for m in (251, 256):
-        assert cached_regular_series(5, 3, m, 300) == regular_quotient(5, 3, 300, m)
+    suite.run_suite(["family.a", "family.b", "family.c"], GridBudget(300, 300), registry)
+    assert {key[2] for key, _ in builds if isinstance(key[0], int)} == {251, 256, 502}
+    assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
+    assert {key[1] for key, _ in builds if key[0] == "S"} == {2, 251}
+    for m in (251, 256, 502):
+        assert cached_regular_series(5, 3, m, 300) == generic(5, 3, 300, m)
 
 
 def test_theorem_2_declares_a_conclusion_only_where_one_can_be_reached():

@@ -390,7 +390,7 @@ def test_prefix_store_builds_once_per_longer_order(builds):
     del builds[:]
     for order in (90, 30, 91, 60):
         assert cached_e1_power(31, order) == power(euler_E(1, order), 31)
-    e1_pieces = [("E_1^r", 31), ("E_1", 0), ("E_1", 1), ("E_1", 2), ("E_1", 3), ("E_1", 4)]
+    e1_pieces = [("E_1^r", 31)] + [("E_1", 0, k) for k in range(5)]
     assert builds == [(key, 90) for key in e1_pieces] + [(key, 91) for key in e1_pieces]
 
 
@@ -430,7 +430,8 @@ def test_direct_and_cached_builds_of_one_key_share_the_locks(builds):
     with ThreadPoolExecutor(4) as pool:
         results = [f.result(timeout=60) for f in [pool.submit(ask, i % 2 == 0) for i in range(4)]]
     assert all(s == reference_regular_quotient(23, 13, 150, 6) for s in results)
-    assert Counter(builds) == Counter((key, 150) for key in quotient_pieces(23, 13, 6))
+    # mod 6: the key, and the chains mod 2 and mod 3 with their squares of E_1, each built once
+    assert Counter(key for key, _ in builds) == Counter({key for key, _ in series_module._pieces((23, 13, 6), 150)})
 
 
 def test_prefix_store_builds_once_for_two_threads(builds):
@@ -498,6 +499,64 @@ def test_stored_e1_power_is_the_power_of_e1():
         assert cached_e1_power(r, 300) == power(euler_E(1, 300), r)
 
 
+# --- Frobenius chains mod p, joined by the CRT, against the generic build (Newton's inverse, squaring chain) ---
+
+generic = series_module._generic
+
+# the keys whose squaring chain takes six products: the benchmark's quotient workload
+QUOTIENT_KEYS = [(3, 15, 3), (3, 15, 5), (3, 15, 15), (5, 21, 2), (5, 21, 5), (5, 21, 10),
+                 (35, 34, 35), (55, 21, 5), (55, 21, 11), (55, 21, 55)]
+
+
+def prime_factors(m):
+    return [p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
+def test_chains_equal_the_generic_build(ell, r, m):
+    order = 2000
+    got = regular_quotient(ell, r, order, m)
+    assert got == generic(ell, r, order, m) and got.data.dtype == np.uint8
+    for p in prime_factors(m):
+        chain = series_module._chain(p, *series_module._form(ell, r, p), order)
+        assert chain == regular_quotient(ell, r, order, p) == generic(ell, r, order, p)
+        assert TruncatedSeries(Zmod(p), got.data % p) == chain
+
+
+@pytest.mark.parametrize("ell,r,m", QUOTIENT_KEYS)
+def test_chains_equal_the_generic_build_at_full_fft_length(ell, r, m):
+    assert regular_quotient(ell, r, 32000, m) == generic(ell, r, 32000, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_chain_inverse_of_e1_is_newtons(p):
+    # E_1^(p-1) (1/E_1)(q^p), level by level, to orders below p, at p, at p**2 and past it
+    for order in (0, p - 1, p, p * p, 3000):
+        assert series_module._chain(p, 1, -1, 0, order) == invert(euler_E(1, order, Zmod(p)))
+
+
+@pytest.mark.parametrize(
+    "m", [4, 12, 3 * 2**40, 2**64 + 13, 10**30 + 57, 6 * (2**64 + 13)], ids=["4", "12", "3*2^40", "2^64+13", "10^30+57", "6*(2^64+13)"]
+)
+def test_chains_join_with_a_generic_rest(m):
+    # a prime power, or a prime above the order, is the rest: Newton's build, joined with the chains
+    for ell, r in ((5, 21), (3, 12), (55, 7)):
+        got = regular_quotient(ell, r, 600, m)
+        assert got == generic(ell, r, 600, m) and got.data.dtype == series_module._dtype(m)
+    assert got == reference_regular_quotient(55, 7, 600, m)
+
+
+def test_squarefree_moduli_build_without_newton(builds, monkeypatch):
+    rings = []
+    monkeypatch.setattr(series_module, "invert", lambda a: rings.append(a.ring.modulus) or invert(a))
+    for m in (2, 3, 5, 7, 11, 10, 35, 55):
+        regular_quotient(55, 21, 3000, m)
+    assert rings == []
+    # 4 * 55: the chains mod 5 and 11 are stored; the rest 4 takes one Newton inverse
+    assert regular_quotient(55, 21, 3000, 220) == reference_regular_quotient(55, 21, 3000, 220)
+    assert rings == [4]
+
+
 # --- the product kernel against a schoolbook product, over Z (m == 0) and Z/m ---
 
 KERNEL_MODULI = (2, 3, 10, 55, 2**31 - 1, 2**61 - 1, 10**30 + 57)
@@ -559,6 +618,19 @@ def test_kernel_matches_schoolbook(m, la, lb):
     for n_out in sorted({0, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2}):
         assert list(_product(xa, xb, n_out, m)) == naive_mod_mul(a, b, n_out, m)
         assert list(_product(xa, xa, n_out, m)) == naive_mod_mul(a, a, n_out, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 11, 55, 251, 256])
+def test_uint8_rows_lift_as_the_array_passes_do(m):
+    # uint8 residues enter the transform through one table lookup; every other dtype through the array passes
+    every = np.arange(m, dtype=np.uint8)
+    lifted = every.astype(np.float64)
+    lifted[every > m // 2] -= m
+    assert np.array_equal(series_module._rows(every, m, 0, m // 2), lifted[None])
+    rng = random.Random(m)
+    a, b = ([rng.randrange(m) for _ in range(300)] for _ in range(2))
+    wide = _product(np.array(a, np.uint16), np.array(b, np.uint16), 299, m)
+    assert list(_product(np.array(a, np.uint8), np.array(b, np.uint8), 299, m)) == list(wide) == naive_mod_mul(a, b, 299, m)
 
 
 @pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
