@@ -46,7 +46,8 @@ when a == 1 (``_form``).  Splitting off one p-adic digit of each exponent,
 
     S(e1, ea) = E_1^(e1 mod p) E_a^(ea mod p) S(e1 // p, ea // p)(q^p)  (mod p),
 
-so S to order n reads the next level to order n // p (``_chain``).  Below q^p
+so S to order n reads the next level to order n // p.  ``_levels`` walks a
+chain for the build and for the plan alike.  Below q^p
 a dilated level is 1, so the chain ends at the first level of order below p.
 A digit power is the product of the stored squares of E_1 mod p at the set
 bits of its digit, stored for every chain that reads it; E_a^d to order n is
@@ -302,15 +303,6 @@ def _float_exact(ha: int, hb: int, ma: int, mb: int, len_a: int, len_b: int) -> 
     return 2 * ha * hb * math.sqrt(len_a * len_b) * math.expm1(log_growth) < 0.25
 
 
-@cache
-def _balanced(m: int) -> np.ndarray:
-    """The balanced lift of each residue mod m as a float: c, or c - m when c > m // 2."""
-    lift = np.arange(m, dtype=np.float64)
-    lift[m // 2 + 1 :] -= m
-    lift.flags.writeable = False  # one array per m, shared by every product
-    return lift
-
-
 def _rows(coeffs, m: int, w: int, h: int) -> np.ndarray:
     """The float64 rows the transform takes for one operand, over Z/m, or over Z when m == 0.
 
@@ -318,10 +310,6 @@ def _rows(coeffs, m: int, w: int, h: int) -> np.ndarray:
     per balanced base-2**w digit; h bounds |c|, and k digits hold |c| < 2**(w k - 2).
     """
     if not w:
-        if m and coeffs.dtype == np.uint8:
-            # one lookup, where the three array passes below would each release the interpreter lock: under
-            # --jobs 2 every release can hand it to a thread running Python for a whole switch interval
-            return _balanced(m).take(coeffs)[None]
         x = coeffs.astype(np.float64) if m else np.array(coeffs, dtype=np.float64)
         if m:
             x[coeffs > m // 2] -= m  # c - m for c > m // 2, so |c| <= m // 2
@@ -423,10 +411,7 @@ def _product(la, lb, n_out: int, m: int):
     if not m:
         return (values if w else values.tolist()) + [0] * (n_out + 1 - keep)
     out = _zeros(n_out + 1, m)
-    if w:
-        out[:keep] = [v % m for v in values]
-    else:
-        np.remainder(values, m, out=out[:keep], casting="unsafe")  # residues in [0, m): the cast is exact
+    out[:keep] = [v % m for v in values] if w else values % m
     return out
 
 
@@ -572,8 +557,24 @@ def _form(ell: int, r: int, p: int) -> tuple[int, int, int]:
     return (1, r * (p**v - 1), 0) if ell == 1 else (ell, -r, r * p**v)
 
 
+def _levels(p: int, a: int, e1: int, ea: int, n: int):
+    """The levels of the Frobenius chain of E_1^e1 E_a^ea mod p read to order n, the first level first.
+
+    Yields (key, order, digits) per level: its store key ("S", p, a, e1, ea) (a = 1 when ea == 0), the
+    order it is read to, and the (d, k) of its digit powers E_k^d, 0 < d < p, k = 1 or a, read as E_1^d
+    to order // k.  The chain ends at the first level of order below p, where the next level dilated is
+    1, or when both exponents reach 0.  S(-1, 0) = 1/E_1 has itself as its next level, to a lower order.
+    """
+    while e1 or ea:
+        a = a if ea else 1
+        yield ("S", p, a, e1, ea), n, [(d, k) for d, k in ((e1 % p, 1), (ea % p, a)) if d]
+        if n < p:
+            return
+        e1, ea, n = e1 // p, ea // p, n // p
+
+
 def _digit_reads(p: int, d: int, n: int) -> list:
-    """The store keys E_1^d mod p to order n reads: its own key unless d is 0 or a power of 2, and its squares."""
+    """The store keys E_1^d mod p to order n reads: its own key unless d is a power of 2, and its squares."""
     own = [(("E_1^d", p, d), n)] if d & (d - 1) else []
     return own + [(("E_1", p, k), n) for k in range(d.bit_length())]
 
@@ -590,13 +591,10 @@ def _pieces(key: tuple, order: int) -> list:
     primes, rest = _split(m, order) if m else ((), 0)
     reads = [(key, order)]
     for p in primes:
-        a, e1, ea, n = *_form(ell, r, p), order
-        while e1 or ea:
-            a = a if ea else 1
-            reads += [(("S", p, a, e1, ea), n)] + _digit_reads(p, e1 % p, n) + _digit_reads(p, ea % p, n // a)
-            if n < p or (e1, ea) == (-1, 0):  # the chain's end, or 1/E_1, whose levels are one build
-                break
-            e1, ea, n = e1 // p, ea // p, n // p
+        for level, n, digits in _levels(p, *_form(ell, r, p), order):
+            reads.append((level, n))
+            for d, k in digits:
+                reads += _digit_reads(p, d, n // k)
     if rest != 1 and r:
         reads += [(("E_l/E_1", ell, rest, k), order) for k in range(r.bit_length())] + [(("1/E_1", rest), order)]
     return reads
@@ -675,25 +673,21 @@ def _digit_power(p: int, d: int, order: int) -> TruncatedSeries:
 
 
 def _chain(p: int, a: int, e1: int, ea: int, order: int) -> TruncatedSeries:
-    """E_1^e1 E_a^ea mod p to order, stored under ("S", p, a, e1, ea) (a = 1 when ea == 0)."""
-    a = a if ea else 1
-    if not (e1 or ea):
-        return one(order, Zmod(p))
-    return _stored(("S", p, a, e1, ea), order, partial(_level, p, a, e1, ea))
+    """E_1^e1 E_a^ea mod p to order: the first level of its chain, stored under its key."""
+    first = next(_levels(p, a, e1, ea, order), None)
+    return _stored(first[0], order, partial(_level, first[0])) if first else one(order, Zmod(p))
 
 
-def _level(p: int, a: int, e1: int, ea: int, n: int) -> TruncatedSeries:
-    """One chain level to order n: the digit powers E_1^(e1 mod p) E_a^(ea mod p) times the next level at q -> q^p.
-
-    The next level has the exponents e1 // p and ea // p, to order n // p; below q^p it is 1.
-    """
-    factors = [_digit_power(p, e1 % p, n)] if e1 % p else []
-    if ea % p:
-        factors.append(dilate(_digit_power(p, ea % p, n // a), a, n))
-    tail = (e1 // p, ea // p)
-    if n >= p and any(tail):  # 1/E_1 = E_1^(p-1) (1/E_1)(q^p) reads itself, inside this build
-        below = _level(p, a, e1, ea, n // p) if tail == (e1, ea) else _chain(p, a, *tail, n // p)
-        factors.append(dilate(below, p, n))
+def _level(key: tuple, n: int) -> TruncatedSeries:
+    """One chain level to order n: its digit powers times the next level at q -> q^p."""
+    _, p, a, e1, ea = key
+    levels = _levels(p, a, e1, ea, n)
+    _, _, digits = next(levels)
+    factors = [dilate(_digit_power(p, d, n // k), k, n) for d, k in digits]
+    below, n_below, _ = next(levels, (None, 0, None))
+    if below:  # 1/E_1 = E_1^(p-1) (1/E_1)(q^p) reads itself, inside this build
+        tail = _level(key, n_below) if below == key else _stored(below, n_below, partial(_level, below))
+        factors.append(dilate(tail, p, n))
     return reduce(mul, factors) if factors else one(n, Zmod(p))
 
 
@@ -736,6 +730,8 @@ def regular_quotient(ell: int, r: int, order: int, modulus: int = 0) -> Truncate
     """
     if r < 0:
         raise ValueError("exponent must be nonnegative")
+    if modulus:
+        Zmod(modulus)  # a modulus below 2 raises here, before _split
     primes, rest = _split(modulus, order) if modulus else ((), 0)
     parts = [(p, _chain(p, *_form(ell, r, p), order)) for p in primes]
     if rest != 1:

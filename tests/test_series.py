@@ -418,6 +418,14 @@ def test_regular_quotient_of_exponent_zero_is_one(builds):
             build()
 
 
+@pytest.mark.parametrize("m", [1, -1, -6])
+def test_regular_quotient_rejects_a_modulus_below_2(builds, m):
+    # the ring's own message, raised before the modulus is split into primes
+    for build in (lambda: regular_quotient(7, 3, 10, m), lambda: cached_regular_series(7, 3, m, 10)):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            build()
+
+
 def test_direct_and_cached_builds_of_one_key_share_the_locks(builds):
     # two threads build through the cache and two directly, all on one key; none may deadlock
     builds.delay = 0.01
@@ -430,8 +438,13 @@ def test_direct_and_cached_builds_of_one_key_share_the_locks(builds):
     with ThreadPoolExecutor(4) as pool:
         results = [f.result(timeout=60) for f in [pool.submit(ask, i % 2 == 0) for i in range(4)]]
     assert all(s == reference_regular_quotient(23, 13, 150, 6) for s in results)
-    # mod 6: the key, and the chains mod 2 and mod 3 with their squares of E_1, each built once
-    assert Counter(key for key, _ in builds) == Counter({key for key, _ in series_module._pieces((23, 13, 6), 150)})
+    # mod 6: the key, and E_23^13 / E_1^13 = E_1^-13 E_23^13 mod 2 and mod 3, one level per p-adic digit, each
+    # level to its order n // p**i down to S(-1, 0) = 1/E_1, and the squares of E_1 its digits read, each built once
+    mod2 = [(("S", 2, 23, -13, 13), 150), (("S", 2, 23, -7, 6), 75), (("S", 2, 23, -4, 3), 37)]
+    mod2 += [(("S", 2, 23, -2, 1), 18), (("S", 2, 1, -1, 0), 9), (("E_1", 2, 0), 150)]
+    mod3 = [(("S", 3, 23, -13, 13), 150), (("S", 3, 23, -5, 4), 50), (("S", 3, 23, -2, 1), 16)]
+    mod3 += [(("S", 3, 1, -1, 0), 5), (("E_1", 3, 1), 150), (("E_1", 3, 0), 150)]
+    assert Counter(builds) == Counter([((23, 13, 6), 150)] + mod2 + mod3)
 
 
 def test_prefix_store_builds_once_for_two_threads(builds):
@@ -618,19 +631,6 @@ def test_kernel_matches_schoolbook(m, la, lb):
     for n_out in sorted({0, min(la, lb) - 1, max(la, lb) - 1, la + lb - 2}):
         assert list(_product(xa, xb, n_out, m)) == naive_mod_mul(a, b, n_out, m)
         assert list(_product(xa, xa, n_out, m)) == naive_mod_mul(a, a, n_out, m)
-
-
-@pytest.mark.parametrize("m", [2, 3, 5, 11, 55, 251, 256])
-def test_uint8_rows_lift_as_the_array_passes_do(m):
-    # uint8 residues enter the transform through one table lookup; every other dtype through the array passes
-    every = np.arange(m, dtype=np.uint8)
-    lifted = every.astype(np.float64)
-    lifted[every > m // 2] -= m
-    assert np.array_equal(series_module._rows(every, m, 0, m // 2), lifted[None])
-    rng = random.Random(m)
-    a, b = ([rng.randrange(m) for _ in range(300)] for _ in range(2))
-    wide = _product(np.array(a, np.uint16), np.array(b, np.uint16), 299, m)
-    assert list(_product(np.array(a, np.uint8), np.array(b, np.uint8), 299, m)) == list(wide) == naive_mod_mul(a, b, 299, m)
 
 
 @pytest.mark.parametrize("m", (0,) + KERNEL_MODULI)
