@@ -179,7 +179,7 @@ def _eta_table(form: EtaPowerForm, n_max: int) -> tuple[int, ...]:
 
 
 # Each check that reads the store declares those reads beside it, as a function of the check's own
-# arguments: ("E_1^r", r, order) for cached_e1_power, (ell, r, m, order) for cached_regular_series.
+# arguments: ("E_1^d", 0, r, order) for cached_e1_power over Z, (ell, r, m, order) for cached_regular_series.
 
 
 def eta_table_reads(form: EtaPowerForm, n_max: int) -> list[tuple]:
@@ -194,7 +194,7 @@ def four_step(a: Callable[[int, int, int], Term], params: NewmanParams, A: int) 
 
 
 def newman_reads(params: NewmanParams, n_max: int) -> list[tuple]:
-    return [("E_1^r", params.r, n_max)]
+    return [("E_1^d", 0, params.r, n_max)]
 
 
 @timed
@@ -208,7 +208,7 @@ def newman_check(params: NewmanParams, n_max: int) -> VerificationReport:
 
 
 def newman_four_step_reads(r: int, p: int, n_max_index: int) -> list[tuple]:
-    return [("E_1^r", r, n_max_index)]
+    return [("E_1^d", 0, r, n_max_index)]
 
 
 @timed
@@ -287,7 +287,7 @@ BRIDGE_IDS = tuple(BRIDGES)
 
 def bridge_reads(bridge: str, n_max: int) -> list[tuple]:
     b = BRIDGES[bridge]
-    return [(b.ell, b.r, b.ell, b.index(n_max)), ("E_1^r", b.table, n_max)]
+    return [(b.ell, b.r, b.ell, b.index(n_max)), ("E_1^d", 0, b.table, n_max)]
 
 
 @timed

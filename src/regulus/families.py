@@ -162,13 +162,19 @@ def _check_family(family: CongruenceFamily) -> None:
         raise ValueError(f"family {family.id}: unknown kind {family.kind!r}")
     if expr.symbols_used(family.r_formula) - {"t"}:
         raise ValueError(f"family {family.id}: r formula {family.r_formula!r} may use only t")
+    try:
+        rs = [family.r_value(t) for t in (0, 1)]
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"family {family.id}: r formula {family.r_formula!r}: {exc}") from exc
+    if min(rs) < 0:
+        raise ValueError(f"family {family.id}: r formula {family.r_formula!r} is {rs} at t = 0, 1, not >= 0")
     if family.j_constraint not in _J_RESIDUES:
         raise ValueError(f"family {family.id}: unknown j constraint {family.j_constraint!r}")
     if family.j_constraint and family.primes is None:
         raise ValueError(f"family {family.id}: j constraint {family.j_constraint!r} needs primes")
     if family.kind == "thm2":
         row = _thm2_bridge(family.part)
-        if (family.ell, family.r_value(0), family.r_value(1), family.modulus) != (row.ell, row.r, row.r, row.ell):
+        if (family.ell, *rs, family.modulus) != (row.ell, row.r, row.r, row.ell):
             raise ValueError(f"family {family.id}: part {family.part} needs ell {row.ell}, r {row.r}, modulus {row.ell}")
         return
     unknown = sorted(x for x in expr.symbols_used(family.index_formula) if not _INDEX_SYMBOL.fullmatch(x))
@@ -185,7 +191,10 @@ def load_registry(path: Optional[str] = None) -> dict[str, CongruenceFamily]:
         with open(path) as fh:
             raw = fh.read()
     data = json.loads(raw)
-    families = [_family_from_dict(d) for d in data["families"]]
+    entries = data.get("families") if isinstance(data, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+        raise ValueError("a registry is an object whose families is a list of objects")
+    families = [_family_from_dict(d) for d in entries]
     for family in families:
         _check_family(family)
     registry = {f.id: f for f in families}

@@ -23,17 +23,18 @@ Each series kind the checks read has one builder, over one prefix store.
 The store holds the longest series built per key, builds again only for a
 longer order, and serves a shorter one as a prefix, which exact arithmetic
 makes equal to a build at that order.  A builder reads its pieces from the
-store, each under its own key, so that builds sharing a piece build it once:
+store, each under its own key, so that builds sharing a piece build it once.
+The store has three kinds of key:
 
+* ``(ell, r, m)``: E_ell^r / E_1^r mod m (over Z when m == 0), read by
+  ``cached_regular_series``;
 * ``("S", p, a, e1, ea)``: E_1^e1 E_a^ea mod a prime p, one level of a
   Frobenius chain (a == 1 when ea == 0);
-* ``("E_1^d", p, d)``: a digit power E_1^d mod p, 0 < d < p, for d not a
-  power of 2 (E_1^(2^k) is a square);
-* ``("E_1", m, k)``: E_1^(2^k) mod m, over Z when m == 0, the square of
-  piece k - 1 when k >= 1;
-* ``("1/E_1", m)``: Newton's inverse of E_1 mod m (over Z when m == 0);
-* ``("E_l/E_1", ell, m, k)``: the base E_ell * (1/E_1) mod m when k == 0, and
-  its square base**(2**k), the square of piece k - 1, when k >= 1.
+* ``("E_1^d", m, d)``: E_1^d mod m (over Z when m == 0) for any integer d,
+  read by ``cached_e1_power`` and built by one function: E_1 itself for
+  d == 1, Newton's inverse for d == -1, the square of E_1^(d/2) when |d| is a
+  power of 2, and otherwise the product of the stored powers at the set bits
+  of |d|, signed as d (``_factors``).
 
 ``regular_quotient(ell, r, order, m)`` returns E_ell^r / E_1^r mod m.  It
 splits m (``_split``) into the primes p | m with p <= order and p**2 not
@@ -46,46 +47,43 @@ when a == 1 (``_form``).  Splitting off one p-adic digit of each exponent,
 
     S(e1, ea) = E_1^(e1 mod p) E_a^(ea mod p) S(e1 // p, ea // p)(q^p)  (mod p),
 
-so S to order n reads the next level to order n // p.  ``_levels`` walks a
-chain for the build and for the plan alike.  Below q^p
-a dilated level is 1, so the chain ends at the first level of order below p.
-A digit power is the product of the stored squares of E_1 mod p at the set
-bits of its digit, stored for every chain that reads it; E_a^d to order n is
-E_1^d to order n // a at q -> q^a.  Each level is a key of its own,
-so chains share their tails.  The division shrinks |e| until an exponent
-reaches 0 or e1 reaches -1, and every -r chain ends in S(-1, 0) = 1/E_1 mod p
-= E_1^(p-1) (1/E_1)(q^p), whose levels one build computes.  No level inverts.
+so S to order n reads the next level to order n // p.  Below q^p a dilated
+level is 1, so the chain ends at the first level of order below p.  A level's
+digit powers are stored powers of E_1 mod p; E_a^d to order n is E_1^d to
+order n // a at q -> q^a.  Each level is a key of its own, so chains share
+their tails.  The division shrinks |e| until an exponent reaches 0 or e1
+reaches -1, and every -r chain ends in S(-1, 0) = 1/E_1 mod p = E_1^(p-1)
+(1/E_1)(q^p), whose levels one build computes.  No level inverts.
 
 The rest (a prime power, a prime above the order, or all of Z when m == 0)
-keeps the generic build (``_generic``): the product of the stored squares of
-the base at the set bits of r, over Newton's inverse of E_1.  ``_crt`` joins
-the parts by Garner's method: residues X mod M gain t = (x - X) / M mod q for
-a part x mod q, and X + M t < M q <= m, so no entry leaves m's dtype.
-``cached_regular_series`` stores the result under ``(ell, r, m)``;
-``cached_e1_power`` stores E_1^r over Z, the product of its stored squares,
-under ``("E_1^r", r)``.  ``eta_quotient(scale, e, order)``, the power
-eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e from
-there, to the order ``eta_read`` gives.
+is one level of the same form with no next level and no key of its own:
+E_1^-r times E_1^r to order // ell at q -> q^ell, since E_ell(q) = E_1(q^ell).
+So Newton runs only for E_1^-1 over Z or mod a rest.  ``_parts`` lists every
+part's levels, the rest's first, and ``_levels`` walks a chain; the build and
+the plan read both.  ``_crt`` joins the parts by Garner's method: residues X
+mod M gain t = (x - X) / M mod q for a part x mod q, and X + M t < M q <= m,
+so no entry leaves m's dtype.  ``eta_quotient(scale, e, order)``, the power
+eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e from the
+store, to the order ``eta_read`` gives.
 
 A suite run plans the store's reads before any check runs.  Each check
 declares its reads, ``(ell, r, m, order)`` of ``cached_regular_series`` and
-``("E_1^r", r, order)`` of ``cached_e1_power``, and ``plan`` gives each store
-key a target order: the largest order a planned read reaches through it
+``("E_1^d", m, d, order)`` of ``cached_e1_power``, and ``plan`` gives each
+store key a target order: the largest order a planned read reaches through it
 (``_pieces``).  A key read to n reaches each chain level at n, n // p, ...,
-each level's digit powers and their squares at its order (and at its order
-// a for E_a), and the rest's squares and inverse at n.  A miss builds to the larger of the order
-asked and the key's target, so each key is built once per run, lazily, inside
-the first check that reads it.  Outside a run the plan is empty: a read builds
-to the order it asks, as a direct call always does.
+each level's digit powers at its order (at its order // a for E_a), the
+rest's E_1^-r at n and E_1^r at n // ell, and each power of E_1 the powers it
+multiplies at its own order.  A miss builds to the larger of the order asked
+and the key's target, so each key is built once per run, lazily, inside the
+first check that reads it.  Outside a run the plan is empty: a read builds to
+the order it asks, as a direct call always does.
 
 Each key has its own lock, held while its series is built.  A build takes
 the locks of the keys it reads in one order: the key (ell, r, m), then its
-prime parts by increasing p, each as its chain levels by decreasing order,
-then a digit power, then its squares k, k - 1, ..., E_1; then the rest's
-squares k, ..., base, then its inverse.  A level reads only shorter levels
-and digit powers, a digit power only squares, a square only lower squares,
-and no piece reads a key, so two threads never wait on each other in a
-cycle.
+chain levels by decreasing order, then powers of E_1 by decreasing |d|.  A
+level reads only the levels below it in its chain and powers of E_1, a power
+of E_1 only powers of smaller |d| over its ring and of its sign, and no piece
+reads a key (ell, r, m), so two threads never wait on each other in a cycle.
 
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_product``: numpy's float FFT, rounded to integers.
@@ -573,37 +571,51 @@ def _levels(p: int, a: int, e1: int, ea: int, n: int):
         e1, ea, n = e1 // p, ea // p, n // p
 
 
-def _digit_reads(p: int, d: int, n: int) -> list:
-    """The store keys E_1^d mod p to order n reads: its own key unless d is a power of 2, and its squares."""
-    own = [(("E_1^d", p, d), n)] if d & (d - 1) else []
-    return own + [(("E_1", p, k), n) for k in range(d.bit_length())]
+def _parts(ell: int, r: int, m: int, order: int) -> list:
+    """The parts of E_ell^r / E_1^r mod m (over Z when m == 0) to order, r >= 1, each (q, its levels).
+
+    The rest of m (all of Z when m == 0) comes first, as one level E_1^-r E_ell^r with no key and no next
+    level; then each prime p of _split(m, order), as the levels of its chain.
+    """
+    primes, rest = _split(m, order) if m else ((), 0)
+    parts = [(p, list(_levels(p, *_form(ell, r, p), order))) for p in primes]
+    return parts if rest == 1 else [(rest, [(None, order, [(-r, 1), (r, ell)])])] + parts
+
+
+def _factors(d: int) -> list[int]:
+    """The exponents of the stored powers a build of E_1^d multiplies.
+
+    d / 2, squared, when |d| > 1 is a power of 2; else the powers of 2 at the set bits of |d|, signed as d;
+    none when |d| <= 1.
+    """
+    e = abs(d)
+    if e & (e - 1) == 0:
+        return [d // 2] if e > 1 else []
+    return [(d // e) << k for k in range(e.bit_length()) if e >> k & 1]
 
 
 def _pieces(key: tuple, order: int) -> list:
     """The (store key, order) pairs a build of key to order reads, the key first.
 
-    A regular key reads each chain level of each Frobenius prime with its digit powers, then the
-    rest's squares down to its base, then the rest's inverse; a key ("E_1^r", r) reads the squares of E_1.
+    A power of E_1 reads the powers it multiplies; a regular key reads each level of each of its parts,
+    with the powers of E_1 the level's digits read.
     """
-    if key[0] == "E_1^r":
-        return [(key, order)] + [(("E_1", 0, k), order) for k in range(key[1].bit_length())]
-    ell, r, m = key
-    primes, rest = _split(m, order) if m else ((), 0)
     reads = [(key, order)]
-    for p in primes:
-        for level, n, digits in _levels(p, *_form(ell, r, p), order):
-            reads.append((level, n))
-            for d, k in digits:
-                reads += _digit_reads(p, d, n // k)
-    if rest != 1 and r:
-        reads += [(("E_l/E_1", ell, rest, k), order) for k in range(r.bit_length())] + [(("1/E_1", rest), order)]
+    if key[0] == "E_1^d":
+        _, m, d = key
+        return reads + [read for e in _factors(d) for read in _pieces(("E_1^d", m, e), order)]
+    ell, r, m = key
+    for q, levels in _parts(ell, r, m, order) if r else ():
+        for level, n, digits in levels:
+            reads += [(level, n)] if level else []
+            reads += [read for d, k in digits for read in _pieces(("E_1^d", q, d), n // k)]
     return reads
 
 
 def plan(reads) -> dict:
     """Each store key's target order: the largest order a read reaches through it.
 
-    The reads are (ell, r, m, order) of cached_regular_series and ("E_1^r", r, order) of cached_e1_power.
+    The reads are (ell, r, m, order) of cached_regular_series and ("E_1^d", m, d, order) of cached_e1_power.
     """
     longest: dict = {}  # read key -> the largest order read
     for read in reads:
@@ -639,69 +651,42 @@ def _stored(key, order: int, build) -> TruncatedSeries:
         return truncate(_longest[key], order)
 
 
-def _square(tag: tuple, k: int, order: int, build_base) -> TruncatedSeries:
-    """base**(2**k) to order, stored under tag + (k,); build_base(order) builds the base (k == 0)."""
-
-    def build(n: int) -> TruncatedSeries:
-        if not k:
-            return build_base(n)
-        half = _square(tag, k - 1, n, build_base)
-        return mul(half, half)
-
-    return _stored(tag + (k,), order, build)
+def cached_e1_power(d: int, order: int, m: int = 0) -> TruncatedSeries:
+    """E_1^d mod m (over Z when m == 0) to order, for any integer d, stored under ("E_1^d", m, d)."""
+    return _stored(("E_1^d", m, d), order, partial(_e1_power_build, m, d))
 
 
-def _power(tag: tuple, r: int, order: int, build_base, ring: CoefficientRing) -> TruncatedSeries:
-    """base**r to order: the product of the stored squares of the base at the set bits of r."""
-    if r < 0:
-        raise ValueError("exponent must be nonnegative")
-    squares = [_square(tag, k, order, build_base) for k in range(r.bit_length()) if r >> k & 1]
-    return reduce(mul, squares) if squares else one(order, ring)
-
-
-def _e1_power(m: int, d: int, order: int) -> TruncatedSeries:
-    """E_1**d mod m (over Z when m == 0) to order, from the stored squares of E_1."""
+def _e1_power_build(m: int, d: int, n: int) -> TruncatedSeries:
+    """E_1^d mod m to order n: E_1, or Newton's inverse, when |d| == 1; else the stored powers of _factors(d)."""
+    powers = [cached_e1_power(e, n, m) for e in _factors(d)]
+    if powers:
+        return mul(powers[0], powers[0]) if len(powers) == 1 else reduce(mul, powers)
     ring = Zmod(m) if m else ZZ
-    return _power(("E_1", m), d, order, partial(euler_E, 1, ring=ring), ring)
+    if not d:
+        return one(n, ring)
+    return euler_E(1, n, ring) if d == 1 else invert(euler_E(1, n, ring))
 
 
-def _digit_power(p: int, d: int, order: int) -> TruncatedSeries:
-    """E_1^d mod p to order, 0 < d < p, stored under ("E_1^d", p, d) unless it is a square of E_1."""
-    if d & (d - 1):
-        return _stored(("E_1^d", p, d), order, partial(_e1_power, p, d))
-    return _e1_power(p, d, order)
-
-
-def _chain(p: int, a: int, e1: int, ea: int, order: int) -> TruncatedSeries:
-    """E_1^e1 E_a^ea mod p to order: the first level of its chain, stored under its key."""
-    first = next(_levels(p, a, e1, ea, order), None)
-    return _stored(first[0], order, partial(_level, first[0])) if first else one(order, Zmod(p))
+def _chain(q: int, levels: list) -> TruncatedSeries:
+    """The first of a part's levels mod q (over Z when q == 0): stored under its key, or built here if keyless."""
+    key, n, _ = levels[0]
+    return _stored(key, n, partial(_level, key)) if key else _build(q, levels)
 
 
 def _level(key: tuple, n: int) -> TruncatedSeries:
-    """One chain level to order n: its digit powers times the next level at q -> q^p."""
+    """The chain level of a key ("S", p, a, e1, ea) to order n."""
     _, p, a, e1, ea = key
-    levels = _levels(p, a, e1, ea, n)
-    _, _, digits = next(levels)
-    factors = [dilate(_digit_power(p, d, n // k), k, n) for d, k in digits]
-    below, n_below, _ = next(levels, (None, 0, None))
+    return _build(p, list(_levels(p, a, e1, ea, n)))
+
+
+def _build(q: int, levels: list) -> TruncatedSeries:
+    """The first of levels (key, n, digits) mod q: E_1^d to order n // k at q -> q^k for each (d, k) of its
+    digits, times the next level dilated by q, which only a chain, mod a prime q, has."""
+    (key, n, digits), *below = levels
+    factors = [dilate(cached_e1_power(d, n // k, q), k, n) for d, k in digits]
     if below:  # 1/E_1 = E_1^(p-1) (1/E_1)(q^p) reads itself, inside this build
-        tail = _level(key, n_below) if below == key else _stored(below, n_below, partial(_level, below))
-        factors.append(dilate(tail, p, n))
-    return reduce(mul, factors) if factors else one(n, Zmod(p))
-
-
-def _generic(ell: int, r: int, order: int, m: int) -> TruncatedSeries:
-    """E_ell^r / E_1^r mod m (over Z when m == 0) to order: the stored squares of E_ell * (1/E_1) at r's set bits."""
-    ring = Zmod(m) if m else ZZ
-
-    def inverse(n: int) -> TruncatedSeries:
-        return invert(euler_E(1, n, ring))
-
-    def base(n: int) -> TruncatedSeries:
-        return mul(euler_E(ell, n, ring), _stored(("1/E_1", m), n, inverse))
-
-    return _power(("E_l/E_1", ell, m), r, order, base, ring)
+        factors.append(dilate(_build(q, below) if below[0][0] == key else _chain(q, below), q, n))
+    return reduce(mul, factors) if factors else one(n, Zmod(q) if q else ZZ)
 
 
 def _crt(parts: list, m: int) -> TruncatedSeries:
@@ -726,17 +711,14 @@ def regular_quotient(ell: int, r: int, order: int, modulus: int = 0) -> Truncate
     """Generating series E_ell^r / E_1^r of ell-regular r-multipartition counts, built from stored pieces.
 
     Mod each prime p of the modulus with p <= order and p**2 not dividing it, a Frobenius chain; the
-    rest of the modulus, or Z, by the generic build; the Chinese remainder theorem joins the parts.
+    rest of the modulus, or Z, as E_1^-r E_1^r(q^ell); the Chinese remainder theorem joins the parts.
     """
     if r < 0:
         raise ValueError("exponent must be nonnegative")
-    if modulus:
-        Zmod(modulus)  # a modulus below 2 raises here, before _split
-    primes, rest = _split(modulus, order) if modulus else ((), 0)
-    parts = [(p, _chain(p, *_form(ell, r, p), order)) for p in primes]
-    if rest != 1:
-        parts.insert(0, (rest, _generic(ell, r, order, rest)))  # first: _crt steps only by the primes
-    return _crt(parts, modulus)
+    ring = Zmod(modulus) if modulus else ZZ  # a modulus below 2 raises here, before _split
+    if not r:
+        return one(order, ring)
+    return _crt([(q, _chain(q, levels)) for q, levels in _parts(ell, r, modulus, order)], modulus)
 
 
 def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> TruncatedSeries:
@@ -744,14 +726,9 @@ def cached_regular_series(ell: int, r: int, modulus: int, order: int) -> Truncat
     return _stored((ell, r, modulus), order, lambda n: regular_quotient(ell, r, n, modulus))
 
 
-def cached_e1_power(r: int, order: int) -> TruncatedSeries:
-    """E_1^r over Z, stored under ("E_1^r", r) and built from the stored squares of E_1."""
-    return _stored(("E_1^r", r), order, lambda n: _e1_power(0, r, n))
-
-
 def eta_read(scale: int, exponent: int, order: int) -> tuple:
     """The store read eta_quotient(scale, exponent, order) makes: E_1^exponent to the last term below order."""
-    return ("E_1^r", exponent, max((order - scale * exponent // 24) // scale, 0))
+    return ("E_1^d", 0, exponent, max((order - scale * exponent // 24) // scale, 0))
 
 
 def eta_quotient(scale: int, exponent: int, order: int) -> TruncatedSeries:
@@ -764,6 +741,6 @@ def eta_quotient(scale: int, exponent: int, order: int) -> TruncatedSeries:
     shift = scale * exponent // 24
     a = [0] * (order + 1)
     terms = len(a[shift::scale])
-    _, _, n = eta_read(scale, exponent, order)
+    _, _, _, n = eta_read(scale, exponent, order)
     a[shift::scale] = cached_e1_power(exponent, n).coeffs[:terms]
     return TruncatedSeries(ZZ, a)

@@ -20,7 +20,7 @@ import numpy as np
 from . import coefficients as co
 from . import dissections, families, oracle
 from .report import FAIL, PASS, VACUOUS, VerificationReport, aggregate, timed
-from .series import Zmod, euler_E, planned, power, regular_quotient
+from .series import Zmod, cached_regular_series, euler_E, planned, power
 
 REPORT_VERSION = 1
 
@@ -70,7 +70,7 @@ def check_oracle_equivalence(n_max: int = 300) -> VerificationReport:
     """Series coefficients over Z equal the oracle's recurrence counts."""
     report = VerificationReport(id="oracle.equivalence", params_swept={"n_max": n_max})
     for ell, r in ORACLE_PAIRS:
-        s = regular_quotient(ell, r, n_max, 0)
+        s = cached_regular_series(ell, r, 0, n_max)
         table = oracle.regular_multipartition_counts(ell, r, n_max)
         for n in range(n_max + 1):
             if s[n] != table[n]:
@@ -95,7 +95,7 @@ def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
 
 
 def oracle_equivalence_reads(n_max: int) -> list[tuple]:
-    """The reads of the stored pieces each quotient over Z is built from; the quotients themselves are not stored."""
+    """The store reads of check_oracle_equivalence(n_max): each quotient over Z."""
     return [(ell, r, 0, n_max) for ell, r in ORACLE_PAIRS]
 
 

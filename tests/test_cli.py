@@ -226,6 +226,9 @@ def test_verify_bad_registry_path(capsys):
         {"index": "7"},
         {"index": "12/(n + 1)"},
         {"r": "n + 1"},
+        # r must be a nonnegative integer at t = 0 and 1: these failed at run time, the second naming the index
+        {"r": "0-9"},
+        {"r": "t**(-1)"},
         {"j": "odd"},
         {"kind": "sieve"},
         {"kind": "thm2", "part": "iii"},
@@ -261,6 +264,17 @@ def test_verify_bad_registry_path(capsys):
 )
 def test_verify_bad_registry_entry_exits_usage(tmp_path, capsys, change):
     path = probe_registry(tmp_path, change)
+    code, out, err = run(capsys, "verify", "--family", "probe", "--registry", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("bad registry:")
+
+
+@pytest.mark.parametrize("registry", [[], {"families": 3}, {"families": [5]}, {}], ids=json.dumps)
+def test_verify_registry_of_the_wrong_shape_exits_usage(tmp_path, capsys, registry):
+    # the first three crashed with a TypeError (internal error, exit 2 with the wrong message)
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(registry))
     code, out, err = run(capsys, "verify", "--family", "probe", "--registry", str(path))
     assert code == EXIT_USAGE
     assert out == ""

@@ -8,14 +8,28 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from regulus import coefficients as co
 from regulus import families, suite
 from regulus.families import GridBudget, default_registry, load_registry
-from regulus.series import cached_regular_series, plan, planned, regular_quotient
+from regulus.series import (
+    ZZ,
+    Zmod,
+    cached_e1_power,
+    cached_regular_series,
+    euler_E,
+    invert,
+    plan,
+    planned,
+    power,
+    regular_quotient,
+)
+from test_fuzz import FUZZ
+from test_series import reference_regular_quotient
 
 series_module = importlib.import_module("regulus.series")
-generic = series_module._generic  # the Newton and squaring-chain build, every other build's reference
 
 
 def declared_reads(budget, check_ids=None):
@@ -72,16 +86,16 @@ def test_a_read_past_its_declaration_is_caught(builds, past_plan, monkeypatch):
 def test_a_direct_call_has_no_plan(builds):
     assert series_module._targets == {}
     got = cached_regular_series(3, 12, 3, 50)
-    # E_3^12 / E_1^12 = E_1^24 mod 3: its chain and the squares of E_1 mod 3, no Newton inverse
+    # E_3^12 / E_1^12 = E_1^24 mod 3: its chain and its digits' powers E_1^2 and E_1 mod 3, no Newton inverse
     chain = [key for key, _ in builds if key[0] == "S"]
     assert chain == [("S", 3, 1, 24, 0), ("S", 3, 1, 8, 0), ("S", 3, 1, 2, 0)]
-    assert {key for key, _ in builds} == {(3, 12, 3), ("E_1", 3, 0), ("E_1", 3, 1), *chain}
-    assert got == generic(3, 12, 50, 3)
+    assert {key for key, _ in builds} == {(3, 12, 3), ("E_1^d", 3, 1), ("E_1^d", 3, 2), *chain}
+    assert got == reference_regular_quotient(3, 12, 50, 3)
 
 
 def test_threads_sharing_prime_chains_build_each_key_once(builds):
     # six threads, more than a small machine has cores, each on its own modulus; the moduli share the
-    # chains mod 2, 3 and 5, and 4 and 60 the generic build mod 4. No thread may deadlock or build twice
+    # chains mod 2, 3 and 5, and 4 and 60 the rest mod 4. No thread may deadlock or build twice
     builds.delay = 0.01
     moduli = (2, 3, 4, 5, 6, 10)
     together = threading.Barrier(len(moduli))
@@ -107,13 +121,15 @@ def test_threads_sharing_prime_chains_build_each_key_once(builds):
     assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
     tops = {key[1]: key for key, _ in builds if key[0] == "S" and key[3:] == (-6, 6)}
     assert tops == {p: ("S", p, 19, -6, 6) for p in (2, 3, 5)}
-    assert {key[-2] for key, _ in builds if key[0] == "E_l/E_1"} == {key[1] for key, _ in builds if key[0] == "1/E_1"} == {4}
-    assert all(results[m] == generic(19, 6, 200, m) for m in moduli)
+    # only the rest reads negative powers of E_1, and Newton's inverse among them
+    assert {key[1] for key, _ in builds if key[0] == "E_1^d" and key[2] < 0} == {4}
+    assert (("E_1^d", 4, -1), 200) in builds
+    assert all(results[m] == reference_regular_quotient(19, 6, 200, m) for m in moduli)
 
 
 def test_plan_shares_each_primes_chain_across_moduli():
     reads = [(3, 12, 2, 100), (3, 12, 3, 400), (3, 15, 15, 50), (3, 15, 3, 200), (3, 15, 5, 300)]
-    targets = plan(reads + [(5, 6, 5, 70), (7, 7, 7, 10), (3, 9, 0, 30), ("E_1^r", 6, 90)])
+    targets = plan(reads + [(5, 6, 5, 70), (7, 7, 7, 10), (3, 9, 0, 30), ("E_1^d", 0, 6, 90)])
     assert targets[(3, 12, 2)] == 100 and targets[(3, 12, 3)] == 400
     # mod 3, E_3^r / E_1^r = E_1^(2r); mod 5, E_1^-r E_3^r: one chain per prime, shared by 3, 5 and 15
     assert targets[("S", 3, 1, 30, 0)] == 200 and targets[("S", 5, 3, -15, 15)] == 300
@@ -121,12 +137,17 @@ def test_plan_shares_each_primes_chain_across_moduli():
     # one level per digit, at order // p; its digit powers from the squares of E_1 mod p
     assert targets[("S", 3, 1, 24, 0)] == 400 and targets[("S", 3, 1, 8, 0)] == 133
     assert targets[("S", 3, 1, 2, 0)] == 44 and ("S", 3, 1, 0, 0) not in targets
-    assert targets[("E_1", 3, 0)] == targets[("E_1", 3, 1)] == 133 and ("E_1", 3, 2) not in targets
+    assert targets[("E_1^d", 3, 1)] == targets[("E_1^d", 3, 2)] == 133 and ("E_1^d", 3, 4) not in targets
     # every -r chain ends in 1/E_1 mod p, shared across ell: here E_1^-12 E_3^12 mod 2 and E_1^-15 E_3^15 mod 5
     assert targets[("S", 2, 1, -1, 0)] == 100 // 2**4 and targets[("S", 5, 1, -1, 0)] == 300 // 25
-    assert targets[(3, 9, 0)] == targets[("E_l/E_1", 3, 0, 3)] == targets[("1/E_1", 0)] == 30
-    assert not any(key[0] in ("E_l/E_1", "1/E_1") and key[-2 if key[0] == "E_l/E_1" else -1] for key in targets)
-    assert targets[("E_1^r", 6)] == targets[("E_1", 0, 2)] == 90 and ("E_1", 0, 3) not in targets
+    # over Z, the rest: E_1^-9 = E_1^-1 E_1^-8 to 30, from Newton's inverse, and E_1^9 to 30 // 3 at q -> q^3
+    assert targets[(3, 9, 0)] == targets[("E_1^d", 0, -9)] == targets[("E_1^d", 0, -8)] == 30
+    assert targets[("E_1^d", 0, -1)] == 30 and targets[("E_1^d", 0, 9)] == 10
+    # no modulus here has a rest: every negative power of E_1, and so every Newton inverse, is over Z
+    assert not any(key[0] == "E_1^d" and key[1] and key[2] < 0 for key in targets)
+    # E_1^6 = E_1^2 E_1^4 over Z, read by an eta table, shares its powers with the rest's E_1^9 = E_1 E_1^8
+    assert targets[("E_1^d", 0, 6)] == targets[("E_1^d", 0, 4)] == targets[("E_1^d", 0, 1)] == 90
+    assert targets[("E_1^d", 0, 8)] == 10 and ("E_1^d", 0, 16) not in targets
 
 
 def test_plan_splits_wide_moduli_into_prime_parts_and_a_generic_rest():
@@ -136,17 +157,17 @@ def test_plan_splits_wide_moduli_into_prime_parts_and_a_generic_rest():
     assert split(2 * k, 300) == ((), 2 * k) and split(3 * k, 300) == ((3,), k)
     assert split(12, 2000) == ((3,), 4) and split(60, 100) == ((3, 5), 4) and split(55, 10) == ((5,), 11)
     assert split(2**64 + 13, 2000) == ((), 2**64 + 13) and split(10**30 + 57, 2000) == ((), 10**30 + 57)
-    # 251 has its chain, 256 the generic build, and nothing is built mod their product
+    # 251 has its chain, 256 is all rest, and nothing is built mod their product
     targets = plan([(5, 3, 251, 300), (5, 3, 256, 300)])
-    assert targets[("S", 251, 5, -3, 3)] == 300 and targets[("1/E_1", 256)] == 300
+    assert targets[("S", 251, 5, -3, 3)] == 300 and targets[("E_1^d", 256, -1)] == 300
     assert not [key for key in targets if 64256 in key]
     # 2 * 2**40 is all rest; 3 * 2**40 is the chain mod 3 joined with the rest 2**40
     targets = plan([(5, 3, 2 * k, 300), (5, 3, 3 * k, 300)])
-    assert targets[("1/E_1", 2 * k)] == targets[("1/E_1", k)] == targets[("S", 3, 5, -3, 3)] == 300
+    assert targets[("E_1^d", 2 * k, -1)] == targets[("E_1^d", k, -1)] == targets[("S", 3, 5, -3, 3)] == 300
     targets = plan([(5, 3, 2, 300), (5, 3, 3, 300)])
     assert targets[("S", 2, 5, -3, 3)] == targets[("S", 3, 5, -3, 3)] == 300 and not [key for key in targets if 6 in key]
     for m in (251, 256, 2 * k, 3 * k, 12):
-        assert regular_quotient(5, 3, 300, m) == generic(5, 3, 300, m)
+        assert regular_quotient(5, 3, 300, m) == reference_regular_quotient(5, 3, 300, m)
 
 
 def registry_keys():
@@ -162,8 +183,8 @@ def test_planned_reads_equal_the_regular_quotient(builds):
         got = {key: cached_regular_series(*key, order) for key in keys}
     # every registry modulus is squarefree: all of them are built by chains, none by Newton
     assert {key[1] for key, _ in builds if key[0] == "S"} == {2, 3, 5, 7, 11}
-    assert not [key for key, _ in builds if key[0] in ("E_l/E_1", "1/E_1")]
-    assert [key for key in keys if got[key] != generic(key[0], key[1], order, key[2])] == []
+    assert not [key for key, _ in builds if key[0] == "E_1^d" and key[2] < 0]
+    assert [key for key in keys if got[key] != reference_regular_quotient(key[0], key[1], order, key[2])] == []
 
 
 @pytest.mark.parametrize("key", [(3, 15, 5), (55, 76, 11), (35, 39, 7)], ids=lambda key: "{},{},{}".format(*key))
@@ -173,7 +194,7 @@ def test_planned_read_equals_the_regular_quotient_at_full_fft_length(builds, key
         got = cached_regular_series(ell, r, m, order)
     a = ell // m if ell % m == 0 else ell
     assert (("S", m, a, -r, r * ell // a), order) in builds
-    assert got == generic(ell, r, order, m)
+    assert got == reference_regular_quotient(ell, r, order, m)
 
 
 def test_moduli_past_uint8_share_their_prime_chains(builds, tmp_path):
@@ -187,7 +208,7 @@ def test_moduli_past_uint8_share_their_prime_chains(builds, tmp_path):
     assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
     assert {key[1] for key, _ in builds if key[0] == "S"} == {2, 251}
     for m in (251, 256, 502):
-        assert cached_regular_series(5, 3, m, 300) == generic(5, 3, 300, m)
+        assert cached_regular_series(5, 3, m, 300) == reference_regular_quotient(5, 3, 300, m)
 
 
 def test_theorem_2_declares_a_conclusion_only_where_one_can_be_reached():
@@ -196,3 +217,53 @@ def test_theorem_2_declares_a_conclusion_only_where_one_can_be_reached():
     # p = 3 and 5 unconditionally, the search to index(49), and a conclusion at p = 3 (first index 282)
     assert part_ii == [(7, 6, 7, 1983), (7, 6, 7, 6561), (7, 6, 7, 345), (7, 6, 7, 2000)]
     assert families._thm2_reads("ii", GridBudget(order=281))[-1] == (7, 6, 7, 345)
+
+
+# Z, primes (two above every order drawn), prime powers, squarefree composites, mixed moduli, and past uint64
+MODULI = st.sampled_from([0, 2, 3, 5, 7, 11, 13, 251, 601, 1009, 4, 8, 9, 25, 27, 49, 6, 10, 15, 30, 35, 55, 77,
+                          12, 60, 100, 2**64 + 13])
+READS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(2, 60), st.integers(0, 120), MODULI, st.integers(0, 600)),
+        st.tuples(st.just("E_1^d"), MODULI, st.integers(-120, 120), st.integers(0, 600)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def read(x, a, b, n):
+    """The planned read (ell, r, m, order) of cached_regular_series, or ("E_1^d", m, d, order) of cached_e1_power."""
+    return cached_e1_power(b, n, a) if x == "E_1^d" else cached_regular_series(x, a, b, n)
+
+
+def reference(x, a, b, n):
+    """What read(x, a, b, n) must equal, by the plain builds, which read no store."""
+    if x != "E_1^d":
+        return reference_regular_quotient(x, a, n, b)
+    e1 = euler_E(1, n, Zmod(a) if a else ZZ)
+    return power(e1 if b >= 0 else invert(e1), abs(b))
+
+
+@FUZZ
+@given(READS)
+def test_planned_reads_build_each_planned_key_once_at_its_target(reads):
+    builds = []
+    real = series_module._stored
+
+    def stored(key, order, build):
+        def logged(n):
+            builds.append((key, n))
+            return build(n)
+
+        return real(key, order, logged)
+
+    with pytest.MonkeyPatch.context() as mp:  # an empty store per example
+        mp.setattr(series_module, "_stored", stored)
+        mp.setattr(series_module, "_longest", {})
+        mp.setattr(series_module, "_key_locks", {})
+        with planned(reads) as targets:
+            got = [read(*key) for key in reads]
+    assert [(key, n) for key, n in builds if targets.get(key) != n] == []
+    assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
+    assert [key for key, s in zip(reads, got) if s != reference(*key)] == []

@@ -368,35 +368,46 @@ def _registry_quotient_keys():
 # --- the prefix store; each test that counts builds starts from an empty store, on keys no other test builds ---
 
 
-def quotient_pieces(ell, r, m):
-    """The store keys a build of (ell, r, m) reads: the key, every square down to the base, and the inverse."""
-    return {(ell, r, m), ("1/E_1", m)} | {("E_l/E_1", ell, m, k) for k in range(r.bit_length())}
+def power_reads(m, d, n):
+    """The (store key, order) of E_1^d mod m and of the powers its build reads, to order n: the signed
+    powers of 2 up to |d|'s top bit, each the square of the one below it, down to E_1^(+-1)."""
+    sign = 1 if d > 0 else -1
+    return {(("E_1^d", m, d), n)} | {(("E_1^d", m, sign << k), n) for k in range(abs(d).bit_length())}
+
+
+def quotient_reads(ell, r, m, order):
+    """The (store key, order) pairs a build of (ell, r, m) to order reads when m has no Frobenius prime:
+    the key, E_1^-r mod m to order, and E_1^r mod m to order // ell, read at q -> q^ell."""
+    return {((ell, r, m), order)} | power_reads(m, -r, order) | power_reads(m, r, order // ell)
 
 
 def test_prefix_store_builds_once_per_longer_order(builds):
-    # the key, then the base and its inverse (square 0), then square 2, which builds square 1
-    pieces = [(13, 5, 9), ("E_l/E_1", 13, 9, 0), ("1/E_1", 9), ("E_l/E_1", 13, 9, 2), ("E_l/E_1", 13, 9, 1)]
+    # the key, then E_1^-5 = E_1^-1 E_1^-4 mod 9, then E_1^-4, which builds E_1^-2; then E_1^5 to 300 // 13
+    negative = [("E_1^d", 9, d) for d in (-5, -1, -4, -2)]
+    positive = [("E_1^d", 9, d) for d in (5, 1, 4, 2)]
     for order in (300, 200, 100, 300):
         assert cached_regular_series(13, 5, 9, order) == reference_regular_quotient(13, 5, order, 9)
-    assert builds == [(key, 300) for key in pieces]
+    first = [((13, 5, 9), 300)] + [(key, 300) for key in negative] + [(key, 23) for key in positive]
+    assert builds == first
     assert cached_regular_series(13, 5, 9, 301) == reference_regular_quotient(13, 5, 301, 9)
     assert cached_regular_series(13, 5, 9, 40) == reference_regular_quotient(13, 5, 40, 9)
-    assert builds == [(key, 300) for key in pieces] + [(key, 301) for key in pieces]
-    # a key sharing the base builds only itself: its squares are stored
+    # at 301 the positive powers are still read to 301 // 13 = 23, where they are held
+    assert builds == first + [((13, 5, 9), 301)] + [(key, 301) for key in negative]
+    # a key sharing the powers builds only itself and the two powers it multiplies
     del builds[:]
     assert cached_regular_series(13, 6, 9, 250) == reference_regular_quotient(13, 6, 250, 9)
-    assert builds == [((13, 6, 9), 250)]
-    # E_1 powers over Z: the key, then the squares of E_1 from the base up
+    assert builds == [((13, 6, 9), 250), (("E_1^d", 9, -6), 250), (("E_1^d", 9, 6), 19)]
+    # E_1 powers over Z: the key, then the powers of 2 at its set bits, each the square of the one below
     del builds[:]
     for order in (90, 30, 91, 60):
         assert cached_e1_power(31, order) == power(euler_E(1, order), 31)
-    e1_pieces = [("E_1^r", 31)] + [("E_1", 0, k) for k in range(5)]
+    e1_pieces = [("E_1^d", 0, d) for d in (31, 1, 2, 4, 8, 16)]
     assert builds == [(key, 90) for key in e1_pieces] + [(key, 91) for key in e1_pieces]
 
 
 def test_regular_quotient_stores_its_pieces_and_the_cache_only_the_key(builds):
     assert regular_quotient(13, 5, 120, 9) == reference_regular_quotient(13, 5, 120, 9)
-    assert Counter(builds) == Counter((key, 120) for key in quotient_pieces(13, 5, 9) - {(13, 5, 9)})
+    assert Counter(builds) == Counter(quotient_reads(13, 5, 9, 120) - {((13, 5, 9), 120)})
     del builds[:]
     assert cached_regular_series(13, 5, 9, 120) == reference_regular_quotient(13, 5, 120, 9)
     assert builds == [((13, 5, 9), 120)]
@@ -404,18 +415,17 @@ def test_regular_quotient_stores_its_pieces_and_the_cache_only_the_key(builds):
     del builds[:]
     for ell, r in ((3, 12), (5, 6)):
         assert regular_quotient(ell, r, 60) == reference_regular_quotient(ell, r, 60)
-    assert Counter(key for key, _ in builds)[("1/E_1", 0)] == 1
+    assert Counter(key for key, _ in builds)[("E_1^d", 0, -1)] == 1
 
 
 def test_regular_quotient_of_exponent_zero_is_one(builds):
     assert regular_quotient(7, 0, 10, 5) == one(10, Zmod(5))
     assert cached_regular_series(7, 0, 5, 10) == one(10, Zmod(5))
     assert cached_e1_power(0, 10) == one(10, ZZ)
-    assert builds == [((7, 0, 5), 10), (("E_1^r", 0), 10)]
-    # a negative exponent has no set bits to read; it must raise, not return a wrong power
-    for build in (lambda: regular_quotient(7, -3, 10, 5), lambda: cached_e1_power(-3, 10)):
-        with pytest.raises(ValueError):
-            build()
+    assert builds == [((7, 0, 5), 10), (("E_1^d", 0, 0), 10)]
+    # a negative exponent of the quotient must raise, not return a wrong series
+    with pytest.raises(ValueError):
+        regular_quotient(7, -3, 10, 5)
 
 
 @pytest.mark.parametrize("m", [1, -1, -6])
@@ -439,11 +449,11 @@ def test_direct_and_cached_builds_of_one_key_share_the_locks(builds):
         results = [f.result(timeout=60) for f in [pool.submit(ask, i % 2 == 0) for i in range(4)]]
     assert all(s == reference_regular_quotient(23, 13, 150, 6) for s in results)
     # mod 6: the key, and E_23^13 / E_1^13 = E_1^-13 E_23^13 mod 2 and mod 3, one level per p-adic digit, each
-    # level to its order n // p**i down to S(-1, 0) = 1/E_1, and the squares of E_1 its digits read, each built once
+    # level to its order n // p**i down to S(-1, 0) = 1/E_1, and the powers of E_1 its digits read, each built once
     mod2 = [(("S", 2, 23, -13, 13), 150), (("S", 2, 23, -7, 6), 75), (("S", 2, 23, -4, 3), 37)]
-    mod2 += [(("S", 2, 23, -2, 1), 18), (("S", 2, 1, -1, 0), 9), (("E_1", 2, 0), 150)]
+    mod2 += [(("S", 2, 23, -2, 1), 18), (("S", 2, 1, -1, 0), 9), (("E_1^d", 2, 1), 150)]
     mod3 = [(("S", 3, 23, -13, 13), 150), (("S", 3, 23, -5, 4), 50), (("S", 3, 23, -2, 1), 16)]
-    mod3 += [(("S", 3, 1, -1, 0), 5), (("E_1", 3, 1), 150), (("E_1", 3, 0), 150)]
+    mod3 += [(("S", 3, 1, -1, 0), 5), (("E_1^d", 3, 2), 150), (("E_1^d", 3, 1), 150)]
     assert Counter(builds) == Counter([((23, 13, 6), 150)] + mod2 + mod3)
 
 
@@ -457,7 +467,7 @@ def test_prefix_store_builds_once_for_two_threads(builds):
 
     with ThreadPoolExecutor(2) as pool:
         first, second = [f.result(timeout=60) for f in [pool.submit(ask) for _ in range(2)]]
-    assert Counter(builds) == Counter((key, 200) for key in quotient_pieces(17, 3, 4)) and first is second
+    assert Counter(builds) == Counter(quotient_reads(17, 3, 4, 200)) and first is second
 
 
 def test_prefix_store_threads_sharing_a_base_build_each_piece_once(builds):
@@ -485,8 +495,7 @@ def test_prefix_store_threads_sharing_a_base_build_each_piece_once(builds):
     assert not any(t.is_alive() for t in threads)
     for r in exponents:
         assert results[r] == reference_regular_quotient(19, r, 200, 8)
-    pieces = set().union(*(quotient_pieces(19, r, 8) for r in exponents))
-    assert Counter(builds) == Counter((key, 200) for key in pieces)
+    assert Counter(builds) == Counter(set().union(*(quotient_reads(19, r, 8, 200) for r in exponents)))
 
 
 @pytest.mark.parametrize("orders", [(150, 600), (600, 150)])
@@ -508,13 +517,15 @@ def test_stored_series_is_the_regular_quotient_at_full_fft_length(ell, r, m):
 
 
 def test_stored_e1_power_is_the_power_of_e1():
-    for r in range(41):
-        assert cached_e1_power(r, 300) == power(euler_E(1, 300), r)
+    # over Z, mod a prime, mod a prime power and past uint64, of either sign
+    for m in (0, 4, 7, 2**64 + 13):
+        e1 = euler_E(1, 300, Zmod(m) if m else ZZ)
+        for r in range(41):
+            assert cached_e1_power(r, 300, m) == power(e1, r)
+            assert cached_e1_power(-r, 300, m) == power(invert(e1), r)
 
 
-# --- Frobenius chains mod p, joined by the CRT, against the generic build (Newton's inverse, squaring chain) ---
-
-generic = series_module._generic
+# --- Frobenius chains mod p, and the rest, joined by the CRT, against the plain build ---
 
 # the keys whose squaring chain takes six products: the benchmark's quotient workload
 QUOTIENT_KEYS = [(3, 15, 3), (3, 15, 5), (3, 15, 15), (5, 21, 2), (5, 21, 5), (5, 21, 10),
@@ -525,38 +536,43 @@ def prime_factors(m):
     return [p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
 
 
+def chain(p, a, e1, ea, order):
+    """E_1^e1 E_a^ea mod p to order by its Frobenius chain alone, also at an order below p."""
+    return series_module._chain(p, list(series_module._levels(p, a, e1, ea, order)))
+
+
 @pytest.mark.parametrize("ell,r,m", _registry_quotient_keys())
 def test_chains_equal_the_generic_build(ell, r, m):
     order = 2000
     got = regular_quotient(ell, r, order, m)
-    assert got == generic(ell, r, order, m) and got.data.dtype == np.uint8
+    assert got == reference_regular_quotient(ell, r, order, m) and got.data.dtype == np.uint8
     for p in prime_factors(m):
-        chain = series_module._chain(p, *series_module._form(ell, r, p), order)
-        assert chain == regular_quotient(ell, r, order, p) == generic(ell, r, order, p)
-        assert TruncatedSeries(Zmod(p), got.data % p) == chain
+        mod_p = chain(p, *series_module._form(ell, r, p), order)
+        assert mod_p == regular_quotient(ell, r, order, p) == reference_regular_quotient(ell, r, order, p)
+        assert TruncatedSeries(Zmod(p), got.data % p) == mod_p
 
 
 @pytest.mark.parametrize("ell,r,m", QUOTIENT_KEYS)
 def test_chains_equal_the_generic_build_at_full_fft_length(ell, r, m):
-    assert regular_quotient(ell, r, 32000, m) == generic(ell, r, 32000, m)
+    assert regular_quotient(ell, r, 32000, m) == reference_regular_quotient(ell, r, 32000, m)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_chain_inverse_of_e1_is_newtons(p):
     # E_1^(p-1) (1/E_1)(q^p), level by level, to orders below p, at p, at p**2 and past it
     for order in (0, p - 1, p, p * p, 3000):
-        assert series_module._chain(p, 1, -1, 0, order) == invert(euler_E(1, order, Zmod(p)))
+        assert chain(p, 1, -1, 0, order) == invert(euler_E(1, order, Zmod(p)))
 
 
 @pytest.mark.parametrize(
     "m", [4, 12, 3 * 2**40, 2**64 + 13, 10**30 + 57, 6 * (2**64 + 13)], ids=["4", "12", "3*2^40", "2^64+13", "10^30+57", "6*(2^64+13)"]
 )
 def test_chains_join_with_a_generic_rest(m):
-    # a prime power, or a prime above the order, is the rest: Newton's build, joined with the chains
+    # a prime power, or a prime above the order, is the rest: E_1^-r, from Newton's inverse, times E_1^r at
+    # q -> q^ell, joined with the chains
     for ell, r in ((5, 21), (3, 12), (55, 7)):
         got = regular_quotient(ell, r, 600, m)
-        assert got == generic(ell, r, 600, m) and got.data.dtype == series_module._dtype(m)
-    assert got == reference_regular_quotient(55, 7, 600, m)
+        assert got == reference_regular_quotient(ell, r, 600, m) and got.data.dtype == series_module._dtype(m)
 
 
 def test_squarefree_moduli_build_without_newton(builds, monkeypatch):
