@@ -1,62 +1,84 @@
 """Coefficient tables of E_1^r and eta powers, and the linear relations between their progressions.
 
-Each check states one ``Relation`` row, sum(lhs) = sum(rhs) mod M for
-first <= n <= last (over Z when M = 0), and ``check_relation`` evaluates it.
-A ``Term`` is coeff * S(step k + offset), k = n, where S holds the
-coefficients of one store read (``_e1_power``, ``_eta_table`` or
-``cached_regular_series``) at the order its check reads; the check declares
-that read beside it (``*_reads``), for the suite's plan.  A term with a
-residue class n = at (mod every) has k = (n - at) / every on that class for
-n >= at, and is 0 at every other n: the a(n/p) and a((n - d)/p) terms.  When
-M > 0 both sides are reduced mod M.  Coefficients that depend on the data,
-a(d) and a(p), are read when the row is built, as 0 past the read, where the
-row checks no index.  A row of no n is skipped, with a note.
+Each check is its ``Relation`` rows, sum(lhs) = sum(rhs) mod M for first <= n
+<= last (over Z when M = 0), and ``check_relation`` evaluates them.  A
+``Term`` is coeff * S(step k + offset), k = n, where S is the sequence its
+read names: ``(ell, r, m, order)`` of ``cached_regular_series``, ``("E_1^d",
+0, d, order)`` of E_1^d over Z, ``("eta", form, order)`` of an eta power or
+``("oracle", ell, r, order)`` of the oracle's counts.  The row's ``source``
+(``fetch`` unless it names another) resolves each read once per evaluation,
+and ``Relation.reads`` lists the store reads the terms make, for the suite's
+plan.  A term with a residue class n = at (mod every) has k = (n - at) / every
+on that class for n >= at, and is 0 at every other n: the a(n/p) and a((n -
+d)/p) terms.  A coefficient that depends on the data (a(d), a(p), Newman's A)
+is a factor in ``times``, a term read at n = 0, only where its term reads.
+Both sides are reduced mod M > 0.  A row of no n is skipped, with a note.
 
 Where the sides differ at n, a violation is recorded at the index the first
-left term reads, with param n unless the row is unnumbered (bridges, scalings,
-support), and with the value the row's shape gives: ``lhs``, the left side
-(vanishing, support); ``expected``, the left side with param expected= the
-right side (Newman and its four-step composition); ``sides``, {"lhs", "rhs"}
-(Hecke, scalings, Theorem 2 in ``families``); ``series``, {"series": left,
-"table": right} (bridges).
+left term reads, with param n unless the row is unnumbered, the row's params,
+and the value its shape gives: ``lhs``, the left side (vanishing, support);
+``expected``, the left side with param expected= the right side (Newman, four
+steps); ``sides``, {"lhs", "rhs"} (Hecke, scalings, Theorem 2); ``series``,
+{"series": left, "table": right} (bridges); ``oracle``, {"series", "oracle"}.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
+from .oracle import regular_multipartition_counts
 from .report import PASS, SKIPPED, VerificationReport, timed
 from .series import cached_e1_power, cached_regular_series, eta_quotient, eta_read
 
 
+def fetch(read: tuple) -> Sequence[int]:
+    """The sequence a read names, through this module's attributes."""
+    kind, *args, order = read
+    if kind == "E_1^d":
+        return _e1_power(args[1], order)
+    if kind == "eta":
+        return _eta_table(args[0], order)
+    if kind == "oracle":
+        return regular_multipartition_counts(*args, order)
+    return cached_regular_series(*read)
+
+
 @dataclass(frozen=True)
 class Term:
-    """coeff * S(step k + offset), k = (n - at) / every, on n = at (mod every) with n >= at; 0 at other n."""
+    """coeff * S(step k + offset), k = (n - at) / every, on n = at (mod every) with n >= at; 0 at other n.
 
-    source: Sequence[int] = field(repr=False)
+    S is the sequence its read names, and coeff is multiplied by each factor of times, a term read at n = 0.
+    """
+
+    read: tuple
     step: int
     offset: int
     coeff: int = 1
     at: int = 0
     every: int = 1
+    times: tuple[Term, ...] = ()
 
     def index(self, n: int) -> int:
         return self.step * ((n - self.at) // self.every) + self.offset
 
-    def column(self, first: int, count: int) -> list[int]:
-        """The term at n = first .. first + count - 1, read as slices of its source."""
+    def column(self, first: int, count: int, source: Callable[[tuple], Sequence[int]]) -> list[int]:
+        """The term at n = first .. first + count - 1, read as slices of the sequence source(read)."""
         start = max(first, self.at)
         start += (self.at - start) % self.every  # the first n of the class
         hits = len(range(start, first + count, self.every))
-        values = self.source[self.index(start) : self.index(start + self.every * hits) : self.step]
+        values = source(self.read)[self.index(start) : self.index(start + self.every * hits) : self.step]
         if len(values) != hits:
             raise IndexError(f"term reads past its source, index {self.index(start + self.every * (hits - 1))}")
         column = [0] * count
+        if not hits:  # no factor is read where the term reads nothing
+            return column
         column[start - first :: self.every] = values
-        return column if self.coeff == 1 else [self.coeff * v for v in column]
+        coeff = math.prod((x.column(0, 1, source)[0] for x in self.times), start=self.coeff)
+        return column if coeff == 1 else [coeff * v for v in column]
 
 
 SHAPES = {  # each shape's violation value and params besides n, from the two sides
@@ -64,12 +86,13 @@ SHAPES = {  # each shape's violation value and params besides n, from the two si
     "expected": lambda lhs, rhs: (lhs, {"expected": rhs}),
     "sides": lambda lhs, rhs: ({"lhs": lhs, "rhs": rhs}, {}),
     "series": lambda lhs, rhs: ({"series": lhs, "table": rhs}, {}),
+    "oracle": lambda lhs, rhs: ({"series": lhs, "oracle": rhs}, {}),
 }
 
 
 @dataclass(frozen=True)
 class Relation:
-    """sum(lhs) = sum(rhs) mod modulus (over Z when 0) for first <= n <= last."""
+    """sum(lhs) = sum(rhs) mod modulus (over Z when 0) for first <= n <= last; source resolves the terms' reads."""
 
     lhs: tuple[Term, ...]
     rhs: tuple[Term, ...]
@@ -78,27 +101,37 @@ class Relation:
     modulus: int = 0
     shape: str = "sides"  # a key of SHAPES
     numbered: bool = True  # violations carry param n
+    params: tuple[tuple[str, object], ...] = ()  # every violation carries these
+    source: Callable[[tuple], Sequence[int]] = fetch
+
+    @property
+    def reads(self) -> list[tuple]:
+        """The distinct store reads of the row's terms and coefficients, for the suite's plan."""
+        named = dict.fromkeys(r for t in self.lhs + self.rhs for r in (t.read, *(x.read for x in t.times)))
+        return [eta_read(r[1].scale, r[1].exponent, r[2]) if r[0] == "eta" else r for r in named if r[0] != "oracle"]
 
 
-def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int) -> list[int]:
-    total = terms[0].column(first, count)
+def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int, source) -> list[int]:
+    total = terms[0].column(first, count, source) if terms else [0] * count
     for term in terms[1:]:
-        total = [t + v for t, v in zip(total, term.column(first, count))]
+        total = [t + v for t, v in zip(total, term.column(first, count, source))]
     return [v % modulus for v in total] if modulus else total
 
 
-def check_relation(report: VerificationReport, row: Relation) -> VerificationReport:
-    """Record the row's violations in the order of n and count its indices; a row of no n is skipped."""
-    shape, count = SHAPES[row.shape], max(0, row.last - row.first + 1)
-    lhs, rhs = (_side(terms, row.first, count, row.modulus) for terms in (row.lhs, row.rhs))
-    for n, left, right in zip(itertools.count(row.first), lhs, rhs):
-        if left != right:
-            value, params = shape(left, right)
-            report.record(row.lhs[0].index(n), value, **({"n": n} | params if row.numbered else params))
-    report.indices_checked += count
-    if not count:
-        report.notes.append("smallest index exceeds the coefficient budget")
-        report.status = SKIPPED if report.status == PASS else report.status
+def check_relation(report: VerificationReport, *rows: Relation) -> VerificationReport:
+    """Record each row's violations in the order of n and count its indices; a row of no n is skipped."""
+    for row in rows:
+        shape, count, source = SHAPES[row.shape], max(0, row.last - row.first + 1), cache(row.source)
+        lhs, rhs = (_side(terms, row.first, count, row.modulus, source) for terms in (row.lhs, row.rhs))
+        for n, left, right in zip(itertools.count(row.first), lhs, rhs):
+            if left != right:
+                value, params = shape(left, right)
+                numbered = {"n": n} if row.numbered else {}
+                report.record(row.lhs[0].index(n), value, **numbered, **params, **dict(row.params))
+        report.indices_checked += count
+        if not count:
+            report.notes.append("smallest index exceeds the coefficient budget")
+            report.status = SKIPPED if report.status == PASS else report.status
     return report
 
 
@@ -178,82 +211,87 @@ def _eta_table(form: EtaPowerForm, n_max: int) -> tuple[int, ...]:
     return eta_quotient(form.scale, form.exponent, n_max).coeffs
 
 
-# Each check that reads the store declares those reads beside it, as a function of the check's own
-# arguments: ("E_1^d", 0, r, order) for cached_e1_power over Z, (ell, r, m, order) for cached_regular_series.
+def four_step(a: Callable[..., Term], params: NewmanParams, A: Term) -> tuple[tuple[Term, ...], ...]:
+    """Sides a(p^4 n + d4) = (A^3 - 2wA) a(pn + d) - (wA^2 - w^2) a(n), A = a(d); a(k, c, x, *factors) is the
+    term x * factors * a(kn + c)."""
+    p, d, w = params.p, params.delta, params.w
+    return (a(p**4, params.delta4, 1),), (a(p, d, 1, A, A, A), a(p, d, -2 * w, A), a(1, 0, -w, A, A), a(1, 0, w * w))
 
 
-def eta_table_reads(form: EtaPowerForm, n_max: int) -> list[tuple]:
-    """The store read of _eta_table(form, n_max), which the support, Hecke and vanishing checks make."""
-    return [eta_read(form.scale, form.exponent, n_max)]
-
-
-def four_step(a: Callable[[int, int, int], Term], params: NewmanParams, A: int) -> tuple[tuple[Term, ...], ...]:
-    """Sides a(p^4 n + d4) = A(A^2 - 2w) a(pn + d) - w(A^2 - w) a(n), A = a(d); a(k, c, x) is x a(kn + c)."""
-    p, w = params.p, params.w
-    return (a(p**4, params.delta4, 1),), (a(p, params.delta, A * (A * A - 2 * w)), a(1, 0, -w * (A * A - w)))
-
-
-def newman_reads(params: NewmanParams, n_max: int) -> list[tuple]:
-    return [("E_1^d", 0, params.r, n_max)]
+def newman_rows(params: NewmanParams, n_max: int) -> list[Relation]:
+    """a_r(pn + d) = a_r(d) a_r(n) - p^(r/2-1) a_r((n-d)/p), d = r(p-1)/24."""
+    a, p, delta = ("E_1^d", 0, params.r, n_max), params.p, params.delta
+    rhs = (Term(a, 1, 0, times=(Term(a, 1, delta),)), Term(a, 1, 0, -params.w, at=delta, every=p))
+    return [Relation((Term(a, p, delta),), rhs, (n_max - delta) // p, shape="expected")]
 
 
 @timed
 def newman_check(params: NewmanParams, n_max: int) -> VerificationReport:
-    """a_r(pn + d) = a_r(d) a_r(n) - p^(r/2-1) a_r((n-d)/p), d = r(p-1)/24."""
     r, p, delta = params.r, params.p, params.delta
-    a = _e1_power(r, n_max)
-    rhs = (Term(a, 1, 0, a[delta] if delta <= n_max else 0), Term(a, 1, 0, -params.w, at=delta, every=p))
     report = VerificationReport(id=f"newman.r{r}.p{p}", params_swept={"r": r, "p": p, "delta": delta})
-    return check_relation(report, Relation((Term(a, p, delta),), rhs, (n_max - delta) // p, shape="expected"))
+    return check_relation(report, *newman_rows(params, n_max))
 
 
-def newman_four_step_reads(r: int, p: int, n_max_index: int) -> list[tuple]:
-    return [("E_1^d", 0, r, n_max_index)]
+def four_step_rows(r: int, p: int, n_max_index: int) -> list[Relation]:
+    """Composed recurrence expressing a_r(p^4 n + d4) via a_r(pn + d) and a_r(n)."""
+    params, a = NewmanParams(r, p), ("E_1^d", 0, r, n_max_index)
+    lhs, rhs = four_step(lambda k, c, x, *times: Term(a, k, c, x, times=times), params, Term(a, 1, params.delta))
+    return [Relation(lhs, rhs, (n_max_index - params.delta4) // p**4, shape="expected")]
 
 
 @timed
 def newman_four_step(r: int, p: int, n_max_index: int) -> VerificationReport:
-    """Composed recurrence expressing a_r(p^4 n + d4) via a_r(pn + d) and a_r(n)."""
-    params, a = NewmanParams(r, p), _e1_power(r, n_max_index)
-    A = a[params.delta] if params.delta <= n_max_index else 0
-    lhs, rhs = four_step(lambda k, c, x: Term(a, k, c, x), params, A)
-    report = VerificationReport(id=f"newman4.r{r}.p{p}", params_swept={"r": r, "p": p, "delta4": params.delta4})
-    return check_relation(report, Relation(lhs, rhs, (n_max_index - params.delta4) // p**4, shape="expected"))
+    rows, swept = four_step_rows(r, p, n_max_index), {"r": r, "p": p, "delta4": NewmanParams(r, p).delta4}
+    return check_relation(VerificationReport(id=f"newman4.r{r}.p{p}", params_swept=swept), *rows)
+
+
+def support_rows(form: EtaPowerForm, n_max: int) -> list[Relation]:
+    """All coefficients outside the form's residue class vanish: a(n) is its part on the class."""
+    a = ("eta", form, n_max)
+    on_class = Term(a, form.scale, form.shift, at=form.shift, every=form.scale)
+    return [Relation((Term(a, 1, 0),), (on_class,), n_max, shape="lhs", numbered=False)]
 
 
 @timed
 def support_check(form: EtaPowerForm, n_max: int) -> VerificationReport:
-    """All coefficients outside the form's residue class vanish: a(n) is its part on the class."""
-    a = _eta_table(form, n_max)
-    on_class = Term(a, form.scale, form.shift, at=form.shift, every=form.scale)
     report = VerificationReport(id=f"support.{form.id}", params_swept={"mod": form.scale, "residue": form.shift})
-    return check_relation(report, Relation((Term(a, 1, 0),), (on_class,), n_max, shape="lhs", numbered=False))
+    return check_relation(report, *support_rows(form, n_max))
 
 
-@timed
-def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
+def hecke_rows(form: EtaPowerForm, p: int, n_max: int) -> list[Relation]:
     """a(pn) + chi(p) p^(w-1) a(n/p) = a(p) a(n) for 1 <= n <= n_max/p."""
     if not form.eigenform:
         raise ValueError(f"{form.id} is not an eigenform; its eigen relation is out of scope")
     if not _is_prime(p):
         raise ValueError(f"requires a prime p, got {p}")
-    a = _eta_table(form, n_max)
+    a = ("eta", form, n_max)
     lhs = (Term(a, p, 0), Term(a, 1, 0, form.hecke_factor(p), every=p))
-    row = Relation(lhs, (Term(a, 1, 0, a[p] if p <= n_max else 0),), n_max // p, first=1)
-    return check_relation(VerificationReport(id=f"hecke.{form.id}.p{p}", params_swept={"p": p}), row)
+    return [Relation(lhs, (Term(a, 1, 0, times=(Term(a, 1, p),)),), n_max // p, first=1)]
+
+
+@timed
+def hecke_eigen_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
+    rows = hecke_rows(form, p, n_max)
+    return check_relation(VerificationReport(id=f"hecke.{form.id}.p{p}", params_swept={"p": p}), *rows)
+
+
+def vanishing_rows(form: EtaPowerForm, p: int, n_max: int) -> list[Relation]:
+    """Two-term relation a(pn) + chi(p) p^(w-1) a(n/p) = 0 at an inert prime p."""
+    if not form.inert(p):
+        raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0")
+    a = ("eta", form, n_max)
+    lower = Term(a, 1, 0, -form.hecke_factor(p), every=p)
+    return [Relation((Term(a, p, 0),), (lower,), n_max // p, first=1, shape="lhs")]
 
 
 @timed
 def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
-    """Two-term relation a(pn) + chi(p) p^(w-1) a(n/p) = 0 at an inert prime p."""
-    if not form.inert(p):
-        raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0")
-    a = _eta_table(form, n_max)
+    """The row, after a(p) = 0 on an eigenform, read from the row's table."""
+    (row,) = vanishing_rows(form, p, n_max)
     report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
-    if form.eigenform and p <= n_max and a[p] != 0:
-        report.record(p, a[p], reason="a(p) expected to vanish")
-    lower = Term(a, 1, 0, -form.hecke_factor(p), every=p)
-    return check_relation(report, Relation((Term(a, p, 0),), (lower,), n_max // p, first=1, shape="lhs"))
+    if form.eigenform and p <= n_max and (ap := row.source(row.lhs[0].read)[p]):
+        report.record(p, ap, reason="a(p) expected to vanish")
+    return check_relation(report, row)
 
 
 @dataclass(frozen=True)
@@ -285,19 +323,18 @@ BRIDGES = {
 BRIDGE_IDS = tuple(BRIDGES)
 
 
-def bridge_reads(bridge: str, n_max: int) -> list[tuple]:
+def bridge_rows(bridge: str, n_max: int) -> list[Relation]:
+    """Congruence between a multipartition series and a coefficient table."""
     b = BRIDGES[bridge]
-    return [(b.ell, b.r, b.ell, b.index(n_max)), ("E_1^d", 0, b.table, n_max)]
+    s, table = (b.ell, b.r, b.ell, b.index(n_max)), ("E_1^d", 0, b.table, n_max)
+    lhs, rhs = Term(s, b.step, b.offset), Term(table, 1, 0, b.factor)
+    return [Relation((lhs,), (rhs,), n_max, modulus=b.ell, shape="series", numbered=False)]
 
 
 @timed
 def bridge_congruence_check(bridge: str, n_max: int) -> VerificationReport:
-    """Congruence between a multipartition series and a coefficient table."""
-    b = BRIDGES[bridge]
-    s = cached_regular_series(b.ell, b.r, b.ell, b.index(n_max))
-    table = Term(_e1_power(b.table, n_max), 1, 0, b.factor)
-    row = Relation((Term(s, b.step, b.offset),), (table,), n_max, modulus=b.ell, shape="series", numbered=False)
-    return check_relation(VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max}), row)
+    rows = bridge_rows(bridge, n_max)
+    return check_relation(VerificationReport(id=f"bridge.{bridge}", params_swept={"n_max": n_max}), *rows)
 
 
 # scaling id -> (bridge id, prime, n_max) of the case the suite checks
@@ -308,18 +345,7 @@ SCALINGS = {
 }
 
 
-def _scaling_order(b: Bridge, p: int, n_max: int) -> int:
-    """The last index the scaling at p reads: index(p^2 n_max + shift (p^2 - 1) / scale)."""
-    return b.index(p * p * n_max + b.form.shift * (p * p - 1) // b.form.scale)
-
-
-def scaling_reads(which: str, p: int, n_max: int) -> list[tuple]:
-    b = BRIDGES[SCALINGS[which][0]]
-    return [(b.ell, b.r, b.ell, _scaling_order(b, p, n_max))]
-
-
-@timed
-def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:
+def scaling_rows(which: str, p: int, n_max: int) -> list[Relation]:
     """a(pn) = -chi(p) p^(w-1) a(n/p) of the bridge's eta power, at an inert p != ell, read through the bridge:
     s(index(p^2 n + shift (p^2 - 1) / scale)) = -chi(p) p^(w-1) s(index(n)) mod ell."""
     b = BRIDGES[SCALINGS[which][0]]
@@ -327,10 +353,15 @@ def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationRepo
     if not form.inert(p) or p == m:
         raise ValueError(f"requires a prime p = {form.inert_residue} mod {form.inert_mod} with chi(p) != 0, p != {m}")
     shift = form.shift * (p * p - 1) // form.scale
-    s = cached_regular_series(m, b.r, m, _scaling_order(b, p, n_max))
+    s = (m, b.r, m, b.index(p * p * n_max + shift))
     lhs, rhs = Term(s, b.step * p * p, b.index(shift)), Term(s, b.step, b.offset, -form.hecke_factor(p))
+    return [Relation((lhs,), (rhs,), n_max, modulus=m, numbered=False)]
+
+
+@timed
+def scaling_congruence_check(which: str, p: int, n_max: int) -> VerificationReport:
     report = VerificationReport(id=f"scaling.{which}.p{p}", params_swept={"p": p, "n_max": n_max})
-    return check_relation(report, Relation((lhs,), (rhs,), n_max, modulus=m, numbered=False))
+    return check_relation(report, *scaling_rows(which, p, n_max))
 
 
 def _is_prime(n: int) -> bool:

@@ -24,9 +24,10 @@ primes).  ``family_index`` returns offset + stride n from that pair, so it
 evaluates no formula after a point's first call, and a division exact at
 n = 0 but not at n = 1, as in (n + 4)/4, raises NonExactDivisionError at
 every n, n = 0 included.  ``progression_grid`` reads the same pair (a stride
-below 1 raises ValueError), and the sweep reads the slice s[offset::stride],
-of the series read to min(order, offset + stride n_max): the read
-``point_read`` declares for the suite's plan (``family_reads``).
+below 1 raises ValueError).  Each point is the row s(offset + stride n) = 0
+mod m over the series read to min(order, offset + stride n_max)
+(``sweep_row``), which ``verify_family`` evaluates over s[offset::stride] with
+numpy, and ``family_rows`` lists a family's rows for the suite's plan.
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
 ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
@@ -34,7 +35,8 @@ m (m = ell) are the coefficients of E_1^k, and the n cap per prime of its
 unconditional check; ``_newman`` excludes the primes a part does not admit.
 Both checks are ``coefficients.Relation`` rows mod m over one read of s:
 Newman's recurrence composed four times, and the conclusion a(p^4 n + d4) =
-w^2 a(n) of the hypothesis a(d) = 0.
+w^2 a(n) of the hypothesis a(d) = 0.  Only the hypothesis search declares its
+reads by hand (``Declared``): which primes it finds depends on the series.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def default_registry() -> dict[str, CongruenceFamily]:
 
 
 def get_family(family_id: str, registry: Optional[dict] = None) -> CongruenceFamily:
-    reg = registry or default_registry()
+    reg = default_registry() if registry is None else registry
     try:
         return reg[family_id.lower()]
     except KeyError as exc:
@@ -318,19 +320,24 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
     return grid
 
 
-def point_read(family: CongruenceFamily, point: GridPoint, budget: GridBudget) -> tuple:
-    """The store read of one grid point: its series to offset + stride n_max, the last index its sweep reads."""
+def _fetch(read: tuple):
+    """The series a read (ell, r, m, order) names, through this module's cached_regular_series."""
+    return cached_regular_series(*read)
+
+
+def sweep_row(family: CongruenceFamily, point: GridPoint, budget: GridBudget) -> Relation:
+    """s(offset + stride n) = 0 mod m for every index up to offset + stride n_max within the order."""
     last = min(budget.order, point.offset + point.stride * budget.n_max)
-    return (family.ell, family.r_value(point.t), family.modulus, last)
+    s = (family.ell, family.r_value(point.t), family.modulus, last)
+    n_last = (last - point.offset) // point.stride
+    return Relation((Term(s, point.stride, point.offset),), (), n_last, modulus=family.modulus, source=_fetch)
 
 
-def family_reads(family: CongruenceFamily, budget: GridBudget, grid: Optional[ParameterGrid] = None) -> list[tuple]:
-    """The store reads verify_family(family, budget, grid) makes."""
+def family_rows(family: CongruenceFamily, budget: GridBudget, grid: Optional[ParameterGrid]) -> list:
+    """The rows verify_family(family, budget, grid) evaluates: one sweep row per grid point, or Theorem 2's."""
     if family.kind == "thm2":
-        return _thm2_reads(family.part, budget)
-    if grid is None:
-        grid = generate_grid(family, budget)
-    return [point_read(family, point, budget) for point in grid.points]
+        return _thm2_rows(family.part, budget)
+    return [sweep_row(family, point, budget) for point in grid.points]
 
 
 @timed
@@ -351,15 +358,15 @@ def verify_family(
     sub_primes = [] if _is_prime(m) else [p for p in primes_upto(m) if m % p == 0]
     oracle = cache(lambda r: regular_multipartition_counts(family.ell, r, ORACLE_CROSSCHECK_LIMIT).values)
     for point in grid.points:
-        ell, r, _, last = point_read(family, point, budget)
-        s = cached_regular_series(ell, r, m, last)
+        (term,) = sweep_row(family, point, budget).lhs
+        r = term.read[1]
         where = {"t": point.t, "primes": point.primes, "j": point.j, "alpha": point.alpha}
-        sweep = s.data[point.offset :: point.stride]
+        sweep = cached_regular_series(*term.read).data[term.offset :: term.step]
         # a violation needs a nonzero coefficient or an index the oracle cross-checks
-        crosschecked = max(0, (ORACLE_CROSSCHECK_LIMIT - point.offset) // point.stride + 1)
+        crosschecked = max(0, (ORACLE_CROSSCHECK_LIMIT - term.offset) // term.step + 1)
         for n in sorted(set(range(min(len(sweep), crosschecked))).union(np.flatnonzero(sweep).tolist())):
             c = int(sweep[n])
-            idx = point.offset + point.stride * n
+            idx = term.offset + term.step * n
             if c != 0:
                 report.record(idx, c, **where, n=n)
             for p in sub_primes:  # s holds residues in [0, m) and p | m: c % p is the mod-p coefficient
@@ -368,11 +375,7 @@ def verify_family(
             if idx <= ORACLE_CROSSCHECK_LIMIT and oracle(r)[idx] % m != c:
                 report.record(idx, {"series": c, "oracle": oracle(r)[idx] % m}, **where, n=n)
         report.indices_checked += len(sweep)
-    report.params_swept = {
-        "points": len(grid.points),
-        "skipped_points": len(grid.skipped),
-        "order": budget.order,
-    }
+    report.params_swept = {"points": len(grid.points), "skipped_points": len(grid.skipped), "order": budget.order}
     if report.indices_checked == 0 and report.status == PASS:
         report.status = SKIPPED
     return report
@@ -409,27 +412,39 @@ def _admitted(bridge: Bridge, p_max: int) -> list[NewmanParams]:
     return admitted
 
 
-def _unconditional_order(bridge: Bridge, params: NewmanParams, n_max: int) -> int:
-    return bridge.index(params.p**4 * n_max + params.delta4)
-
-
 def _search_order(bridge: Bridge, p_max: int) -> int:
     """Covers index(d) for d = k(p-1)/24 at every p <= p_max."""
     return max(bridge.index(bridge.table * (p_max - 1) // 24), 64)
 
 
-def _thm2_reads(part: str, budget: GridBudget) -> list[tuple]:
-    """The store reads of verify_thm2: each unconditional check's and the search's, and a conclusion's.
+@dataclass(frozen=True)
+class Declared:
+    """Store reads declared by hand, where no row states them: the hypothesis search's."""
 
-    Which primes the search finds depends on the series, so the conclusion's read, to budget.order, is
-    declared when any admitted prime's first conclusion index lies within the budget.
-    """
+    reads: tuple[tuple, ...]
+
+
+def _thm2_rows(part: str, budget: GridBudget) -> list:
+    """verify_thm2's rows: each unconditional check's, and the search's reads, with a conclusion's to
+    budget.order when any admitted prime's first conclusion index lies within it."""
     b = _thm2_bridge(part)
-    orders = [_unconditional_order(b, _newman(b, p), n_max) for p, n_max in THM2_PARTS[part][1].items()]
-    orders.append(_search_order(b, HYPOTHESIS_P_MAX))
+    orders = [_search_order(b, HYPOTHESIS_P_MAX)]
     if any(b.index(params.delta4) <= budget.order for params in _admitted(b, HYPOTHESIS_P_MAX)):
         orders.append(budget.order)
-    return [(b.ell, b.r, b.ell, order) for order in orders]
+    rows = [_unconditional_row(part, p, n_max) for p, n_max in THM2_PARTS[part][1].items()]
+    return rows + [Declared(tuple((b.ell, b.r, b.ell, order) for order in orders))]
+
+
+def _unconditional_row(part: str, p: int, n_max: int) -> Relation:
+    b = _thm2_bridge(part)
+    params = _newman(b, p)
+    s = (b.ell, b.r, b.ell, b.index(p**4 * n_max + params.delta4))
+
+    def a(k: int, c: int, x: int, *times: Term) -> Term:  # x a(kn + c), a(n) = factor s(index(n)) mod ell
+        return Term(s, b.step * k, b.index(c), b.factor * x, times=times)
+
+    lhs, rhs = four_step(a, params, a(1, params.delta, 1))
+    return Relation(lhs, rhs, n_max, modulus=b.ell, source=_fetch)
 
 
 @timed
@@ -440,13 +455,8 @@ def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationRepo
     function, so it is strictly stronger desk-scale evidence than the
     conditional statement itself.
     """
-    b = _thm2_bridge(part)
-    params = _newman(b, p)
-    s = cached_regular_series(b.ell, b.r, b.ell, _unconditional_order(b, params, n_max))
-    A = b.factor * s[b.index(params.delta)] % b.ell
-    lhs, rhs = four_step(lambda k, c, x: Term(s, b.step * k, b.index(c), b.factor * x), params, A)
     report = VerificationReport(id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max})
-    return check_relation(report, Relation(lhs, rhs, n_max, modulus=b.ell))
+    return check_relation(report, _unconditional_row(part, p, n_max))
 
 
 @timed
@@ -481,9 +491,9 @@ def _verify_thm2_conclusion(part: str, p: int, order: int) -> VerificationReport
     """s(index(p^4 n + d4)) = w^2 s(index(n)) mod m for every index within order."""
     b = _thm2_bridge(part)
     params = _newman(b, p)
-    s = cached_regular_series(b.ell, b.r, b.ell, order)
+    s = (b.ell, b.r, b.ell, order)
     lhs, rhs = Term(s, b.step * p**4, b.index(params.delta4)), Term(s, b.step, b.offset, params.w**2)
-    row = Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell)
+    row = Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell, source=_fetch)
     return check_relation(VerificationReport(id=f"thm2.{part}.conclusion.p{p}"), row)
 
 

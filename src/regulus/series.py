@@ -66,9 +66,9 @@ so no entry leaves m's dtype.  ``eta_quotient(scale, e, order)``, the power
 eta(scale z)^e = q^{scale e / 24} E_1^e(q^scale) over Z, reads E_1^e from the
 store, to the order ``eta_read`` gives.
 
-A suite run plans the store's reads before any check runs.  Each check
-declares its reads, ``(ell, r, m, order)`` of ``cached_regular_series`` and
-``("E_1^d", m, d, order)`` of ``cached_e1_power``, and ``plan`` gives each
+A suite run plans the store's reads before any check runs.  The rows of its
+checks name their reads, ``(ell, r, m, order)`` of ``cached_regular_series``
+and ``("E_1^d", m, d, order)`` of ``cached_e1_power``, and ``plan`` gives each
 store key a target order: the largest order a planned read reaches through it
 (``_pieces``).  A key read to n reaches each chain level at n, n // p, ...,
 each level's digit powers at its order (at its order // a for E_a), the

@@ -211,6 +211,15 @@ def test_verify_custom_registry(tmp_path, capsys):
     assert code == EXIT_VIOLATION
 
 
+def test_verify_in_an_empty_registry_finds_no_family(tmp_path, capsys):
+    # an empty registry is a registry with no families, not "no registry": eq30 is only in the built-in one
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps({"families": []}))
+    code, out, err = run(capsys, "verify", "--family", "eq30", "--registry", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.strip() == "unknown family 'eq30'"
+
+
 def test_verify_bad_registry_path(capsys):
     code, _, err = run(capsys, "verify", "--family", "x", "--registry", "/nonexistent.json")
     assert code == EXIT_USAGE

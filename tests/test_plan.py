@@ -1,6 +1,7 @@
 """The plan of a suite run's store reads: each key built once, to the order its checks read, and the
 Frobenius chain of each prime shared by every modulus that prime divides."""
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -33,9 +34,9 @@ series_module = importlib.import_module("regulus.series")
 
 
 def declared_reads(budget, check_ids=None):
-    """The reads run_suite plans for these checks (all by default)."""
+    """The reads run_suite plans for these checks (all by default): those of the rows each check evaluates."""
     checks = suite._checks(budget, default_registry())
-    return [read for cid in check_ids or checks for read in checks[cid].reads()]
+    return [read for cid in check_ids or checks for row in checks[cid].rows() for read in row.reads]
 
 
 def family_ids():
@@ -70,17 +71,36 @@ def test_families_run_builds_nothing_past_its_reads(builds, past_plan):
     assert min(keys.values()) < 8000 and max(keys.values()) == 8000
 
 
+def test_each_check_alone_builds_only_what_its_rows_plan(builds):
+    # each check by itself from an empty store: a read its rows do not name builds a key outside its plan, where
+    # in a whole run another check's rows may cover it
+    budget = GridBudget(400, 400)
+    for cid in suite.default_check_ids():
+        series_module._longest.clear()
+        builds.clear()
+        suite.run_suite([cid], budget)
+        targets = plan(declared_reads(budget, [cid]))
+        assert [(key, n) for key, n in builds if n > targets.get(key, -1)] == [], cid
+
+
 def test_a_read_past_its_declaration_is_caught(builds, past_plan, monkeypatch):
-    # a bridge that declares one index less than it reads
-    real = co.bridge_reads
+    # a bridge row whose series term names a read one index shorter than the row reads: the run must fail,
+    # by the term reading past its source or by a read past the plan, and never pass silently
+    real = co.bridge_rows
 
     def short(bridge, n_max):
-        (ell, r, m, order), e1 = real(bridge, n_max)
-        return [(ell, r, m, order - 1), e1]
+        (row,) = real(bridge, n_max)
+        (term,) = row.lhs
+        ell, r, m, order = term.read
+        return [dataclasses.replace(row, lhs=(dataclasses.replace(term, read=(ell, r, m, order - 1)),))]
 
-    monkeypatch.setattr(co, "bridge_reads", short)
-    suite.run_suite(["bridge.b77_eta6"], GridBudget(400, 400))
-    assert ((7, 7, 7), 399, 398) in past_plan
+    monkeypatch.setattr(co, "bridge_rows", short)
+    try:
+        suite.run_suite(["bridge.b77_eta6"], GridBudget(400, 400))
+    except IndexError as exc:
+        assert "term reads past its source" in str(exc)
+        return
+    assert past_plan != []
 
 
 def test_a_direct_call_has_no_plan(builds):
@@ -212,11 +232,14 @@ def test_moduli_past_uint8_share_their_prime_chains(builds, tmp_path):
 
 
 def test_theorem_2_declares_a_conclusion_only_where_one_can_be_reached():
-    budget = GridBudget(order=2000)
-    part_ii = families._thm2_reads("ii", budget)
-    # p = 3 and 5 unconditionally, the search to index(49), and a conclusion at p = 3 (first index 282)
-    assert part_ii == [(7, 6, 7, 1983), (7, 6, 7, 6561), (7, 6, 7, 345), (7, 6, 7, 2000)]
-    assert families._thm2_reads("ii", GridBudget(order=281))[-1] == (7, 6, 7, 345)
+    def reads(order):
+        rows = families.family_rows(families.get_family("thm2.ii"), GridBudget(order), None)
+        return [read for row in rows for read in row.reads]
+
+    # p = 3 and 5 unconditionally (their rows), the search to index(49), and a conclusion at p = 3 (first index
+    # 282): only the last two are declared by hand
+    assert reads(2000) == [(7, 6, 7, 1983), (7, 6, 7, 6561), (7, 6, 7, 345), (7, 6, 7, 2000)]
+    assert reads(281)[-1] == (7, 6, 7, 345)
 
 
 # Z, primes (two above every order drawn), prime powers, squarefree composites, mixed moduli, and past uint64

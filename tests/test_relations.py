@@ -241,7 +241,7 @@ def test_row_of_no_index_is_skipped_with_one_note(check, args):
 
 
 def test_term_past_its_source_raises():
-    a = co._e1_power(24, 10)
+    a = ("E_1^d", 0, 24, 10)
     row = co.Relation((co.Term(a, 2, 1),), (co.Term(a, 1, 0),), 5)  # reads a(11)
     with pytest.raises(IndexError):
         co.check_relation(VerificationReport(id="x"), row)
@@ -249,8 +249,8 @@ def test_term_past_its_source_raises():
 
 def test_residue_class_term_reads_zero_off_its_class_and_below_at():
     a = tuple(range(100, 121))
-    term = co.Term(a, 2, 1, coeff=3, at=4, every=5)  # 3 a(2 (n - 4) / 5 + 1) on n = 4, 9, 14
-    assert term.column(2, 14) == [0, 0, 303, 0, 0, 0, 0, 309, 0, 0, 0, 0, 315, 0]
+    term = co.Term(("table", 20), 2, 1, coeff=3, at=4, every=5)  # 3 a(2 (n - 4) / 5 + 1) on n = 4, 9, 14
+    assert term.column(2, 14, {("table", 20): a}.get) == [0, 0, 303, 0, 0, 0, 0, 309, 0, 0, 0, 0, 315, 0]
     assert [term.index(n) for n in (4, 9, 14)] == [1, 3, 5]
 
 
