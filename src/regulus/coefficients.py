@@ -1,7 +1,9 @@
 """Coefficient tables of E_1^r and eta powers, and the linear relations between their progressions.
 
 Each check is its ``Relation`` rows, sum(lhs) = sum(rhs) mod M for first <= n
-<= last (over Z when M = 0), and ``check_relation`` evaluates them.  A
+<= last (over Z when M = 0), and ``check_relation`` evaluates them into one
+report.  The suite makes a check's rows once and evaluates them all there; each
+function below that returns a report checks the rows of one case.  A
 ``Term`` is coeff * S(step k + offset), k = n, where S is the sequence its
 read names: ``(ell, r, m, order)`` of ``cached_regular_series``, ``("E_1^d",
 0, d, order)`` of E_1^d over Z, ``("eta", form, order)`` of an eta power or
@@ -12,7 +14,8 @@ plan.  A term with a residue class n = at (mod every) has k = (n - at) / every
 on that class for n >= at, and is 0 at every other n: the a(n/p) and a((n -
 d)/p) terms.  A coefficient that depends on the data (a(d), a(p), Newman's A)
 is a factor in ``times``, a term read at n = 0, only where its term reads.
-Both sides are reduced mod M > 0.  A row of no n is skipped, with a note.
+Both sides are reduced mod M > 0.  A row of no n skips its report, with one
+note however many rows have none.
 
 Where the sides differ at n, a violation is recorded at the index the first
 left term reads, with param n unless the row is unnumbered, the row's params,
@@ -119,7 +122,7 @@ def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int, source)
 
 
 def check_relation(report: VerificationReport, *rows: Relation) -> VerificationReport:
-    """Record each row's violations in the order of n and count its indices; a row of no n is skipped."""
+    """Record each row's violations in the order of n and count its indices; a row of no n skips the report."""
     for row in rows:
         shape, count, source = SHAPES[row.shape], max(0, row.last - row.first + 1), cache(row.source)
         lhs, rhs = (_side(terms, row.first, count, row.modulus, source) for terms in (row.lhs, row.rhs))
@@ -129,9 +132,9 @@ def check_relation(report: VerificationReport, *rows: Relation) -> VerificationR
                 numbered = {"n": n} if row.numbered else {}
                 report.record(row.lhs[0].index(n), value, **numbered, **params, **dict(row.params))
         report.indices_checked += count
-        if not count:
-            report.notes.append("smallest index exceeds the coefficient budget")
-            report.status = SKIPPED if report.status == PASS else report.status
+    if any(row.last < row.first for row in rows):
+        report.notes.append("smallest index exceeds the coefficient budget")
+        report.status = SKIPPED if report.status == PASS else report.status
     return report
 
 
@@ -286,12 +289,9 @@ def vanishing_rows(form: EtaPowerForm, p: int, n_max: int) -> list[Relation]:
 
 @timed
 def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
-    """The row, after a(p) = 0 on an eigenform, read from the row's table."""
-    (row,) = vanishing_rows(form, p, n_max)
+    """The row, whose n = 1 is a(p) = 0."""
     report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
-    if form.eigenform and p <= n_max and (ap := row.source(row.lhs[0].read)[p]):
-        report.record(p, ap, reason="a(p) expected to vanish")
-    return check_relation(report, row)
+    return check_relation(report, *vanishing_rows(form, p, n_max))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 PASS = "pass"
 FAIL = "fail"
@@ -74,12 +74,3 @@ def timed(check: Callable[..., VerificationReport]) -> Callable[..., Verificatio
         return report.finish()
 
     return run
-
-
-@timed
-def aggregate(check_id: str, params_swept: dict[str, Any], subs: Iterable[VerificationReport]) -> VerificationReport:
-    """One report over sub-checks; pass them as a generator so that they run inside its timing."""
-    report = VerificationReport(id=check_id, params_swept=params_swept)
-    for sub in subs:
-        report.absorb(sub)
-    return report

@@ -526,7 +526,7 @@ def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
 # the prefix store: key -> the longest series built for it, and the lock of each key
 _longest: dict = {}
 _key_locks: dict = {}
-_targets: dict = {}  # the plan of the run in progress, store key -> target order; empty outside one
+_targets: dict | None = None  # the plan of the run in progress, store key -> target order; None outside one
 
 
 @cache
@@ -647,7 +647,7 @@ def _stored(key, order: int, build) -> TruncatedSeries:
     """
     with _key_locks.setdefault(key, threading.Lock()):
         if key not in _longest or _longest[key].order < order:
-            _longest[key] = build(max(order, _targets.get(key, order)))
+            _longest[key] = build(order if _targets is None else max(order, _targets.get(key, order)))
         return truncate(_longest[key], order)
 
 

@@ -1,25 +1,27 @@
 """Full verification suite: every identity, recurrence, bridge, and family.
 
-``_checks`` is the list of checks: a table from each check id to a ``Check``,
-a zero-argument call and the ``coefficients.Relation`` rows it evaluates.  Its
-key is the report id: ``run_suite`` stamps each report with its key and sorts
-the report by id, so two runs differ only in timing fields.  Before any check
-runs, ``run_suite`` lists the rows of every selected check and runs them all
-under the plan of the rows' reads (``series.planned``), so that the store
-builds each key once.
+``_checks`` is the list of checks: a table from each check id to a call that
+makes the check, a ``Check`` of the ``coefficients.Relation`` rows it
+evaluates and a zero-argument call that evaluates exactly those rows.  Its key
+is the report id: ``run_suite`` stamps each report with its key and sorts the
+report by id, so two runs differ only in timing fields.  ``run_suite`` makes
+each selected check once, plans the reads of all their rows
+(``series.planned``), so that the store builds each key once, and then runs
+the same checks.  A check that is only rows, over one case or many, is one
+timed report of ``check_relation`` over all of them.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import coefficients as co
 from . import dissections, families, oracle
-from .report import FAIL, PASS, VACUOUS, VerificationReport, aggregate, timed
+from .report import FAIL, PASS, VACUOUS, VerificationReport, timed
 from .series import Zmod, euler_E, planned, power
 
 REPORT_VERSION = 1
@@ -54,12 +56,6 @@ def oracle_equivalence_rows(n_max: int) -> list[co.Relation]:
 
 
 @timed
-def check_oracle_equivalence(n_max: int = 300) -> VerificationReport:
-    report = VerificationReport(id="oracle.equivalence", params_swept={"n_max": n_max})
-    return co.check_relation(report, *oracle_equivalence_rows(n_max))
-
-
-@timed
 def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
     """The oracle's recurrence equals literal tuple enumeration on small inputs."""
     report = VerificationReport(id="oracle.enumeration", params_swept={"n_max": n_max})
@@ -81,12 +77,6 @@ def eigenvalue_vanishing_rows(n_max: int) -> list[co.Relation]:
             for form in co.FORMS.values() if form.eigenform for p in filter(form.inert, range(n_max + 1))]
 
 
-@timed
-def check_eigenvalue_vanishing(n_max: int = 200) -> VerificationReport:
-    report = VerificationReport(id="vanishing.prime_coefficients", params_swept={"p_max": n_max})
-    return co.check_relation(report, *eigenvalue_vanishing_rows(n_max))
-
-
 DUAL_CONDITION_PRIMES = (11, 23)  # the smallest primes = 11 (mod 12)
 
 
@@ -95,12 +85,9 @@ def _dual_condition_grid(budget: families.GridBudget) -> families.ParameterGrid:
     return families.progression_grid(fam, budget.order, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
 
 
-def check_thm3_iii_dual_condition(
-    budget: families.GridBudget, grid: Optional[families.ParameterGrid] = None
-) -> VerificationReport:
-    """Primes meeting both stated and proof-side conditions (11 mod 12), over _dual_condition_grid(budget)."""
-    fam = families.get_family("thm3.iii")
-    report = families.verify_family(fam, budget, grid=grid if grid is not None else _dual_condition_grid(budget))
+def check_thm3_iii_dual_condition(budget: families.GridBudget, grid: families.ParameterGrid) -> VerificationReport:
+    """Primes meeting both stated and proof-side conditions (11 mod 12), over the grid _dual_condition_grid(budget)."""
+    report = families.verify_family(families.get_family("thm3.iii"), budget, grid=grid)
     report.notes.append(
         "stated condition is 3 mod 4 but the proof route needs 2 mod 3; this sweep uses primes meeting both"
     )
@@ -108,80 +95,78 @@ def check_thm3_iii_dual_condition(
 
 
 class Check(NamedTuple):
-    """A zero-argument check, and a zero-argument call that lists the rows the check evaluates."""
+    """The rows a check evaluates, and a zero-argument call that evaluates exactly those rows."""
 
+    rows: list
     run: Callable[[], VerificationReport]
-    rows: Callable[[], list] = list
 
 
-def _family_check(family: families.CongruenceFamily, budget: families.GridBudget,
-                  make_grid: Callable[[], Optional[families.ParameterGrid]],
-                  verify: Callable[[Optional[families.ParameterGrid]], VerificationReport]) -> Check:
-    """verify(grid), which evaluates family_rows(family, budget, grid), over one grid made once for both."""
-    grid, rows = cache(make_grid), families.family_rows
-
-    def run() -> VerificationReport:
-        report = verify(grid())
-        grid.cache_clear()  # held from the plan until the check has run, not for the rest of the suite
-        return report
-
-    return Check(run, lambda: rows(family, budget, grid()))
+@timed
+def _evaluate(check_id: str, params_swept: dict, rows: list) -> VerificationReport:
+    """One report over all of a check's rows."""
+    return co.check_relation(VerificationReport(check_id, params_swept=params_swept), *rows)
 
 
-def _checks(budget: families.GridBudget, registry) -> dict[str, Check]:
-    """The suite's checks, report id -> Check, each built from the row that states it.
+def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], Check]]:
+    """The suite's checks, report id -> a zero-argument call that makes its Check.
 
-    Each check function is read through its module when the table is built, so
-    a table built per run calls whatever that attribute holds at the time.
+    Only the checks a run selects are made.  Each function a check calls is
+    read through its module when the table is built, so a table built per run
+    calls whatever that attribute holds at the time.
     """
     order, short, medium = budget.order, min(budget.order, 1000), min(budget.order, 1500)
     pairs = co.admissible_newman_pairs(13)
 
-    def over(check_id, swept, check, rows, cases):
-        """One report over check(*case) for each case, which evaluates the rows rows(*case) lists.
+    def relations(check_id, swept, rows, cases):
+        """check_id's check: one report over the rows rows(*case) lists, for each case in turn."""
 
-        The generator runs inside aggregate's timing.
-        """
-        return {check_id: Check(lambda: aggregate(check_id, swept, (check(*case) for case in cases)),
-                                lambda: [row for case in cases for row in rows(*case)])}
+        def make() -> Check:
+            made = [row for case in cases for row in rows(*case)]
+            return Check(made, partial(_evaluate, check_id, swept, made))
+
+        return {check_id: make}
+
+    def sweep(check_id, family, make_grid, verify):
+        """check_id's check: verify(grid), which evaluates family_rows(family, budget, grid), for one grid."""
+
+        def make() -> Check:
+            grid = make_grid()
+            return Check(families.family_rows(family, budget, grid), partial(verify, grid))
+
+        return {check_id: make}
 
     checks = {
-        "frobenius": Check(partial(check_frobenius, short)),
-        "oracle.equivalence": Check(partial(check_oracle_equivalence, 300),
-                                    partial(oracle_equivalence_rows, 300)),
-        "oracle.enumeration": Check(partial(check_oracle_enumeration, 20)),
-        "vanishing.prime_coefficients": Check(partial(check_eigenvalue_vanishing, 200),
-                                              partial(eigenvalue_vanishing_rows, 200)),
-        "family.thm3.iii.dualcondition": _family_check(families.get_family("thm3.iii"), budget,
-                                                       partial(_dual_condition_grid, budget),
-                                                       partial(check_thm3_iii_dual_condition, budget)),
-        **over("newman.recurrence", {"n_max": order, "pairs": [[p.r, p.p] for p in pairs]},
-               co.newman_check, co.newman_rows, [(p, order) for p in pairs]),
-        **over("newman.fourstep", {"cases": [list(c) for c in FOUR_STEP_CASES]},
-               co.newman_four_step, co.four_step_rows, [(r, p, order) for r, p in FOUR_STEP_CASES]),
+        "frobenius": partial(Check, [], partial(check_frobenius, short)),
+        **relations("oracle.equivalence", {"n_max": 300}, oracle_equivalence_rows, [(300,)]),
+        "oracle.enumeration": partial(Check, [], partial(check_oracle_enumeration, 20)),
+        **relations("vanishing.prime_coefficients", {"p_max": 200}, eigenvalue_vanishing_rows, [(200,)]),
+        **sweep("family.thm3.iii.dualcondition", families.get_family("thm3.iii"),
+                partial(_dual_condition_grid, budget), partial(check_thm3_iii_dual_condition, budget)),
+        **relations("newman.recurrence", {"n_max": order, "pairs": [[p.r, p.p] for p in pairs]},
+                    co.newman_rows, [(p, order) for p in pairs]),
+        **relations("newman.fourstep", {"cases": [list(c) for c in FOUR_STEP_CASES]},
+                    co.four_step_rows, [(r, p, order) for r, p in FOUR_STEP_CASES]),
     }
     for name in dissections.IDENTITY_IDS:
-        checks[f"identity.{name}"] = Check(partial(dissections.verify_dissection, name, short))
+        checks[f"identity.{name}"] = partial(Check, [], partial(dissections.verify_dissection, name, short))
     for form in co.FORMS.values():
-        checks[f"support.{form.id}"] = Check(partial(co.support_check, form, order),
-                                             partial(co.support_rows, form, order))
+        checks |= relations(f"support.{form.id}", {"mod": form.scale, "residue": form.shift},
+                            co.support_rows, [(form, order)])
         primes = co.smallest_primes(form.inert, 3)
-        checks |= over(f"vanishing.{form.id}", {"primes": primes},
-                       co.vanishing_consequence_check, co.vanishing_rows, [(form, p, medium) for p in primes])
+        checks |= relations(f"vanishing.{form.id}", {"primes": primes},
+                            co.vanishing_rows, [(form, p, medium) for p in primes])
         if form.eigenform:
-            checks |= over(f"hecke.{form.id}", {"n_max": medium},
-                           co.hecke_eigen_check, co.hecke_rows, [(form, p, medium) for p in co.primes_upto(13)])
+            checks |= relations(f"hecke.{form.id}", {"n_max": medium},
+                                co.hecke_rows, [(form, p, medium) for p in co.primes_upto(13)])
     for name, row in co.BRIDGES.items():
-        case = (name, (order - row.offset) // row.step)
-        checks[f"bridge.{name}"] = Check(partial(co.bridge_congruence_check, *case), partial(co.bridge_rows, *case))
+        n_max = (order - row.offset) // row.step
+        checks |= relations(f"bridge.{name}", {"n_max": n_max}, co.bridge_rows, [(name, n_max)])
     for name, (_, p, n_max) in co.SCALINGS.items():
-        case = (name, p, n_max)
-        checks[f"scaling.{name}"] = Check(partial(co.scaling_congruence_check, *case), partial(co.scaling_rows, *case))
+        checks |= relations(f"scaling.{name}", {"p": p, "n_max": n_max}, co.scaling_rows, [(name, p, n_max)])
     for fid, family in registry.items():
         # Theorem 2's families sweep no grid
         make_grid = partial(families.generate_grid, family, budget) if family.kind == "progression" else lambda: None
-        verify = partial(families.verify_family, family, budget)
-        checks[f"family.{fid}"] = _family_check(family, budget, make_grid, verify)
+        checks |= sweep(f"family.{fid}", family, make_grid, partial(families.verify_family, family, budget))
     return checks
 
 
@@ -202,15 +187,18 @@ def run_suite(
     registry=None,
     jobs: int = 1,
 ) -> dict:
-    """Run selected checks (all by default); aggregate a JSON-ready report sorted by id."""
-    checks = _checks(budget, families.default_registry() if registry is None else registry)
-    tasks = {cid: _build_check(cid, checks) for cid in sorted(set(checks if check_ids is None else check_ids))}
-    # every row's reads merged before any check runs; the checks still build what they read, each key once
-    reads = [read for cid in tasks for row in checks[cid].rows() for read in row.reads]
+    """Run selected checks (all by default); collect a JSON-ready report sorted by id."""
+    makers = _checks(budget, families.default_registry() if registry is None else registry)
+    selected = sorted(set(makers if check_ids is None else check_ids))
+    # each selected check made once: the plan merges its rows' reads, and its run evaluates the same rows
+    checks = {cid: makers[cid]() for cid in selected if cid in makers}
+    tasks = {cid: _build_check(cid, checks) for cid in selected}
+    reads = [read for check in checks.values() for row in check.rows for read in row.reads]
+    del checks  # a check's rows and grid live on in its task alone, which is dropped once it has run
     with planned(reads), ThreadPoolExecutor(max_workers=jobs) as pool:
         # one job runs on the calling thread, where a profiler or tracer of that thread sees the work
         run = map if jobs == 1 else pool.map
-        reports = dict(zip(tasks, run(lambda fn: fn(), tasks.values())))
+        reports = dict(zip(selected, run(lambda cid: tasks.pop(cid)(), selected)))
     for cid, report in reports.items():
         report.id = cid
     return {"version": REPORT_VERSION, "checks": [report.to_dict() for report in reports.values()]}

@@ -66,14 +66,15 @@ def builds(monkeypatch):
 def past_plan(monkeypatch):
     """The (key, order, target) of every store read past its key's target in the plan of the run in progress.
 
-    Outside a run the plan is empty and no read is recorded.  A check that reads more than it declares shows here.
+    Outside a run there is no plan and no read is recorded; inside one, even an empty plan records every read.
+    A check that reads more than its rows name shows here.
     """
     past = []
     real = series_module._stored
 
     def stored(key, order, build):
         targets = series_module._targets
-        if targets and order > targets.get(key, -1):
+        if targets is not None and order > targets.get(key, -1):
             past.append((key, order, targets.get(key)))
         return real(key, order, build)
 

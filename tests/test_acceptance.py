@@ -12,14 +12,7 @@ from regulus import families
 from regulus.dissections import IDENTITY_IDS, verify_dissection
 from regulus.families import GridBudget, default_registry, get_family, verify_family
 from regulus.oracle import RegularityProfile, enumerate_multipartitions, multipartition_counts
-from regulus.suite import (
-    FOUR_STEP_CASES,
-    check_frobenius,
-    check_oracle_enumeration,
-    check_oracle_equivalence,
-    check_thm3_iii_dual_condition,
-    run_suite,
-)
+from regulus.suite import FOUR_STEP_CASES, check_frobenius, check_oracle_enumeration, run_suite
 
 BUDGET = GridBudget(order=2000, n_max=2000)
 
@@ -52,7 +45,7 @@ def test_acceptance_2_frobenius():
 
 
 def test_acceptance_3_oracle_equivalence():
-    series_vs_dp = check_oracle_equivalence(300)
+    (series_vs_dp,) = run_suite(["oracle.equivalence"], BUDGET)["checks"]
     dp_vs_enum = check_oracle_enumeration(20)
     extra = all(
         enumerate_multipartitions(RegularityProfile(p), n)
@@ -63,7 +56,7 @@ def test_acceptance_3_oracle_equivalence():
     report_line(
         3,
         "series = DP counts to n=300; DP = enumeration to n=20, r<=3",
-        series_vs_dp.status == "pass" and dp_vs_enum.status == "pass" and extra,
+        series_vs_dp["status"] == "pass" and dp_vs_enum.status == "pass" and extra,
     )
 
 
@@ -120,7 +113,8 @@ def test_acceptance_7_theorem_families():
     # the multi-prime statement must be exercised off the diagonal
     grid = families.generate_grid(get_family("thm1.i"), BUDGET)
     ok = ok and (2, 5) in {pt.primes for pt in grid.points}
-    ok = ok and check_thm3_iii_dual_condition(BUDGET).status == "pass"
+    (dual,) = run_suite(["family.thm3.iii.dualcondition"], BUDGET)["checks"]
+    ok = ok and dual["status"] == "pass"
     report_line(7, "all registered congruence families at budget 2000", ok)
 
 

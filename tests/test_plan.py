@@ -36,7 +36,7 @@ series_module = importlib.import_module("regulus.series")
 def declared_reads(budget, check_ids=None):
     """The reads run_suite plans for these checks (all by default): those of the rows each check evaluates."""
     checks = suite._checks(budget, default_registry())
-    return [read for cid in check_ids or checks for row in checks[cid].rows() for read in row.reads]
+    return [read for cid in check_ids or checks for row in checks[cid]().rows for read in row.reads]
 
 
 def family_ids():
@@ -103,8 +103,17 @@ def test_a_read_past_its_declaration_is_caught(builds, past_plan, monkeypatch):
     assert past_plan != []
 
 
+def test_a_run_whose_rows_name_no_read_still_has_a_plan(builds, past_plan, monkeypatch):
+    # an empty plan is still a plan: every store read the check makes lies past it, and shows
+    monkeypatch.setattr(co.Relation, "reads", property(lambda row: []))
+    suite.run_suite(["support.eta8_3z"], GridBudget(400, 400))
+    assert past_plan and {key for key, _, target in past_plan} == {key for key, _ in builds}
+    assert {target for _, _, target in past_plan} == {None}
+    assert series_module._targets is None  # and after the run, no plan at all
+
+
 def test_a_direct_call_has_no_plan(builds):
-    assert series_module._targets == {}
+    assert series_module._targets is None
     got = cached_regular_series(3, 12, 3, 50)
     # E_3^12 / E_1^12 = E_1^24 mod 3: its chain and its digits' powers E_1^2 and E_1 mod 3, no Newton inverse
     chain = [key for key, _ in builds if key[0] == "S"]

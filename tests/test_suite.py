@@ -4,11 +4,13 @@ import importlib
 import importlib.util
 import sys
 import threading
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+from regulus import coefficients as co
 from regulus import families, suite
 from regulus.families import GridBudget, default_registry
 from regulus.series import regular_quotient
@@ -59,7 +61,8 @@ def test_one_job_runs_the_checks_on_the_calling_thread(jobs, monkeypatch):
         threads.append(threading.get_ident())
         return suite.VerificationReport(id=name)
 
-    monkeypatch.setattr(suite, "_checks", lambda budget, registry: {c: suite.Check(partial(check, c)) for c in "abc"})
+    checks = {c: partial(suite.Check, [], partial(check, c)) for c in "abc"}
+    monkeypatch.setattr(suite, "_checks", lambda budget, registry: checks)
     report = run_suite(None, GridBudget(400, 400), jobs=jobs)
     assert [c["id"] for c in report["checks"]] == ["a", "b", "c"]
     assert len(threads) == 3 and (set(threads) == {threading.get_ident()}) == (jobs == 1)
@@ -67,6 +70,31 @@ def test_one_job_runs_the_checks_on_the_calling_thread(jobs, monkeypatch):
 
 def test_an_empty_selection_runs_no_check():
     assert run_suite([], GridBudget(400, 400)) == {"version": suite.REPORT_VERSION, "checks": []}
+
+
+@pytest.mark.parametrize("order", [64, 200])
+def test_a_case_of_no_index_skips_its_multi_case_check(order):
+    # the first index d4 of case (12, 5) is 312, and at 64 that of (24, 3) is 80: one note, not one per case
+    (report,) = run_suite(["newman.fourstep"], GridBudget(order, order))["checks"]
+    assert report["status"] == "skipped" and report["indices_checked"] > 0
+    assert report["notes"] == ["smallest index exceeds the coefficient budget"]
+
+
+def test_each_check_makes_its_rows_once(monkeypatch):
+    # the plan and the check read the same rows: one call per case, not one for the plan and one in the check
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or real(*args))
+
+    for module, name in [(co, "newman_rows"), (co, "hecke_rows"), (families, "family_rows")]:
+        count(module, name)
+    run_suite(None, GridBudget(400, 400))
+    eigenforms = [form for form in co.FORMS.values() if form.eigenform]
+    family_checks = [cid for cid in suite.default_check_ids() if cid.startswith("family.")]
+    assert calls == {"newman_rows": len(co.admissible_newman_pairs(13)),
+                     "hecke_rows": len(eigenforms) * len(co.primes_upto(13)), "family_rows": len(family_checks)}
 
 
 def test_the_tracer_patch_points_are_the_attributes_the_work_calls(monkeypatch):
