@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.only:
+    if args.only is not None:
         # a filter names a group (e.g. "identities") or whole leading dot-separated segments of an id
         groups = {"identities": "identity", "families": "family", "bridges": "bridge"}
         filters = [groups.get(f.strip(), f.strip()) for f in args.only.split(",") if f.strip()]

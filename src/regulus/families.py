@@ -33,10 +33,14 @@ Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
 ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
 m (m = ell) are the coefficients of E_1^k, and the n cap per prime of its
 unconditional check; ``_newman`` excludes the primes a part does not admit.
-Both checks are ``coefficients.Relation`` rows mod m over one read of s:
-Newman's recurrence composed four times, and the conclusion a(p^4 n + d4) =
-w^2 a(n) of the hypothesis a(d) = 0.  Only the hypothesis search declares its
-reads by hand (``Declared``): which primes it finds depends on the series.
+``verify_thm2`` builds one report from three pieces: the unconditional rows
+(Newman's recurrence composed four times, ``_unconditional_row``), a search
+for the primes p <= HYPOTHESIS_P_MAX with a(d) = 0, each admitted prime one
+index, and at each such p whose first index lies within the order, the
+conclusion row a(p^4 n + d4) = w^2 a(n) (``_conclusion_row``).  All are
+``coefficients.Relation`` rows mod m over one read of s, evaluated by
+``check_relation`` into that report.  Only the search declares its reads by
+hand (``Declared``): which primes it finds depends on the series.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from . import expr
 from .coefficients import BRIDGES, Bridge, NewmanParams, Relation, Term, check_relation, four_step
 from .coefficients import _is_prime, primes_upto, smallest_primes
 from .oracle import regular_multipartition_counts
-from .report import FAIL, PASS, SKIPPED, VACUOUS, VerificationReport, timed
+from .report import PASS, SKIPPED, VerificationReport, timed
 from .series import cached_regular_series
 
 ORACLE_CROSSCHECK_LIMIT = 300
@@ -436,6 +440,8 @@ def _thm2_rows(part: str, budget: GridBudget) -> list:
 
 
 def _unconditional_row(part: str, p: int, n_max: int) -> Relation:
+    """Newman's recurrence composed four times, read through the bridge, for n <= n_max: it holds at every
+    admitted prime with no hypothesis on a(d), so it is stronger evidence than the conditional statement."""
     b = _thm2_bridge(part)
     params = _newman(b, p)
     s = (b.ell, b.r, b.ell, b.index(p**4 * n_max + params.delta4))
@@ -447,66 +453,36 @@ def _unconditional_row(part: str, p: int, n_max: int) -> Relation:
     return Relation(lhs, rhs, n_max, modulus=b.ell, source=_fetch)
 
 
-@timed
-def verify_thm2_unconditional(part: str, p: int, n_max: int) -> VerificationReport:
-    """Three-term relation behind the conditional scaling statement.
-
-    Holds for every admissible prime, with no hypothesis on the counting
-    function, so it is strictly stronger desk-scale evidence than the
-    conditional statement itself.
-    """
-    report = VerificationReport(id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max})
-    return check_relation(report, _unconditional_row(part, p, n_max))
-
-
-@timed
-def search_hypothesis_primes(part: str, p_max: int, conclusion_budget: int = 2000) -> VerificationReport:
-    """Scan for primes satisfying the conditional hypothesis; verify any hits."""
-    bridge = _thm2_bridge(part)
-    report = VerificationReport(id=f"thm2.{part}.search", params_swept={"p_max": p_max})
-    s = cached_regular_series(bridge.ell, bridge.r, bridge.ell, _search_order(bridge, p_max))
-    found: list[int] = []
-    for params in _admitted(bridge, p_max):
-        report.indices_checked += 1
-        if s[bridge.index(params.delta)] == 0:
-            found.append(params.p)
-    report.params_swept["hypothesis_primes"] = found
-    verified_any = False
-    for p in found:
-        if bridge.index(_newman(bridge, p).delta4) > conclusion_budget:
-            report.notes.append(f"p={p}: conclusion out of series budget")
-            continue
-        conclusion = _verify_thm2_conclusion(part, p, conclusion_budget)
-        report.absorb(conclusion)
-        verified_any = verified_any or conclusion.indices_checked > 0
-        report.notes.append(f"p={p}: conclusion checked at t=1, {conclusion.indices_checked} indices")
-    if report.status != FAIL and not verified_any:
-        report.status = VACUOUS
-        report.notes.append("conditional family vacuously unverified at budget")
-    return report
-
-
-@timed
-def _verify_thm2_conclusion(part: str, p: int, order: int) -> VerificationReport:
-    """s(index(p^4 n + d4)) = w^2 s(index(n)) mod m for every index within order."""
+def _conclusion_row(part: str, p: int, order: int) -> Relation:
+    """s(index(p^4 n + d4)) = w^2 s(index(n)) mod m for every index within order; of no n past it."""
     b = _thm2_bridge(part)
     params = _newman(b, p)
     s = (b.ell, b.r, b.ell, order)
     lhs, rhs = Term(s, b.step * p**4, b.index(params.delta4)), Term(s, b.step, b.offset, params.w**2)
-    row = Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell, source=_fetch)
-    return check_relation(VerificationReport(id=f"thm2.{part}.conclusion.p{p}"), row)
+    return Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell, source=_fetch)
 
 
-@timed
 def verify_thm2(family: CongruenceFamily, budget: GridBudget) -> VerificationReport:
-    """Combined report for a conditional family: unconditional relation + search."""
-    part = family.part
+    """One report of a conditional family: the unconditional rows, the hypothesis search over the primes up
+    to HYPOTHESIS_P_MAX, and a conclusion row at each hypothesis prime whose first index lies within budget."""
+    part, b = family.part, _thm2_bridge(family.part)
     caps = THM2_PARTS[part][1]
     report = VerificationReport(id=f"family.{family.id}", params_swept={"primes": list(caps)})
-    for p, n_max in caps.items():
-        report.absorb(verify_thm2_unconditional(part, p, n_max))
-    search = search_hypothesis_primes(part, HYPOTHESIS_P_MAX, budget.order)
-    report.absorb(search)
-    report.notes.extend(search.notes)
-    report.params_swept["hypothesis_primes"] = search.params_swept["hypothesis_primes"]
+    check_relation(report, *(_unconditional_row(part, p, n_max) for p, n_max in caps.items()))
+    s = cached_regular_series(b.ell, b.r, b.ell, _search_order(b, HYPOTHESIS_P_MAX))
+    admitted = _admitted(b, HYPOTHESIS_P_MAX)
+    report.indices_checked += len(admitted)
+    found = [params.p for params in admitted if s[b.index(params.delta)] == 0]
+    report.params_swept["hypothesis_primes"] = found
+    checked = False
+    for p in found:
+        row = _conclusion_row(part, p, budget.order)
+        if row.last < 0:
+            report.notes.append(f"p={p}: conclusion out of series budget")
+            continue
+        check_relation(report, row)
+        report.notes.append(f"p={p}: conclusion checked at t=1, {row.last + 1} indices")
+        checked = True
+    if not checked:
+        report.notes.append("conditional family vacuously unverified at budget")
     return report

@@ -27,13 +27,6 @@ class VerificationReport:
         self.status = FAIL
         self.violations.append({"index": index, "value": value, "params": params})
 
-    def absorb(self, sub: "VerificationReport") -> None:
-        """Fold a sub-check into this report: its indices, its failure, its violations."""
-        self.indices_checked += sub.indices_checked
-        if sub.status == FAIL:
-            self.status = FAIL
-            self.violations.extend(sub.violations)
-
     def finish(self) -> "VerificationReport":
         if self.status == FAIL and not self.violations:
             raise ValueError("fail status without recorded violations")

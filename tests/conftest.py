@@ -16,7 +16,9 @@ def bump(monkeypatch):
     """bump(module, name, *indices): module.name returns its series or table with those entries raised by one.
 
     A failure-path case: a check reading the patched source must report a
-    violation at exactly the bumped coefficients it checks.
+    violation at exactly the bumped coefficients it checks.  A read too short
+    to hold an index is returned without it, so one check may read a source
+    at several orders.
     """
 
     def install(module, name, *indices):
@@ -26,7 +28,8 @@ def bump(monkeypatch):
             out = real(*args, **kwargs)
             values = list(out.coeffs if isinstance(out, TruncatedSeries) else out)
             for i in indices:
-                values[i] += 1
+                if i < len(values):
+                    values[i] += 1
             if isinstance(out, TruncatedSeries):
                 return TruncatedSeries(out.ring, tuple(out.ring.reduce(v) for v in values))
             return tuple(values)

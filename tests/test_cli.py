@@ -363,6 +363,10 @@ def test_suite_bad_filter(capsys):
     code, _, err = run(capsys, "suite", "--only", "nonsense")
     assert code == EXIT_USAGE
     assert "no checks match" in err
+    # an empty filter selects nothing either, rather than every check
+    for only in ("", ","):
+        code, out, err = run(capsys, "suite", "--only", only)
+        assert (code, out, err) == (EXIT_USAGE, "", f"no checks match {only!r}\n")
 
 
 def test_suite_scaling_group(tmp_path, capsys):

@@ -10,7 +10,7 @@ from regulus import expr
 from regulus import families as fam
 from regulus import suite
 from regulus.expr import NonExactDivisionError
-from regulus.report import FAIL, PASS, VACUOUS, VerificationReport
+from regulus.report import FAIL, PASS, VerificationReport
 from regulus.series import Zmod, series
 from regulus.families import (
     GridBudget,
@@ -23,9 +23,7 @@ from regulus.families import (
     index_env,
     load_registry,
     progression_grid,
-    search_hypothesis_primes,
     verify_family,
-    verify_thm2_unconditional,
 )
 
 EXPECTED_FAMILY_IDS = {
@@ -314,6 +312,21 @@ def test_oracle_crosscheck_catches_series_disagreement():
 # --- conditional families ---
 
 
+VACUOUS_NOTE = "conditional family vacuously unverified at budget"
+
+
+def verify_thm2_unconditional(part, p, n_max):
+    """Theorem 2's unconditional row at p, evaluated on its own under the report id its check had."""
+    report = VerificationReport(id=f"thm2.{part}.unconditional.p{p}", params_swept={"p": p, "n_max": n_max})
+    return fam.check_relation(report, fam._unconditional_row(part, p, n_max))
+
+
+def verify_thm2_conclusion(part, p, order):
+    """Theorem 2's conclusion row at p, evaluated on its own under the report id its check had."""
+    report = VerificationReport(id=f"thm2.{part}.conclusion.p{p}")
+    return fam.check_relation(report, fam._conclusion_row(part, p, order))
+
+
 def lhs_violations(report):
     return [(v["index"], sorted(v["value"]), v["params"]) for v in report.violations]
 
@@ -356,16 +369,29 @@ def _synthetic_part_i(monkeypatch, values):
 THM2_P19_ORDER = 260641
 
 
+def test_thm2_part_i_checks_its_conclusion_at_p19(bump):
+    # at order 260641 the search's first hypothesis prime, 19, has its conclusion read at n = 0 and n = 1
+    family, budget = get_family("thm2.i"), GridBudget(order=THM2_P19_ORDER)
+    report = verify_family(family, budget)
+    assert report.status == PASS and report.indices_checked == 148
+    assert "p=19: conclusion checked at t=1, 2 indices" in report.notes
+    assert VACUOUS_NOTE not in report.notes
+    bump(fam, "cached_regular_series", THM2_P19_ORDER)  # s(19^4 + 130320), the conclusion's left side at n = 1
+    report = verify_family(family, budget)
+    assert report.status == FAIL
+    assert [(v["index"], v["params"]) for v in report.violations] == [(THM2_P19_ORDER, {"n": 1})]
+
+
 def test_thm2_conclusion_passes_on_a_series_satisfying_it(monkeypatch):
     calls = _synthetic_part_i(monkeypatch, {0: 3, 130320: 3, 1: 2, 260641: 2})
-    report = fam._verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
+    report = verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
     assert calls == [(5, 6, 5, THM2_P19_ORDER)]
     assert report.status == PASS and report.indices_checked == 2 and not report.violations
 
 
 def test_thm2_conclusion_fails_at_the_bumped_index(monkeypatch):
     _synthetic_part_i(monkeypatch, {0: 3, 130320: 3, 1: 2, 260641: 3})
-    report = fam._verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
+    report = verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
     assert report.status == FAIL and report.indices_checked == 2
     assert report.violations == [{"index": 260641, "value": {"lhs": 3, "rhs": 2}, "params": {"n": 1}}]
 
@@ -374,14 +400,14 @@ def test_thm2_conclusion_rejects_excluded_prime(monkeypatch):
     calls = _synthetic_part_i(monkeypatch, {})
     for p in (5, 21):  # the bridge's own ell, and a composite
         with pytest.raises(ValueError):
-            fam._verify_thm2_conclusion("i", p, THM2_P19_ORDER)
+            verify_thm2_conclusion("i", p, THM2_P19_ORDER)
     assert calls == []
 
 
 def test_thm2_conclusion_rejects_unknown_part(monkeypatch):
     calls = _synthetic_part_i(monkeypatch, {})
     with pytest.raises(ValueError, match="unknown part"):
-        fam._verify_thm2_conclusion("iii", 19, THM2_P19_ORDER)
+        verify_thm2_conclusion("iii", 19, THM2_P19_ORDER)
     assert calls == []
 
 
@@ -393,16 +419,18 @@ def test_thm2_invalid_primes():
 
 
 def test_hypothesis_search_part_i():
-    report = search_hypothesis_primes("i", 100)
+    report = verify_family(get_family("thm2.i"), GridBudget())
     found = report.params_swept["hypothesis_primes"]
     assert 2 not in found  # B(1) = 6 = 1 mod 5
     assert found == [19, 29, 59, 79, 89]
-    assert report.status in ("pass", "vacuous")
+    # every first conclusion index, 130320 at p = 19 on, lies past the default order
+    assert report.notes == [f"p={p}: conclusion out of series budget" for p in found] + [VACUOUS_NOTE]
 
 
 def test_hypothesis_search_part_ii():
-    report = search_hypothesis_primes("ii", 100)
+    report = verify_family(get_family("thm2.ii"), GridBudget())
     assert report.params_swept["hypothesis_primes"] == [31, 67, 71]
+    assert report.notes[-1] == VACUOUS_NOTE
 
 
 def test_hypothesis_search_builds_no_conclusion_past_the_budget(monkeypatch):
@@ -415,9 +443,9 @@ def test_hypothesis_search_builds_no_conclusion_past_the_budget(monkeypatch):
         return real(ell, r, modulus, order)
 
     monkeypatch.setattr(fam, "cached_regular_series", capped)
-    report = search_hypothesis_primes("ii", 100, 10**6)
+    report = verify_family(get_family("thm2.ii"), GridBudget(order=10**6))
     assert "p=31: conclusion out of series budget" in report.notes
-    assert report.status == VACUOUS
+    assert report.notes[-1] == VACUOUS_NOTE and report.status != FAIL
 
 
 def test_thm2_combined_reports():
@@ -425,18 +453,3 @@ def test_thm2_combined_reports():
         report = verify_family(get_family(fid), GridBudget(order=2000))
         assert report.status == "pass"
         assert "hypothesis_primes" in report.params_swept
-
-
-def test_report_absorb_sums_indices_and_keeps_violation_order():
-    report = VerificationReport(id="outer")
-    first = VerificationReport(id="a", indices_checked=2)
-    second = VerificationReport(id="c", indices_checked=4)
-    first.record(5, 1)
-    second.record(7, 2)
-    for sub in (first, VerificationReport(id="b", indices_checked=3), second):
-        report.absorb(sub)
-    assert report.status == FAIL and report.indices_checked == 9
-    assert [v["index"] for v in report.violations] == [5, 7]
-    clean = VerificationReport(id="clean")
-    clean.absorb(VerificationReport(id="d", status=VACUOUS, indices_checked=1))
-    assert clean.status == PASS and clean.indices_checked == 1 and not clean.violations

@@ -12,7 +12,7 @@ import pytest
 from regulus import coefficients as co
 from regulus import families as fam
 from regulus.report import SKIPPED, VerificationReport
-from test_families import THM2_P19_ORDER, _synthetic_part_i
+from test_families import THM2_P19_ORDER, _synthetic_part_i, verify_thm2_conclusion, verify_thm2_unconditional
 
 # --- the loops the rows replace ---
 
@@ -199,8 +199,8 @@ def comparable(report):
 
 
 def check_and_reference(name):
-    module = fam if name == "verify_thm2_unconditional" else co
-    return getattr(module, name), globals()[f"reference_{name}"]
+    check = verify_thm2_unconditional if name == "verify_thm2_unconditional" else getattr(co, name)
+    return check, globals()[f"reference_{name}"]
 
 
 @pytest.mark.parametrize("name, args, module, source, indices", CASES,
@@ -218,7 +218,7 @@ def test_row_reports_what_the_loop_reported(name, args, module, source, indices,
                                             ({**SYNTHETIC_P19, 0: 1, 1: 4}, "fail")])
 def test_conclusion_row_reports_what_the_loop_reported(values, status, monkeypatch):
     _synthetic_part_i(monkeypatch, values)
-    got = comparable(fam._verify_thm2_conclusion("i", 19, THM2_P19_ORDER))
+    got = comparable(verify_thm2_conclusion("i", 19, THM2_P19_ORDER))
     assert got == comparable(reference_verify_thm2_conclusion("i", 19, THM2_P19_ORDER))
     assert got["status"] == status and got["indices_checked"] == 2
 
@@ -318,4 +318,4 @@ def test_mutated_conclusion_row_fails(side, mutate, monkeypatch):
 
     monkeypatch.setattr(fam, "check_relation", mutated)
     # one past the order, so that the moved left offset still reads inside the series
-    assert fam._verify_thm2_conclusion("i", 19, THM2_P19_ORDER + 1).status == "fail"
+    assert verify_thm2_conclusion("i", 19, THM2_P19_ORDER + 1).status == "fail"
