@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from functools import reduce
@@ -250,6 +251,8 @@ def _argument_problem(args) -> str | None:
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         return f"--jobs must be at least 1, got {jobs}"
+    if jobs is not None and jobs > 1 and not hasattr(os, "fork"):
+        return f"--jobs {jobs} runs the checks in forked processes, and this platform has no os.fork"
     return None
 
 

@@ -76,14 +76,20 @@ rest's E_1^-r at n and E_1^r at n // ell, and each power of E_1 the powers it
 multiplies at its own order.  A miss builds to the larger of the order asked
 and the key's target, so each key is built once per run, lazily, inside the
 first check that reads it.  Outside a run the plan is empty: a read builds to
-the order it asks, as a direct call always does.
+the order it asks, as a direct call always does.  A run of several jobs
+splits its checks into shares, one process each, and first builds the keys
+that two shares read (``prebuild``); ``build_cost`` weighs a key for that
+split and for the order of that build.  Each process then builds only its
+own share's keys.
 
-Each key has its own lock, held while its series is built.  A build takes
-the locks of the keys it reads in one order: the key (ell, r, m), then its
-chain levels by decreasing order, then powers of E_1 by decreasing |d|.  A
-level reads only the levels below it in its chain and powers of E_1, a power
-of E_1 only powers of smaller |d| over its ring and of its sign, and no piece
-reads a key (ell, r, m), so two threads never wait on each other in a cycle.
+Each key has its own lock, held while its series is built.  Only that
+build before the fork runs on several threads; a process that runs checks
+runs them on one.  A build takes the locks of the keys it reads in one
+order: the key (ell, r, m), then its chain levels by decreasing order, then
+powers of E_1 by decreasing |d|.  A level reads only the levels below it in
+its chain and powers of E_1, a power of E_1 only powers of smaller |d| over
+its ring and of its sign, and no piece reads a key (ell, r, m), so two
+threads never wait on each other in a cycle.
 
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_product``: numpy's float FFT, rounded to integers.
@@ -140,6 +146,7 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial, reduce
@@ -597,15 +604,19 @@ def _factors(d: int) -> list[int]:
 def _pieces(key: tuple, order: int) -> list:
     """The (store key, order) pairs a build of key to order reads, the key first.
 
-    A power of E_1 reads the powers it multiplies; a regular key reads each level of each of its parts,
-    with the powers of E_1 the level's digits read.
+    A power of E_1 reads the powers it multiplies; a chain level reads itself and the levels below it, a
+    regular key each level of each of its parts, each with the powers of E_1 the level's digits read.
     """
     reads = [(key, order)]
     if key[0] == "E_1^d":
         _, m, d = key
         return reads + [read for e in _factors(d) for read in _pieces(("E_1^d", m, e), order)]
-    ell, r, m = key
-    for q, levels in _parts(ell, r, m, order) if r else ():
+    if key[0] == "S":
+        parts = [(key[1], list(_levels(*key[1:], order)))]
+    else:
+        ell, r, m = key
+        parts = _parts(ell, r, m, order) if r else ()
+    for q, levels in parts:
         for level, n, digits in levels:
             reads += [(level, n)] if level else []
             reads += [read for d, k in digits for read in _pieces(("E_1^d", q, d), n // k)]
@@ -667,10 +678,79 @@ def _e1_power_build(m: int, d: int, n: int) -> TruncatedSeries:
     return euler_E(1, n, ring) if d == 1 else invert(euler_E(1, n, ring))
 
 
+def _read(key: tuple, order: int) -> TruncatedSeries:
+    """The series of a store key of any kind to order, through the store."""
+    if key[0] == "E_1^d":
+        return cached_e1_power(key[2], order, key[1])
+    if key[0] == "S":
+        return _stored(key, order, partial(_level, key))
+    return cached_regular_series(*key, order)
+
+
+def prebuild(keys, threads: int) -> None:
+    """Build each store key to its target in the plan of the run in progress, on threads.
+
+    A thread takes, of the keys whose pieces among keys are built, the one that heads the costliest chain
+    of builds still to make, a key's build_cost plus that of the costliest chain through the keys that read
+    it.  So the longest chain starts first, and no thread waits on the lock of a piece another builds.
+    """
+    keys = set(keys)
+    below = {key: {piece for piece, _ in _pieces(key, _targets[key])} & keys - {key} for key in keys}
+    above = {key: [reader for reader in keys if key in below[reader]] for key in keys}
+
+    @cache
+    def chain(key) -> int:
+        return build_cost(key, _targets[key]) + max(map(chain, above[key]), default=0)
+
+    left = sorted(keys, key=chain)  # the next key to build is the last one ready
+    built: set = set()
+    ready = threading.Condition()
+
+    def work():
+        while True:
+            with ready:
+                while left and (key := next((k for k in reversed(left) if below[k] <= built), None)) is None:
+                    ready.wait()
+                if not left:
+                    return
+                left.remove(key)
+            try:
+                _read(key, _targets[key])
+            finally:  # a failed build frees its readers, whose own builds raise the error again
+                with ready:
+                    built.add(key)
+                    ready.notify_all()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for future in [pool.submit(work) for _ in range(threads)]:
+            future.result()
+
+
+def build_cost(key: tuple, order: int) -> int:
+    """The FFT transforms a build of key to order makes itself, not in the keys it reads, times their length.
+
+    A product of two series takes three transforms of the next power of 2 past twice its order, a square
+    two (``_product``).  A power of E_1 squares one power, multiplies its factors, or inverts by Newton,
+    counted as four products; a chain level multiplies its digit powers and its next level, 1/E_1's
+    levels all in one build; a regular key multiplies the rest's two powers.  Over Z/m that is every
+    transform, inverse ones included; over Z a product splits into digit rows and makes more.
+    """
+    if key[0] == "E_1^d":
+        factors = len(_factors(key[2]))
+        transforms = 2 if factors == 1 else 3 * (factors - 1) if factors else 12 * (key[2] == -1)
+        return transforms << (2 * order).bit_length()
+    if key[0] == "S":
+        levels = list(_levels(*key[1:], order))
+        return sum(3 * max(len(digits) + (i + 1 < len(levels)) - 1, 0) << (2 * n).bit_length()
+                   for i, (level, n, digits) in enumerate(levels) if level == key)
+    ell, r, m = key
+    return 3 * (r > 0 and (m == 0 or _split(m, order)[1] != 1)) << (2 * order).bit_length()
+
+
 def _chain(q: int, levels: list) -> TruncatedSeries:
     """The first of a part's levels mod q (over Z when q == 0): stored under its key, or built here if keyless."""
     key, n, _ = levels[0]
-    return _stored(key, n, partial(_level, key)) if key else _build(q, levels)
+    return _read(key, n) if key else _build(q, levels)
 
 
 def _level(key: tuple, n: int) -> TruncatedSeries:

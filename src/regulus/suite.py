@@ -9,11 +9,23 @@ each selected check once, plans the reads of all their rows
 (``series.planned``), so that the store builds each key once, and then runs
 the same checks.  A check that is only rows, over one case or many, is one
 timed report of ``check_relation`` over all of them.
+
+One job runs the checks in turn on the calling thread.  With jobs > 1 the
+checks are split into up to jobs shares by the store keys their rows plan
+(``_shares``).  The keys two shares read are built first, on as many
+threads, and then one worker is forked per share but the first, which runs
+here: each process builds only its own share's keys and sends back its
+reports, so no check shares the interpreter lock with another.  A check that
+raises in a worker raises here with its id, and every worker is reaped
+before ``run_suite`` returns or raises.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+from collections import Counter
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -22,7 +34,7 @@ import numpy as np
 from . import coefficients as co
 from . import dissections, families, oracle
 from .report import FAIL, PASS, VACUOUS, VerificationReport, timed
-from .series import Zmod, euler_E, planned, power
+from .series import Zmod, build_cost, euler_E, plan, planned, power, prebuild
 
 REPORT_VERSION = 1
 
@@ -181,27 +193,124 @@ def _build_check(check_id: str, checks: dict) -> Callable[[], VerificationReport
         raise KeyError(f"unknown check id {check_id!r}") from None
 
 
+def _run(tasks: dict, ids) -> dict:
+    """Each check's JSON-ready report by id: the checks run in turn, each dropped once it has run."""
+    reports = {}
+    for cid in ids:
+        report = tasks.pop(cid)()
+        report.id = cid
+        reports[cid] = report.to_dict()
+    return reports
+
+
+def _shares(reads: dict, targets: dict, count: int) -> list[tuple[list[str], set]]:
+    """The checks split into count shares, each (its check ids, the store keys they plan), by build cost.
+
+    A key costs the transforms its build makes itself times their length (``series.build_cost``).  Each
+    check, costliest first, joins the share whose keys it makes cheapest to build, on a tie the share of
+    fewer checks: an empty share ties any other at worst, so none stays empty.
+    """
+    cost = {key: build_cost(key, n) for key, n in targets.items()}
+    keys = {cid: set(plan(check)) for cid, check in reads.items()}
+    shares = [([], set()) for _ in range(count)]
+    loads = [0] * count
+    for cid in sorted(reads, key=lambda cid: -sum(cost[key] for key in keys[cid])):
+        added = [sum(cost[key] for key in keys[cid] - held) for _, held in shares]
+        i = min(range(count), key=lambda i: (loads[i] + added[i], len(shares[i][0])))
+        shares[i][0].append(cid)
+        shares[i][1].update(keys[cid])
+        loads[i] += added[i]
+    return shares
+
+
+def _worker(pipe: int, tasks: dict, share: list[str]) -> None:
+    """A forked worker: run the share's checks and send their reports, or the check that raised, down the pipe.
+
+    It leaves through os._exit, which runs no exit handler and flushes no buffer inherited from the parent.
+    """
+    try:
+        reports, failure = {}, None
+        for cid in share:
+            try:
+                reports |= _run(tasks, [cid])
+            except Exception as exc:
+                failure = f"check {cid!r} raised {type(exc).__name__}: {exc}"
+                break
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump((reports, failure), out)
+    finally:
+        os._exit(0)
+
+
+def _forked(tasks: dict, shares: list[list[str]]) -> dict:
+    """Every share's reports by id: the first share run here, each other one in a worker forked for it.
+
+    Every worker is reaped before this returns or raises; when it raises, the workers are killed first.
+    """
+    workers = {}  # pid -> the read end of its pipe
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _worker(write, tasks, share)
+            except OSError:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)  # the parent's copy; the worker holds its own until it exits
+            workers[pid] = os.fdopen(read, "rb")
+        reports = _run(tasks, shares[0])
+        for pipe in workers.values():
+            try:
+                done, failure = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                done, failure = {}, "a worker exited without sending its reports"
+            if failure:
+                raise RuntimeError(failure)
+            reports |= done
+        return reports
+    except BaseException:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def run_suite(
     check_ids: Optional[list[str]] = None,
     budget: families.GridBudget = families.GridBudget(),
     registry=None,
     jobs: int = 1,
 ) -> dict:
-    """Run selected checks (all by default); collect a JSON-ready report sorted by id."""
+    """Run selected checks (all by default); collect a JSON-ready report sorted by id.
+
+    With jobs > 1 the checks run in min(jobs, checks) shares (``_shares``), one process each: the store
+    keys two shares plan are built first, here on as many threads, and each share but the first is forked.
+    """
     makers = _checks(budget, families.default_registry() if registry is None else registry)
     selected = sorted(set(makers if check_ids is None else check_ids))
     # each selected check made once: the plan merges its rows' reads, and its run evaluates the same rows
     checks = {cid: makers[cid]() for cid in selected if cid in makers}
     tasks = {cid: _build_check(cid, checks) for cid in selected}
-    reads = [read for check in checks.values() for row in check.rows for read in row.reads]
+    reads = {cid: [read for row in check.rows for read in row.reads] for cid, check in checks.items()}
     del checks  # a check's rows and grid live on in its task alone, which is dropped once it has run
-    with planned(reads), ThreadPoolExecutor(max_workers=jobs) as pool:
-        # one job runs on the calling thread, where a profiler or tracer of that thread sees the work
-        run = map if jobs == 1 else pool.map
-        reports = dict(zip(selected, run(lambda cid: tasks.pop(cid)(), selected)))
-    for cid, report in reports.items():
-        report.id = cid
-    return {"version": REPORT_VERSION, "checks": [report.to_dict() for report in reports.values()]}
+    count = min(jobs, len(selected))
+    with planned([read for check in reads.values() for read in check]) as targets:
+        if count < 2:
+            # one job runs on the calling thread, where a profiler or tracer of that thread sees the work
+            reports = _run(tasks, selected)
+        else:
+            shares = _shares(reads, targets, count)
+            held = Counter(key for _, keys in shares for key in keys)
+            # the keys two shares read, built once here; the threads are gone before the fork
+            prebuild([key for key, n in held.items() if n > 1], count)
+            reports = _forked(tasks, [share for share, _ in shares])
+    return {"version": REPORT_VERSION, "checks": [reports[cid] for cid in selected]}
 
 
 def suite_status(report: dict) -> str:

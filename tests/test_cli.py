@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import regulus
-from regulus import oracle
+from regulus import oracle, suite
 from regulus.cli import EXIT_PASS, EXIT_USAGE, EXIT_VACUOUS, EXIT_VIOLATION, main
 from regulus.report import VerificationReport
+from test_suite import stub_checks
 
 
 def run(capsys, *argv):
@@ -367,6 +368,46 @@ def test_suite_bad_filter(capsys):
     for only in ("", ","):
         code, out, err = run(capsys, "suite", "--only", only)
         assert (code, out, err) == (EXIT_USAGE, "", f"no checks match {only!r}\n")
+
+
+def test_suite_two_jobs_print_the_table_once():
+    # a forked worker leaves through os._exit, never back into the command line code that prints the report.
+    # Run in a fresh interpreter, whose stdout is a pipe
+    src = str(Path(regulus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["suite", "--only", "families", "--order", "400", "--jobs", "2", "--format", "markdown"]
+    done = subprocess.run([sys.executable, "-m", "regulus.cli", *argv], capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert done.returncode == EXIT_PASS, done.stderr
+    header, _, *rows = done.stdout.splitlines()
+    families = [cid for cid in suite.default_check_ids() if cid.startswith("family.")]
+    assert header == "| check | status | indices | violations | ms |"
+    assert [row.split(" |")[0] for row in rows if row] == [f"| {cid}" for cid in families]
+
+
+def test_suite_jobs_without_fork_exits_usage(monkeypatch, capsys):
+    # two jobs run in forked processes; a platform without os.fork gets one line and exit 2, one job still runs
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run(capsys, "suite", "--only", "frobenius", "--order", "64", "--jobs", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.strip().splitlines()) == 1 and "--jobs" in err and "os.fork" in err
+    code, _, _ = run(capsys, "suite", "--only", "frobenius", "--order", "64", "--jobs", "1")
+    assert code == EXIT_PASS
+
+
+def test_suite_check_raising_in_a_worker_exits_usage(monkeypatch, capsys):
+    # a crash is never a violation: the error names the check, and the exit is 2, not 1
+    here = os.getpid()
+
+    def check(name):
+        if os.getpid() != here:
+            raise IndexError("boom")
+        return VerificationReport(id=name)
+
+    stub_checks(monkeypatch, check)
+    code, out, err = run(capsys, "suite", "--jobs", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.strip().splitlines()) == 1 and "raised IndexError: boom" in err and "check '" in err
 
 
 def test_suite_scaling_group(tmp_path, capsys):

@@ -8,6 +8,7 @@ import sys
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from regulus.families import GridBudget, default_registry, load_registry
 from regulus.series import (
     ZZ,
     Zmod,
+    build_cost,
     cached_e1_power,
     cached_regular_series,
     euler_E,
@@ -55,9 +57,14 @@ def test_counted_gate_run_builds_each_key_once(builds, past_plan, order):
 
 
 def test_two_jobs_build_each_key_once(builds, past_plan):
-    suite.run_suite(None, GridBudget(400, 400), jobs=2)
-    assert [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
-    assert past_plan == []
+    # the keys both shares read are built here before the fork, and each share's own keys in its process alone
+    budget = GridBudget(400, 400)
+    suite.run_suite(None, budget, jobs=2)
+    everywhere = builds.everywhere()
+    assert len(everywhere) > len(builds) > 0  # the worker built some keys, and this process others
+    assert [key for key, count in Counter(key for key, _ in everywhere).items() if count > 1] == []
+    assert sorted(everywhere, key=repr) == sorted(plan(declared_reads(budget)).items(), key=repr)
+    assert past_plan.everywhere() == []
 
 
 def test_families_run_builds_nothing_past_its_reads(builds, past_plan):
@@ -154,6 +161,80 @@ def test_threads_sharing_prime_chains_build_each_key_once(builds):
     assert {key[1] for key, _ in builds if key[0] == "E_1^d" and key[2] < 0} == {4}
     assert (("E_1^d", 4, -1), 200) in builds
     assert all(results[m] == reference_regular_quotient(19, 6, 200, m) for m in moduli)
+
+
+def test_prebuild_builds_each_key_after_its_pieces(builds):
+    # six threads, more than a small machine has cores, over every key the families plan at 400: each key is
+    # built once, to its target, and only once every piece it reads among them is built, so no thread waits
+    # on the lock of a piece another builds
+    builds.delay = 0.001
+    targets = plan(declared_reads(GridBudget(400, 400), family_ids()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with planned(declared_reads(GridBudget(400, 400), family_ids())):
+            thread = threading.Thread(target=series_module.prebuild, args=(list(targets), 6), daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert sorted(builds, key=repr) == sorted(targets.items(), key=repr)
+    started = [key for key, _ in builds]
+    late = [(key, piece) for i, key in enumerate(started) for piece, _ in series_module._pieces(key, targets[key])
+            if piece != key and piece not in started[:i]]
+    assert late == []
+
+
+def test_prebuild_raises_the_error_of_a_failed_build(builds, monkeypatch):
+    # the chains mod 5 fail: their readers raise again, and no thread waits for a key that is never built
+    real = series_module._level
+
+    def level(key, n):
+        if key[1] == 5:
+            raise ArithmeticError("failed build")
+        return real(key, n)
+
+    monkeypatch.setattr(series_module, "_level", level)
+    errors = []
+
+    def run():
+        try:
+            series_module.prebuild(list(plan(declared_reads(GridBudget(400, 400), family_ids()))), 3)
+        except ArithmeticError as exc:
+            errors.append(exc)
+
+    with planned(declared_reads(GridBudget(400, 400), family_ids())):
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+    assert not thread.is_alive() and [str(exc) for exc in errors] == ["failed build"]
+
+
+def test_build_cost_counts_every_transform_of_a_build_mod_m(monkeypatch):
+    # each key the families plan at 400 and 4000, built again once its pieces are built: the FFT lengths its
+    # own build transforms, one per row, sum to its build_cost
+    lengths = []
+
+    def counted(transform):
+        def run(a, n, *args, **kwargs):
+            lengths.append(n * (np.asarray(a).size // np.asarray(a).shape[-1]))
+            return transform(a, n, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(series_module, "_longest", {})
+    monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+    for order in (400, 4000):
+        with planned(declared_reads(GridBudget(order, order), family_ids())) as targets:
+            for key, n in targets.items():
+                for piece, _ in series_module._pieces(key, n)[1:]:
+                    series_module._read(piece, targets[piece])
+                series_module._longest.pop(key, None)
+                lengths.clear()
+                series_module._read(key, n)
+                assert sum(lengths) == build_cost(key, n), key
 
 
 def test_plan_shares_each_primes_chain_across_moduli():

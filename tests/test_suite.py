@@ -1,9 +1,12 @@
 """The suite's canonical report against the digests the benchmark records, and the spans its layer counts read."""
 
+import errno
 import importlib
 import importlib.util
+import os
 import sys
 import threading
+import time
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -52,20 +55,71 @@ def test_two_jobs_give_the_one_job_report():
     assert two == canonical(run_suite(None, GridBudget(400, 400), jobs=1))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_one_job_runs_the_checks_on_the_calling_thread(jobs, monkeypatch):
-    # a profiler of the calling thread sees one job's checks; two jobs run them on pool threads
-    threads = []
-
-    def check(name):
-        threads.append(threading.get_ident())
-        return suite.VerificationReport(id=name)
-
+def stub_checks(monkeypatch, check):
+    """The suite's checks replaced by three, a, b and c, of no rows: each returns check(its id)."""
     checks = {c: partial(suite.Check, [], partial(check, c)) for c in "abc"}
     monkeypatch.setattr(suite, "_checks", lambda budget, registry: checks)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_job_runs_the_checks_on_the_calling_thread(jobs, monkeypatch):
+    # a profiler of the calling thread sees one job's checks; two jobs run them in two processes, this one and a
+    # forked worker, and on no pool thread
+    def check(name):
+        return suite.VerificationReport(id=name, notes=[f"{os.getpid()} {threading.get_ident()}"])
+
+    stub_checks(monkeypatch, check)
     report = run_suite(None, GridBudget(400, 400), jobs=jobs)
     assert [c["id"] for c in report["checks"]] == ["a", "b", "c"]
-    assert len(threads) == 3 and (set(threads) == {threading.get_ident()}) == (jobs == 1)
+    ran = [tuple(map(int, c["notes"][0].split())) for c in report["checks"]]
+    here = (os.getpid(), threading.get_ident())
+    assert len({pid for pid, _ in ran}) == jobs and here in ran
+    assert {thread for pid, thread in ran if pid == os.getpid()} == {threading.get_ident()}
+
+
+def test_jobs_past_the_checks_fork_one_worker_per_check_but_one(monkeypatch):
+    # three checks and 1000 jobs: three shares, so two forks. Past two the stub refuses, and starts no process
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        if len(forks) > 2:
+            raise OSError(errno.EAGAIN, "this test allows two forks")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    ids = ["frobenius", "oracle.enumeration", "support.eta8_3z"]
+    canonical = load_workloads().canonical
+    many = canonical(run_suite(ids, GridBudget(400, 400), jobs=1000))
+    assert len(forks) == 2
+    assert many == canonical(run_suite(ids, GridBudget(400, 400)))
+
+
+@pytest.mark.parametrize("where", ["worker", "here"])
+def test_a_check_that_raises_leaves_no_worker_behind(where, monkeypatch):
+    # raised in a worker, the error names the check; raised here, it propagates, and the worker, still asleep,
+    # is killed rather than waited for. Either way every worker is reaped
+    here = os.getpid()
+
+    def check(name):
+        if (os.getpid() == here) == (where == "here"):
+            raise ValueError("boom")
+        if os.getpid() != here:
+            time.sleep(60)
+        return suite.VerificationReport(id=name)
+
+    stub_checks(monkeypatch, check)
+    start = time.monotonic()
+    if where == "worker":
+        error, match = RuntimeError, r"^check '[abc]' raised ValueError: boom$"
+    else:
+        error, match = ValueError, "boom"
+    with pytest.raises(error, match=match):
+        run_suite(None, GridBudget(400, 400), jobs=2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_an_empty_selection_runs_no_check():
