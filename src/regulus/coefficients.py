@@ -2,8 +2,9 @@
 
 Each check is its ``Relation`` rows, sum(lhs) = sum(rhs) mod M for first <= n
 <= last (over Z when M = 0), and ``check_relation`` evaluates them into one
-report.  The suite makes a check's rows once and evaluates them all there; each
-function below that returns a report checks the rows of one case.  A
+report.  The suite makes a check's rows once and evaluates them all there; the
+four functions below that return a report, each over the rows of one case, are
+the names the benchmark's tracer patches.  A
 ``Term`` is coeff * S(step k + offset), k = n, where S is the sequence its
 read names: ``(ell, r, m, order)`` of ``cached_regular_series``, ``("E_1^d",
 0, d, order)`` of E_1^d over Z, ``("eta", form, order)`` of an eta power or
@@ -19,10 +20,12 @@ note however many rows have none.
 
 Where the sides differ at n, a violation is recorded at the index the first
 left term reads, with param n unless the row is unnumbered, the row's params,
-and the value its shape gives: ``lhs``, the left side (vanishing, support);
-``expected``, the left side with param expected= the right side (Newman, four
-steps); ``sides``, {"lhs", "rhs"} (Hecke, scalings, Theorem 2); ``series``,
-{"series": left, "table": right} (bridges); ``oracle``, {"series", "oracle"}.
+and the value its shape gives: ``lhs``, the left side (vanishing, support,
+family sweeps); ``expected``, the left side with param expected= the right
+side (Newman, four steps); ``sides``, {"lhs", "rhs"} (Hecke, scalings,
+Theorem 2); ``series``, {"series": left, "table": right} (bridges);
+``oracle``, {"series", "oracle"} (oracle equivalence, family sweeps).  Sides
+equal in full are compared at once.
 """
 
 from __future__ import annotations
@@ -118,15 +121,18 @@ def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int, source)
     total = terms[0].column(first, count, source) if terms else [0] * count
     for term in terms[1:]:
         total = [t + v for t, v in zip(total, term.column(first, count, source))]
-    return [v % modulus for v in total] if modulus else total
+    return [v % modulus for v in total] if modulus and terms and any(total) else total  # zeros are reduced
 
 
 def check_relation(report: VerificationReport, *rows: Relation) -> VerificationReport:
     """Record each row's violations in the order of n and count its indices; a row of no n skips the report."""
+    sources = {}  # each row source, cached for the call, so that rows sharing a read resolve it once
     for row in rows:
-        shape, count, source = SHAPES[row.shape], max(0, row.last - row.first + 1), cache(row.source)
+        if row.source not in sources:
+            sources[row.source] = cache(row.source)
+        shape, count, source = SHAPES[row.shape], max(0, row.last - row.first + 1), sources[row.source]
         lhs, rhs = (_side(terms, row.first, count, row.modulus, source) for terms in (row.lhs, row.rhs))
-        for n, left, right in zip(itertools.count(row.first), lhs, rhs):
+        for n, left, right in zip(itertools.count(row.first), lhs, rhs) if lhs != rhs else ():
             if left != right:
                 value, params = shape(left, right)
                 numbered = {"n": n} if row.numbered else {}
@@ -242,23 +248,11 @@ def four_step_rows(r: int, p: int, n_max_index: int) -> list[Relation]:
     return [Relation(lhs, rhs, (n_max_index - params.delta4) // p**4, shape="expected")]
 
 
-@timed
-def newman_four_step(r: int, p: int, n_max_index: int) -> VerificationReport:
-    rows, swept = four_step_rows(r, p, n_max_index), {"r": r, "p": p, "delta4": NewmanParams(r, p).delta4}
-    return check_relation(VerificationReport(id=f"newman4.r{r}.p{p}", params_swept=swept), *rows)
-
-
 def support_rows(form: EtaPowerForm, n_max: int) -> list[Relation]:
     """All coefficients outside the form's residue class vanish: a(n) is its part on the class."""
     a = ("eta", form, n_max)
     on_class = Term(a, form.scale, form.shift, at=form.shift, every=form.scale)
     return [Relation((Term(a, 1, 0),), (on_class,), n_max, shape="lhs", numbered=False)]
-
-
-@timed
-def support_check(form: EtaPowerForm, n_max: int) -> VerificationReport:
-    report = VerificationReport(id=f"support.{form.id}", params_swept={"mod": form.scale, "residue": form.shift})
-    return check_relation(report, *support_rows(form, n_max))
 
 
 def hecke_rows(form: EtaPowerForm, p: int, n_max: int) -> list[Relation]:
@@ -285,13 +279,6 @@ def vanishing_rows(form: EtaPowerForm, p: int, n_max: int) -> list[Relation]:
     a = ("eta", form, n_max)
     lower = Term(a, 1, 0, -form.hecke_factor(p), every=p)
     return [Relation((Term(a, p, 0),), (lower,), n_max // p, first=1, shape="lhs")]
-
-
-@timed
-def vanishing_consequence_check(form: EtaPowerForm, p: int, n_max: int) -> VerificationReport:
-    """The row, whose n = 1 is a(p) = 0."""
-    report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
-    return check_relation(report, *vanishing_rows(form, p, n_max))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,12 @@ primes).  ``family_index`` returns offset + stride n from that pair, so it
 evaluates no formula after a point's first call, and a division exact at
 n = 0 but not at n = 1, as in (n + 4)/4, raises NonExactDivisionError at
 every n, n = 0 included.  ``progression_grid`` reads the same pair (a stride
-below 1 raises ValueError).  Each point is the row s(offset + stride n) = 0
-mod m over the series read to min(order, offset + stride n_max)
-(``sweep_row``), which ``verify_family`` evaluates over s[offset::stride] with
-numpy, and ``family_rows`` lists a family's rows for the suite's plan.
+below 1 raises ValueError), and the grid holds each point's rows: the sweep
+row s(offset + stride n) = 0 mod m to min(order, offset + stride n_max)
+(``sweep_row``), the same row mod each prime of a composite m, and s = the
+oracle's counts mod m to index ORACLE_CROSSCHECK_LIMIT (``point_rows``).
+``check_relation`` evaluates them all, and ``family_rows`` lists them for the
+suite's plan.
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
 ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
@@ -52,8 +54,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from typing import Any, Iterable, Optional
-
-import numpy as np
 
 from . import expr
 from .coefficients import BRIDGES, Bridge, NewmanParams, Relation, Term, check_relation, four_step
@@ -278,6 +278,7 @@ class ParameterGrid:
     points: list[GridPoint] = field(default_factory=list)
     skipped: list[GridPoint] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    rows: list[list[Relation]] = field(default_factory=list)  # each point's rows, its sweep row first
 
 
 def _prime_tuples(family: CongruenceFamily, t: int) -> list[tuple[int, ...]]:
@@ -292,8 +293,8 @@ def _prime_tuples(family: CongruenceFamily, t: int) -> list[tuple[int, ...]]:
     return [(base[0],) * (t + 1), (base[0],) * t + (base[1],)]
 
 
-def progression_grid(family: CongruenceFamily, order: int, candidates: Iterable[tuple]) -> ParameterGrid:
-    """Each (j, alpha) of every candidate (t, primes), resolved to offset and stride; skipped past order."""
+def progression_grid(family: CongruenceFamily, budget: GridBudget, candidates: Iterable[tuple]) -> ParameterGrid:
+    """Each (j, alpha) of every candidate (t, primes), resolved to offset and stride with its rows; or skipped."""
     grid = ParameterGrid()
     for t, primes in candidates:
         for j in _J_RESIDUES[family.j_constraint](primes[-1] if primes else 0):
@@ -301,13 +302,14 @@ def progression_grid(family: CongruenceFamily, order: int, candidates: Iterable[
                 offset, stride = _resolve(family.index_formula, t, j, alpha, primes)
                 if offset < 0:
                     raise ValueError(f"negative index {offset} for family {family.id}")
-                if offset > order:
+                if offset > budget.order:
                     grid.skipped.append(GridPoint(t, primes, j, alpha, offset))
                     continue
                 if stride < 1:
                     where = f"t={t}, primes={primes}, j={j}, alpha={alpha}"
                     raise ValueError(f"family {family.id}: index stride {stride} < 1 at {where}")
                 grid.points.append(GridPoint(t, primes, j, alpha, offset, stride))
+                grid.rows.append(point_rows(family, grid.points[-1], budget))
     return grid
 
 
@@ -316,7 +318,7 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
     if family.kind != "progression":
         raise ValueError(f"family {family.id} has no progression grid")
     candidates = [(t, primes) for t in budget.t_values for primes in _prime_tuples(family, t)]
-    grid = progression_grid(family, budget.order, candidates)
+    grid = progression_grid(family, budget, candidates)
     if not grid.points:
         grid.notes.append("empty grid: every point exceeds the series budget")
     if grid.skipped:
@@ -325,7 +327,9 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
 
 
 def _fetch(read: tuple):
-    """The series a read (ell, r, m, order) names, through this module's cached_regular_series."""
+    """The sequence a read names: the oracle's counts, or the series of this module's cached_regular_series."""
+    if read[0] == "oracle":
+        return regular_multipartition_counts(*read[1:]).values
     return cached_regular_series(*read)
 
 
@@ -334,14 +338,36 @@ def sweep_row(family: CongruenceFamily, point: GridPoint, budget: GridBudget) ->
     last = min(budget.order, point.offset + point.stride * budget.n_max)
     s = (family.ell, family.r_value(point.t), family.modulus, last)
     n_last = (last - point.offset) // point.stride
-    return Relation((Term(s, point.stride, point.offset),), (), n_last, modulus=family.modulus, source=_fetch)
+    where = (("t", point.t), ("primes", point.primes), ("j", point.j), ("alpha", point.alpha))
+    term = Term(s, point.stride, point.offset)
+    return Relation((term,), (), n_last, modulus=family.modulus, shape="lhs", params=where, source=_fetch)
+
+
+@cache
+def _prime_factors(m: int) -> tuple[int, ...]:
+    """The primes of a composite m; none of a prime."""
+    return () if _is_prime(m) else tuple(p for p in primes_upto(m) if m % p == 0)
+
+
+def point_rows(family: CongruenceFamily, point: GridPoint, budget: GridBudget) -> list[Relation]:
+    """The sweep row, the same row mod each prime p of a composite m (s mod p of s's residues mod m), and at an
+    offset within ORACLE_CROSSCHECK_LIMIT, s = the oracle's counts mod m at every index up to that limit."""
+    sweep = sweep_row(family, point, budget)
+    lhs, last, where = sweep.lhs, sweep.last, sweep.params
+    rows = [sweep] + [Relation(lhs, (), last, modulus=p, shape="lhs", params=(("modulus", p), *where), source=_fetch)
+                      for p in _prime_factors(family.modulus)]
+    if point.offset <= ORACLE_CROSSCHECK_LIMIT:
+        counts = Term(("oracle", family.ell, lhs[0].read[1], ORACLE_CROSSCHECK_LIMIT), point.stride, point.offset)
+        last = min(last, (ORACLE_CROSSCHECK_LIMIT - point.offset) // point.stride)
+        rows.append(Relation(lhs, (counts,), last, modulus=family.modulus, shape="oracle", params=where, source=_fetch))
+    return rows
 
 
 def family_rows(family: CongruenceFamily, budget: GridBudget, grid: Optional[ParameterGrid]) -> list:
-    """The rows verify_family(family, budget, grid) evaluates: one sweep row per grid point, or Theorem 2's."""
+    """The rows verify_family(family, budget, grid) evaluates: the rows of each grid point, or Theorem 2's."""
     if family.kind == "thm2":
         return _thm2_rows(family.part, budget)
-    return [sweep_row(family, point, budget) for point in grid.points]
+    return [row for rows in grid.rows for row in rows]
 
 
 @timed
@@ -350,7 +376,7 @@ def verify_family(
     budget: GridBudget = GridBudget(),
     grid: Optional[ParameterGrid] = None,
 ) -> VerificationReport:
-    """Assert the coefficient vanishes mod m at every generated index."""
+    """Assert the coefficient vanishes mod m at every generated index: check_relation over the grid's rows."""
     if family.kind == "thm2":
         return verify_thm2(family, budget)
     if grid is None:
@@ -358,27 +384,8 @@ def verify_family(
     report = VerificationReport(id=f"family.{family.id}", notes=list(grid.notes))
     if family.note:
         report.notes.append(family.note)
-    m = family.modulus
-    sub_primes = [] if _is_prime(m) else [p for p in primes_upto(m) if m % p == 0]
-    oracle = cache(lambda r: regular_multipartition_counts(family.ell, r, ORACLE_CROSSCHECK_LIMIT).values)
-    for point in grid.points:
-        (term,) = sweep_row(family, point, budget).lhs
-        r = term.read[1]
-        where = {"t": point.t, "primes": point.primes, "j": point.j, "alpha": point.alpha}
-        sweep = cached_regular_series(*term.read).data[term.offset :: term.step]
-        # a violation needs a nonzero coefficient or an index the oracle cross-checks
-        crosschecked = max(0, (ORACLE_CROSSCHECK_LIMIT - term.offset) // term.step + 1)
-        for n in sorted(set(range(min(len(sweep), crosschecked))).union(np.flatnonzero(sweep).tolist())):
-            c = int(sweep[n])
-            idx = term.offset + term.step * n
-            if c != 0:
-                report.record(idx, c, **where, n=n)
-            for p in sub_primes:  # s holds residues in [0, m) and p | m: c % p is the mod-p coefficient
-                if c % p != 0:
-                    report.record(idx, c % p, modulus=p, **where, n=n)
-            if idx <= ORACLE_CROSSCHECK_LIMIT and oracle(r)[idx] % m != c:
-                report.record(idx, {"series": c, "oracle": oracle(r)[idx] % m}, **where, n=n)
-        report.indices_checked += len(sweep)
+    check_relation(report, *(row for rows in grid.rows for row in rows))
+    report.indices_checked = sum(rows[0].last + 1 for rows in grid.rows)  # the sweep rows' indices alone
     report.params_swept = {"points": len(grid.points), "skipped_points": len(grid.skipped), "order": budget.order}
     if report.indices_checked == 0 and report.status == PASS:
         report.status = SKIPPED

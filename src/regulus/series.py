@@ -9,7 +9,8 @@ modulus; an object array of Python ints past uint64).  Every Z/m product,
 power, inverse, sum, dilation and prefix takes and returns such arrays, and
 sums and negations stay below m - 1 so that no fixed-width entry wraps.
 Python ints appear only at the edges: ``TruncatedSeries.coeffs`` (a tuple,
-built on its first read), ``s[n]``, and the values a check records.
+built on its first read), ``s[n]``, a slice ``s[a:b:c]`` (a list of the
+entries it reads, which builds no ``coeffs``), and the values a check records.
 
 Every product of q-Pochhammer symbols the package expands is a theta
 quotient.  ``theta(a, b)`` is Ramanujan's f(-q^a, -q^b), a sparse series
@@ -231,7 +232,9 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.data) - 1
 
-    def __getitem__(self, n: int) -> int:
+    def __getitem__(self, n: int | slice):
+        if isinstance(n, slice) and self.ring.modulus:  # a slice of Z/m reads its entries alone, not ``coeffs``
+            return self.data[n].tolist()
         return self.coeffs[n]
 
     def __eq__(self, other: object) -> bool:

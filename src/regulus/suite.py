@@ -94,7 +94,7 @@ DUAL_CONDITION_PRIMES = (11, 23)  # the smallest primes = 11 (mod 12)
 
 def _dual_condition_grid(budget: families.GridBudget) -> families.ParameterGrid:
     fam = families.get_family("thm3.iii")
-    return families.progression_grid(fam, budget.order, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
+    return families.progression_grid(fam, budget, [(0, (p,)) for p in DUAL_CONDITION_PRIMES])
 
 
 def check_thm3_iii_dual_condition(budget: families.GridBudget, grid: families.ParameterGrid) -> VerificationReport:

@@ -13,6 +13,7 @@ from regulus.dissections import IDENTITY_IDS, verify_dissection
 from regulus.families import GridBudget, default_registry, get_family, verify_family
 from regulus.oracle import RegularityProfile, enumerate_multipartitions, multipartition_counts
 from regulus.suite import FOUR_STEP_CASES, check_frobenius, check_oracle_enumeration, run_suite
+from test_coefficients import newman_four_step, support_check, vanishing_consequence_check
 
 BUDGET = GridBudget(order=2000, n_max=2000)
 
@@ -67,7 +68,7 @@ def test_acceptance_4_newman_recurrences():
     for params in pairs:
         ok = ok and co.newman_check(params, 2000).status == "pass"
     for r, p in FOUR_STEP_CASES:
-        report = co.newman_four_step(r, p, 2000)
+        report = newman_four_step(r, p, 2000)
         ok = ok and report.status in ("pass", "skipped")
         ok = ok and report.status == "pass"  # all four cases fit in budget 2000
     report_line(4, "three-term recurrence all admissible (r, p); four-step cases", ok)
@@ -79,9 +80,9 @@ def test_acceptance_5_hecke_support_vanishing():
         for p in co.primes_upto(13):
             ok = ok and co.hecke_eigen_check(form, p, 1500).status == "pass"
     for form in co.FORMS.values():
-        ok = ok and co.support_check(form, 2000).status == "pass"
+        ok = ok and support_check(form, 2000).status == "pass"
         for p in co.smallest_primes(form.inert, 3):
-            ok = ok and co.vanishing_consequence_check(form, p, 1500).status == "pass"
+            ok = ok and vanishing_consequence_check(form, p, 1500).status == "pass"
     report_line(5, "eigen relations p<=13, support to 2000, vanishing consequences", ok)
 
 

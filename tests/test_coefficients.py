@@ -3,6 +3,7 @@
 import pytest
 
 from regulus import coefficients as co
+from regulus.report import VerificationReport
 from regulus.series import ZZ, euler_E, power
 
 
@@ -22,6 +23,26 @@ def violations(report):
         (v["index"], sorted(v["value"]) if isinstance(v["value"], dict) else v["value"], v["params"])
         for v in report.violations
     ]
+
+
+# --- the rows of one case, evaluated under the report id each had as a check of its own ---
+
+
+def newman_four_step(r, p, n_max_index):
+    swept = {"r": r, "p": p, "delta4": co.NewmanParams(r, p).delta4}
+    report = VerificationReport(id=f"newman4.r{r}.p{p}", params_swept=swept)
+    return co.check_relation(report, *co.four_step_rows(r, p, n_max_index))
+
+
+def support_check(form, n_max):
+    report = VerificationReport(id=f"support.{form.id}", params_swept={"mod": form.scale, "residue": form.shift})
+    return co.check_relation(report, *co.support_rows(form, n_max))
+
+
+def vanishing_consequence_check(form, p, n_max):
+    """The row, whose n = 1 is a(p) = 0."""
+    report = VerificationReport(id=f"vanishing.{form.id}.p{p}", params_swept={"p": p})
+    return co.check_relation(report, *co.vanishing_rows(form, p, n_max))
 
 
 # --- E_1^r tables ---
@@ -99,19 +120,19 @@ def test_admissible_newman_pairs():
 
 
 def test_four_step_r24_p2():
-    report = co.newman_four_step(24, 2, 976)
+    report = newman_four_step(24, 2, 976)
     assert report.status == "pass"
     assert report.indices_checked >= 60
 
 
 def test_four_step_r12_p3():
-    report = co.newman_four_step(12, 3, 1660)
+    report = newman_four_step(12, 3, 1660)
     assert report.status == "pass"
     assert report.indices_checked >= 20
 
 
 def test_four_step_out_of_budget_is_skipped():
-    report = co.newman_four_step(24, 5, 100)  # delta4 = 624 > 100
+    report = newman_four_step(24, 5, 100)  # delta4 = 624 > 100
     assert report.status == "skipped"
 
 
@@ -163,7 +184,7 @@ def test_eta_table_is_the_eta_quotient(form, n_max):
 
 @pytest.mark.parametrize("form", [co.ETA8_3Z, co.ETA6_4Z, co.ETA10_12Z])
 def test_support_checks(form):
-    report = co.support_check(form, 500)
+    report = support_check(form, 500)
     assert report.status == "pass"
 
 
@@ -213,18 +234,18 @@ def test_admissible_vanishing_primes():
 
 
 def test_vanishing_eta8_p5(bump):
-    report = co.vanishing_consequence_check(co.ETA8_3Z, 5, 600)
+    report = vanishing_consequence_check(co.ETA8_3Z, 5, 600)
     assert report.status == "pass"
     bump(co, "_eta_table", 130)  # a(5 * 26), zero since 5 does not divide 26
-    report = co.vanishing_consequence_check(co.ETA8_3Z, 5, 600)
+    report = vanishing_consequence_check(co.ETA8_3Z, 5, 600)
     assert report.status == "fail" and violations(report) == [(130, 1, {"n": 26})]
 
 
 def test_vanishing_eta10_p7(bump):
-    report = co.vanishing_consequence_check(co.ETA10_12Z, 7, 600)
+    report = vanishing_consequence_check(co.ETA10_12Z, 7, 600)
     assert report.status == "pass"
     bump(co, "_eta_table", 140)
-    report = co.vanishing_consequence_check(co.ETA10_12Z, 7, 600)
+    report = vanishing_consequence_check(co.ETA10_12Z, 7, 600)
     assert report.status == "fail" and violations(report) == [(140, 1, {"n": 20})]
 
 
@@ -241,18 +262,18 @@ def test_non_prime_p_is_rejected(p):
     with pytest.raises(ValueError, match="prime"):
         co.NewmanParams(24, p)
     with pytest.raises(ValueError, match="prime"):
-        co.newman_four_step(24, p, 200)
+        newman_four_step(24, p, 200)
     with pytest.raises(ValueError, match="prime"):
         co.hecke_eigen_check(co.ETA8_3Z, p, 200)
     with pytest.raises(ValueError, match="prime"):
-        co.vanishing_consequence_check(co.ETA8_3Z, p, 200)
+        vanishing_consequence_check(co.ETA8_3Z, p, 200)
 
 
 def test_vanishing_precondition_errors():
     with pytest.raises(ValueError):
-        co.vanishing_consequence_check(co.ETA8_3Z, 7, 100)  # 7 = 1 mod 3
+        vanishing_consequence_check(co.ETA8_3Z, 7, 100)  # 7 = 1 mod 3
     with pytest.raises(ValueError):
-        co.vanishing_consequence_check(co.ETA10_12Z, 3, 100)  # excluded prime
+        vanishing_consequence_check(co.ETA10_12Z, 3, 100)  # excluded prime
 
 
 # --- bridges ---

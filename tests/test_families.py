@@ -11,7 +11,7 @@ from regulus import families as fam
 from regulus import suite
 from regulus.expr import NonExactDivisionError
 from regulus.report import FAIL, PASS, VerificationReport
-from regulus.series import Zmod, series
+from regulus.series import TruncatedSeries, Zmod, series
 from regulus.families import (
     GridBudget,
     PrimeConstraint,
@@ -148,7 +148,7 @@ def test_offset_and_stride_reproduce_family_index(grid_id):
     budget = GridBudget(order=2000)
     if grid_id == "thm3.iii.dualcondition":
         f = get_family("thm3.iii")
-        grid = progression_grid(f, budget.order, [(0, (p,)) for p in suite.DUAL_CONDITION_PRIMES])
+        grid = progression_grid(f, budget, [(0, (p,)) for p in suite.DUAL_CONDITION_PRIMES])
     else:
         f = get_family(grid_id)
         grid = generate_grid(f, budget)
@@ -188,7 +188,7 @@ def test_a_families_run_evaluates_each_r_formula_once_per_t(monkeypatch):
     progression = [f for f in default_registry().values() if f.kind == "progression"]
     budget = GridBudget(order=4000, n_max=4000)
     read = {(f.r_formula, pt.t) for f in progression for pt in generate_grid(f, budget).points}
-    # the plan's reads and the sweep both read r at each of 860 grid points; each (formula, t) is evaluated once
+    # every grid point reads r in its sweep row, made once per run; each (formula, t) is evaluated once
     assert sorted(r_calls) == sorted(read) and len(read) == 33
 
 
@@ -286,21 +286,36 @@ def test_sweep_records_planted_coefficients_in_order(monkeypatch):
     for t in (0, 1):
         at14 = {"t": t, "primes": (), "j": 0, "alpha": 14}
         at18 = {**at14, "alpha": 18}
+        # within a point: the mod-10 records, then those mod 2 and mod 5, then the oracle's
         expected += [
             {"index": 14, "value": 5, "params": {**at14, "n": 0}},
-            {"index": 14, "value": 1, "params": {"modulus": 2, **at14, "n": 0}},
-            # index 14 <= 300 is cross-checked against the oracle, whose coefficient is 0 mod 10
-            {"index": 14, "value": {"series": 5, "oracle": 0}, "params": {**at14, "n": 0}},
             {"index": 394, "value": 3, "params": {**at14, "n": 19}},
+            {"index": 14, "value": 1, "params": {"modulus": 2, **at14, "n": 0}},
             {"index": 394, "value": 1, "params": {"modulus": 2, **at14, "n": 19}},
             {"index": 394, "value": 3, "params": {"modulus": 5, **at14, "n": 19}},
-            {"index": 18, "value": {"series": 0, "oracle": 1}, "params": {**at18, "n": 0}},
+            # index 14 <= 300 is cross-checked against the oracle, whose coefficient is 0 mod 10
+            {"index": 14, "value": {"series": 5, "oracle": 0}, "params": {**at14, "n": 0}},
             {"index": 358, "value": 4, "params": {**at18, "n": 17}},
             {"index": 358, "value": 4, "params": {"modulus": 5, **at18, "n": 17}},
+            {"index": 18, "value": {"series": 0, "oracle": 1}, "params": {**at18, "n": 0}},
         ]
     assert report.status == FAIL
     assert report.violations == expected
     assert report.indices_checked == 4 * 20  # n = 0..19 at each of the four points
+
+
+def test_a_sweep_reads_its_series_without_building_coeffs(monkeypatch):
+    # check_relation reads a sweep as a slice of the stored residues; a tuple of every coefficient of the
+    # series, built per read, costs more than the sweep itself
+    budget = GridBudget(order=1000, n_max=1000)
+    progression = [f for f in default_registry().values() if f.kind == "progression"]
+    for f in progression:
+        verify_family(f, budget)  # the series are built before the reads are watched
+    built = []
+    coeffs = TruncatedSeries.coeffs
+    monkeypatch.setattr(TruncatedSeries, "coeffs", property(lambda s: built.append(s.ring) or coeffs.fget(s)))
+    assert all(verify_family(f, budget).status in ("pass", "skipped") for f in progression)
+    assert [ring for ring in built if ring.modulus] == []
 
 
 def test_oracle_crosscheck_catches_series_disagreement():

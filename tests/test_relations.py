@@ -11,7 +11,10 @@ import pytest
 
 from regulus import coefficients as co
 from regulus import families as fam
+from regulus.families import GridBudget, get_family, verify_family
+from regulus.oracle import regular_multipartition_counts
 from regulus.report import SKIPPED, VerificationReport
+from test_coefficients import newman_four_step, support_check, vanishing_consequence_check
 from test_families import THM2_P19_ORDER, _synthetic_part_i, verify_thm2_conclusion, verify_thm2_unconditional
 
 # --- the loops the rows replace ---
@@ -157,6 +160,38 @@ def reference_verify_thm2_conclusion(part, p, order):
     return report
 
 
+def reference_verify_family(family, budget):
+    """Each grid point in turn: its records mod m, then mod each prime of a composite m, then the oracle's."""
+    grid = fam.generate_grid(family, budget)
+    report = VerificationReport(id=f"family.{family.id}", notes=list(grid.notes))
+    if family.note:
+        report.notes.append(family.note)
+    m, limit = family.modulus, fam.ORACLE_CROSSCHECK_LIMIT
+    primes = [p for p in range(2, m) if m % p == 0 and all(p % q for q in range(2, p))]  # none for a prime m
+    for pt in grid.points:
+        r, last = family.r_value(pt.t), min(budget.order, pt.offset + pt.stride * budget.n_max)
+        s = fam.cached_regular_series(family.ell, r, m, last)
+        where = {"t": pt.t, "primes": pt.primes, "j": pt.j, "alpha": pt.alpha}
+        ns = range((last - pt.offset) // pt.stride + 1)
+        for n in ns:
+            if s[pt.offset + pt.stride * n]:
+                report.record(pt.offset + pt.stride * n, s[pt.offset + pt.stride * n], n=n, **where)
+        for p in primes:
+            for n in ns:
+                if s[pt.offset + pt.stride * n] % p:
+                    report.record(pt.offset + pt.stride * n, s[pt.offset + pt.stride * n] % p, n=n, modulus=p, **where)
+        counts = regular_multipartition_counts(family.ell, r, limit).values if pt.offset <= limit else []
+        for n in ns:
+            index = pt.offset + pt.stride * n
+            if index <= limit and counts[index] % m != s[index]:
+                report.record(index, {"series": s[index], "oracle": counts[index] % m}, n=n, **where)
+        report.indices_checked += len(ns)
+    report.params_swept = {"points": len(grid.points), "skipped_points": len(grid.skipped), "order": budget.order}
+    if report.indices_checked == 0:
+        report.status = SKIPPED
+    return report
+
+
 # --- each check against its reference ---
 
 SYNTHETIC_P19 = {0: 3, 130320: 3, 1: 2, 260641: 2}  # part i at p = 19: s(19^4 n + 130320) = s(n) mod 5
@@ -191,6 +226,10 @@ CASES = [
     ("verify_thm2_unconditional", ("i", 3, 20), fam, "cached_regular_series", (335, 242)),
     ("verify_thm2_unconditional", ("i", 2, 100), fam, "cached_regular_series", (1,)),  # A = a(d)
     ("verify_thm2_unconditional", ("ii", 3, 3), fam, "cached_regular_series", (1416, 9)),
+    # 20n + 14 at n = 1 and 20n + 18 at n = 17, at t = 0 and 1: records mod 10, 2 and 5, and the oracle's at 34
+    ("verify_family", (get_family("thm4.9"), GridBudget(400, 400)), fam, "cached_regular_series", (34, 358)),
+    ("verify_family", (get_family("eq30"), GridBudget(400, 400)), fam, "cached_regular_series", (5, 301)),
+    ("verify_family", (get_family("thm5.27"), GridBudget(1000, 1000)), fam, "cached_regular_series", ()),
 ]
 
 
@@ -199,8 +238,8 @@ def comparable(report):
 
 
 def check_and_reference(name):
-    check = verify_thm2_unconditional if name == "verify_thm2_unconditional" else getattr(co, name)
-    return check, globals()[f"reference_{name}"]
+    """The check of that name, here or in coefficients, and its reference loop."""
+    return globals().get(name) or getattr(co, name), globals()[f"reference_{name}"]
 
 
 @pytest.mark.parametrize("name, args, module, source, indices", CASES,
@@ -228,9 +267,9 @@ def test_conclusion_row_reports_what_the_loop_reported(values, status, monkeypat
 
 @pytest.mark.parametrize("check, args", [
     (co.hecke_eigen_check, (co.ETA8_3Z, 13, 12)),
-    (co.vanishing_consequence_check, (co.ETA8_3Z, 11, 10)),
+    (vanishing_consequence_check, (co.ETA8_3Z, 11, 10)),
     (co.newman_check, (co.NewmanParams(24, 13), 10)),  # d = 12 > 10; a(d) was read past the table
-    (co.newman_four_step, (24, 13, 5)),  # d = 12 > 5 as well; d4 past the budget is test_coefficients' case
+    (newman_four_step, (24, 13, 5)),  # d = 12 > 5 as well; d4 past the budget is test_coefficients' case
 ])
 def test_row_of_no_index_is_skipped_with_one_note(check, args):
     report = check(*args)
@@ -288,6 +327,7 @@ MUTATIONS = [
     ("scaling_congruence_check", ("eq_b77_scale", 3, 40), "rhs", 0, shift_offset),
     ("verify_thm2_unconditional", ("i", 2, 100), "rhs", 1, flip_sign),
     ("verify_thm2_unconditional", ("i", 2, 100), "rhs", 1, shift_offset),
+    ("verify_family", (get_family("eq30"), GridBudget(400, 400)), "lhs", 0, shift_offset),  # the first sweep row
 ]
 
 
@@ -296,10 +336,10 @@ MUTATIONS = [
 def test_mutated_row_fails(name, args, side, i, mutate, monkeypatch):
     real = co.check_relation
 
-    def mutated(report, row):
+    def mutated(report, row, *rest):
         terms = list(getattr(row, side))
         terms[i] = mutate(terms[i])
-        return real(report, dataclasses.replace(row, **{side: tuple(terms)}))
+        return real(report, dataclasses.replace(row, **{side: tuple(terms)}), *rest)
 
     check, _ = check_and_reference(name)
     assert check(*args).status == "pass"

@@ -142,13 +142,15 @@ def test_each_check_makes_its_rows_once(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or real(*args))
 
-    for module, name in [(co, "newman_rows"), (co, "hecke_rows"), (families, "family_rows")]:
+    for module, name in [(co, "newman_rows"), (co, "hecke_rows"), (families, "family_rows"), (families, "sweep_row")]:
         count(module, name)
-    run_suite(None, GridBudget(400, 400))
+    report = run_suite(None, GridBudget(400, 400))
     eigenforms = [form for form in co.FORMS.values() if form.eigenform]
     family_checks = [cid for cid in suite.default_check_ids() if cid.startswith("family.")]
-    assert calls == {"newman_rows": len(co.admissible_newman_pairs(13)),
-                     "hecke_rows": len(eigenforms) * len(co.primes_upto(13)), "family_rows": len(family_checks)}
+    points = sum(c["params_swept"].get("points", 0) for c in report["checks"] if c["id"] in family_checks)
+    assert points > 0 and calls == {"newman_rows": len(co.admissible_newman_pairs(13)),
+                                    "hecke_rows": len(eigenforms) * len(co.primes_upto(13)),
+                                    "family_rows": len(family_checks), "sweep_row": points}
 
 
 def test_the_tracer_patch_points_are_the_attributes_the_work_calls(monkeypatch):
