@@ -6,16 +6,18 @@ report.  The suite makes a check's rows once and evaluates them all there; the
 four functions below that return a report, each over the rows of one case, are
 the names the benchmark's tracer patches.  A
 ``Term`` is coeff * S(step k + offset), k = n, where S is the sequence its
-read names: ``(ell, r, m, order)`` of ``cached_regular_series``, ``("E_1^d",
-0, d, order)`` of E_1^d over Z, ``("eta", form, order)`` of an eta power or
-``("oracle", ell, r, order)`` of the oracle's counts.  The row's ``source``
-(``fetch`` unless it names another) resolves each read once per evaluation,
-and ``Relation.reads`` lists the store reads the terms make, for the suite's
-plan.  A term with a residue class n = at (mod every) has k = (n - at) / every
-on that class for n >= at, and is 0 at every other n: the a(n/p) and a((n -
-d)/p) terms.  A coefficient that depends on the data (a(d), a(p), Newman's A)
-is a factor in ``times``, a term read at n = 0, only where its term reads.
-Both sides are reduced mod M > 0.  A row of no n skips its report, with one
+read names, and ``fetch`` resolves every read: ``(ell, r, m, order)`` of
+``cached_regular_series``, ``("E_1^d", 0, d, order)`` of E_1^d over Z,
+``("eta", form, order)`` of an eta power, ``("theta", factors, order, m)`` of
+a theta quotient mod m (over Z when m = 0), built on each read, and the
+oracle's counts: ``("oracle", ell, r, order)`` of B_ell^(r), ``("profile",
+ells, order)`` of a profile, and ``("enumeration", ells, order)``, the same
+by literal enumeration.  ``Relation.reads`` lists the reads that name a store
+key, for the suite's plan.  A term with a residue class n = at (mod every) has
+k = (n - at) / every on that class for n >= at, and is 0 at every other n: the
+a(n/p) and a((n - d)/p) terms.  A coefficient that depends on the data (a(d),
+a(p), Newman's A) is a factor in ``times``, a term read at n = 0, only where
+its term reads.  Both sides are reduced mod M > 0.  A row of no n skips its report, with one
 note however many rows have none.
 
 Where the sides differ at n, a violation is recorded at the index the first
@@ -23,9 +25,10 @@ left term reads, with param n unless the row is unnumbered, the row's params,
 and the value its shape gives: ``lhs``, the left side (vanishing, support,
 family sweeps); ``expected``, the left side with param expected= the right
 side (Newman, four steps); ``sides``, {"lhs", "rhs"} (Hecke, scalings,
-Theorem 2); ``series``, {"series": left, "table": right} (bridges);
-``oracle``, {"series", "oracle"} (oracle equivalence, family sweeps).  Sides
-equal in full are compared at once.
+Theorem 2, Frobenius, dissections); ``series``, {"series": left, "table":
+right} (bridges); ``oracle``, {"series", "oracle"} (oracle equivalence, family
+sweeps); ``enumeration``, {"dp", "enumeration"}.  Sides equal in full are
+compared at once.
 """
 
 from __future__ import annotations
@@ -33,23 +36,29 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
-from .oracle import regular_multipartition_counts
+from .oracle import RegularityProfile, enumerate_multipartitions, multipartition_counts, regular_multipartition_counts
 from .report import PASS, SKIPPED, VerificationReport, timed
-from .series import cached_e1_power, cached_regular_series, eta_quotient, eta_read
+from .series import ZZ, Zmod, cached_e1_power, cached_regular_series, eta_quotient, eta_read, theta_quotient
 
 
 def fetch(read: tuple) -> Sequence[int]:
     """The sequence a read names, through this module's attributes."""
-    kind, *args, order = read
+    kind, *args = read
     if kind == "E_1^d":
-        return _e1_power(args[1], order)
+        return _e1_power(*args[1:])
     if kind == "eta":
-        return _eta_table(args[0], order)
+        return _eta_table(*args)
+    if kind == "theta":
+        factors, order, m = args
+        return theta_quotient(factors, order, Zmod(m) if m else ZZ)
     if kind == "oracle":
-        return regular_multipartition_counts(*args, order)
+        return regular_multipartition_counts(*args).values
+    if kind == "profile":
+        return multipartition_counts(RegularityProfile(args[0]), args[1]).values
+    if kind == "enumeration":
+        return [enumerate_multipartitions(RegularityProfile(args[0]), n) for n in range(args[1] + 1)]
     return cached_regular_series(*read)
 
 
@@ -93,12 +102,13 @@ SHAPES = {  # each shape's violation value and params besides n, from the two si
     "sides": lambda lhs, rhs: ({"lhs": lhs, "rhs": rhs}, {}),
     "series": lambda lhs, rhs: ({"series": lhs, "table": rhs}, {}),
     "oracle": lambda lhs, rhs: ({"series": lhs, "oracle": rhs}, {}),
+    "enumeration": lambda lhs, rhs: ({"dp": lhs, "enumeration": rhs}, {}),
 }
 
 
 @dataclass(frozen=True)
 class Relation:
-    """sum(lhs) = sum(rhs) mod modulus (over Z when 0) for first <= n <= last; source resolves the terms' reads."""
+    """sum(lhs) = sum(rhs) mod modulus (over Z when 0) for first <= n <= last; fetch resolves the terms' reads."""
 
     lhs: tuple[Term, ...]
     rhs: tuple[Term, ...]
@@ -108,30 +118,28 @@ class Relation:
     shape: str = "sides"  # a key of SHAPES
     numbered: bool = True  # violations carry param n
     params: tuple[tuple[str, object], ...] = ()  # every violation carries these
-    source: Callable[[tuple], Sequence[int]] = fetch
 
     @property
     def reads(self) -> list[tuple]:
-        """The distinct store reads of the row's terms and coefficients, for the suite's plan."""
-        named = dict.fromkeys(r for t in self.lhs + self.rhs for r in (t.read, *(x.read for x in t.times)))
-        return [eta_read(r[1].scale, r[1].exponent, r[2]) if r[0] == "eta" else r for r in named if r[0] != "oracle"]
+        """The distinct store reads of the row's terms and coefficients, for the suite's plan: the reads that
+        name a store key, an eta power's as the power of E_1 it reads."""
+        named = dict.fromkeys(eta_read(r[1].scale, r[1].exponent, r[2]) if r[0] == "eta" else r
+                              for t in self.lhs + self.rhs for r in (t.read, *(x.read for x in t.times)))
+        return [r for r in named if r[0] == "E_1^d" or type(r[0]) is int]
 
 
-def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int, source) -> list[int]:
-    total = terms[0].column(first, count, source) if terms else [0] * count
+def _side(terms: tuple[Term, ...], first: int, count: int, modulus: int) -> list[int]:
+    total = terms[0].column(first, count, fetch) if terms else [0] * count
     for term in terms[1:]:
-        total = [t + v for t, v in zip(total, term.column(first, count, source))]
+        total = [t + v for t, v in zip(total, term.column(first, count, fetch))]
     return [v % modulus for v in total] if modulus and terms and any(total) else total  # zeros are reduced
 
 
 def check_relation(report: VerificationReport, *rows: Relation) -> VerificationReport:
     """Record each row's violations in the order of n and count its indices; a row of no n skips the report."""
-    sources = {}  # each row source, cached for the call, so that rows sharing a read resolve it once
     for row in rows:
-        if row.source not in sources:
-            sources[row.source] = cache(row.source)
-        shape, count, source = SHAPES[row.shape], max(0, row.last - row.first + 1), sources[row.source]
-        lhs, rhs = (_side(terms, row.first, count, row.modulus, source) for terms in (row.lhs, row.rhs))
+        shape, count = SHAPES[row.shape], max(0, row.last - row.first + 1)
+        lhs, rhs = (_side(terms, row.first, count, row.modulus) for terms in (row.lhs, row.rhs))
         for n, left, right in zip(itertools.count(row.first), lhs, rhs) if lhs != rhs else ():
             if left != right:
                 value, params = shape(left, right)

@@ -13,13 +13,15 @@ lhs(q) = sum over (sign, shift, Q) in terms of sign * q^shift * Q(q^p).
 The common factor E_{p^2}(q) = E_p(q^p) is folded into each Q as E(p).
 The rows are a 2-dissection of E_5/E_1, a 5-dissection of E_1 through
 R(q^5), and 7- and 11-dissections of E_1 through the ratios A_i/A_j and
-B_i/B_j at q^7 and q^11.  All verification is exact over Z.
+B_i/B_j at q^7 and q^11.  Each identity is one ``coefficients.Relation``
+row over Z (``dissection_rows``), whose sides are theta-quotient reads; the
+suite evaluates it with its other rows, and ``verify_dissection`` alone.
 """
 
 from __future__ import annotations
 
+from .coefficients import Relation, Term, check_relation
 from .report import VerificationReport, timed
-from .series import theta_quotient
 
 
 def E(k: int, e: int = 1) -> tuple[int, int, int]:
@@ -71,24 +73,19 @@ def canonical_identity_id(name: str) -> str:
     return key
 
 
-@timed
-def verify_dissection(identity: str, order: int) -> VerificationReport:
-    """Compare both sides coefficientwise over Z; report the first mismatch."""
+def dissection_rows(identity: str, order: int) -> list[Relation]:
+    """One row over Z: the left side to order, and each term sign * q^shift * Q(q^p), Q read to
+    (order - shift) // p, on the class n = shift mod p."""
     ident = canonical_identity_id(identity)
     if order < 32:
         raise ValueError("order must be >= 32 so every term contributes")
-    lhs_factors, p, terms = IDENTITIES[ident]
-    lhs = theta_quotient(lhs_factors, order).coeffs
-    rhs = [0] * (order + 1)
-    for sign, shift, factors in terms:
-        # Q(q^p) at order - shift, multiplied by sign * q^shift
-        for i, c in enumerate(theta_quotient(factors, (order - shift) // p).coeffs):
-            rhs[p * i + shift] += sign * c
-    report = VerificationReport(
-        id=f"identity.{ident}", params_swept={"order": order}, indices_checked=order + 1
-    )
-    for i in range(order + 1):
-        if lhs[i] != rhs[i]:
-            report.record(i, {"lhs": lhs[i], "rhs": rhs[i]})
-            break
-    return report
+    lhs, p, terms = IDENTITIES[ident]
+    rhs = [Term(("theta", q, (order - shift) // p, 0), 1, 0, sign, at=shift, every=p) for sign, shift, q in terms]
+    return [Relation((Term(("theta", lhs, order, 0), 1, 0),), tuple(rhs), order, numbered=False)]
+
+
+@timed
+def verify_dissection(identity: str, order: int) -> VerificationReport:
+    """Compare both sides coefficientwise over Z; record every mismatch in the order of n."""
+    report = VerificationReport(id=f"identity.{canonical_identity_id(identity)}", params_swept={"order": order})
+    return check_relation(report, *dissection_rows(identity, order))

@@ -28,8 +28,8 @@ below 1 raises ValueError), and the grid holds each point's rows: the sweep
 row s(offset + stride n) = 0 mod m to min(order, offset + stride n_max)
 (``sweep_row``), the same row mod each prime of a composite m, and s = the
 oracle's counts mod m to index ORACLE_CROSSCHECK_LIMIT (``point_rows``).
-``check_relation`` evaluates them all, and ``family_rows`` lists them for the
-suite's plan.
+``check_relation`` evaluates them all, reading through ``coefficients.fetch``
+as every row does, and ``family_rows`` lists them for the suite's plan.
 
 Theorem 2's conditional families read ``THM2_PARTS``: a part names a bridge of
 ``coefficients.BRIDGES``, through which a(n) = factor * s(step n + offset) mod
@@ -58,7 +58,6 @@ from typing import Any, Iterable, Optional
 from . import expr
 from .coefficients import BRIDGES, Bridge, NewmanParams, Relation, Term, check_relation, four_step
 from .coefficients import _is_prime, primes_upto, smallest_primes
-from .oracle import regular_multipartition_counts
 from .report import PASS, SKIPPED, VerificationReport, timed
 from .series import cached_regular_series
 
@@ -326,13 +325,6 @@ def generate_grid(family: CongruenceFamily, budget: GridBudget) -> ParameterGrid
     return grid
 
 
-def _fetch(read: tuple):
-    """The sequence a read names: the oracle's counts, or the series of this module's cached_regular_series."""
-    if read[0] == "oracle":
-        return regular_multipartition_counts(*read[1:]).values
-    return cached_regular_series(*read)
-
-
 def sweep_row(family: CongruenceFamily, point: GridPoint, budget: GridBudget) -> Relation:
     """s(offset + stride n) = 0 mod m for every index up to offset + stride n_max within the order."""
     last = min(budget.order, point.offset + point.stride * budget.n_max)
@@ -340,7 +332,7 @@ def sweep_row(family: CongruenceFamily, point: GridPoint, budget: GridBudget) ->
     n_last = (last - point.offset) // point.stride
     where = (("t", point.t), ("primes", point.primes), ("j", point.j), ("alpha", point.alpha))
     term = Term(s, point.stride, point.offset)
-    return Relation((term,), (), n_last, modulus=family.modulus, shape="lhs", params=where, source=_fetch)
+    return Relation((term,), (), n_last, modulus=family.modulus, shape="lhs", params=where)
 
 
 @cache
@@ -354,12 +346,12 @@ def point_rows(family: CongruenceFamily, point: GridPoint, budget: GridBudget) -
     offset within ORACLE_CROSSCHECK_LIMIT, s = the oracle's counts mod m at every index up to that limit."""
     sweep = sweep_row(family, point, budget)
     lhs, last, where = sweep.lhs, sweep.last, sweep.params
-    rows = [sweep] + [Relation(lhs, (), last, modulus=p, shape="lhs", params=(("modulus", p), *where), source=_fetch)
+    rows = [sweep] + [Relation(lhs, (), last, modulus=p, shape="lhs", params=(("modulus", p), *where))
                       for p in _prime_factors(family.modulus)]
     if point.offset <= ORACLE_CROSSCHECK_LIMIT:
         counts = Term(("oracle", family.ell, lhs[0].read[1], ORACLE_CROSSCHECK_LIMIT), point.stride, point.offset)
         last = min(last, (ORACLE_CROSSCHECK_LIMIT - point.offset) // point.stride)
-        rows.append(Relation(lhs, (counts,), last, modulus=family.modulus, shape="oracle", params=where, source=_fetch))
+        rows.append(Relation(lhs, (counts,), last, modulus=family.modulus, shape="oracle", params=where))
     return rows
 
 
@@ -457,7 +449,7 @@ def _unconditional_row(part: str, p: int, n_max: int) -> Relation:
         return Term(s, b.step * k, b.index(c), b.factor * x, times=times)
 
     lhs, rhs = four_step(a, params, a(1, params.delta, 1))
-    return Relation(lhs, rhs, n_max, modulus=b.ell, source=_fetch)
+    return Relation(lhs, rhs, n_max, modulus=b.ell)
 
 
 def _conclusion_row(part: str, p: int, order: int) -> Relation:
@@ -466,7 +458,7 @@ def _conclusion_row(part: str, p: int, order: int) -> Relation:
     params = _newman(b, p)
     s = (b.ell, b.r, b.ell, order)
     lhs, rhs = Term(s, b.step * p**4, b.index(params.delta4)), Term(s, b.step, b.offset, params.w**2)
-    return Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell, source=_fetch)
+    return Relation((lhs,), (rhs,), (order - lhs.offset) // lhs.step, modulus=b.ell)
 
 
 def verify_thm2(family: CongruenceFamily, budget: GridBudget) -> VerificationReport:

@@ -28,7 +28,9 @@ A table is H = E_1^(-R) to n_max with each E_1^{e_i}, taken to
 floor(n_max / ell_i), folded in as the dilated product
 F(n) = sum_j g(j) H(n - ell_i j). A Miller pass costs O(n^(3/2)) multiply-adds
 and each fold about n^2 / (2 ell_i), against n^2 / 2 for the divisor-sum
-recurrence n F(n) = sum_k c(k) F(n - k).
+recurrence n F(n) = sum_k c(k) F(n - k). Each (alpha, n) is passed once per
+process. Literal enumeration builds each partition tuple once: those of n led
+by part k are memoized by (n, k, ell), and extend those of n - k into parts <= k.
 """
 
 from __future__ import annotations
@@ -130,6 +132,16 @@ def _euler(n_max: int) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
+_powers: dict = {}  # (alpha, n) -> E_1^alpha to n
+
+
+def _cached_power(terms, alpha: int, n: int) -> tuple[int, ...]:
+    """E_1^alpha to n, one Miller pass per (alpha, n): terms holds every pentagonal term up to n."""
+    if (alpha, n) not in _powers:
+        _powers[alpha, n] = tuple(_power(terms, alpha, n))
+    return _powers[alpha, n]
+
+
 @lru_cache(maxsize=None)
 def _counts(profile: tuple[tuple[int, int], ...], n_max: int) -> tuple[int, ...]:
     """F(n) for n <= n_max: E_1^(-R) times E_1^e(q^ell) for each pair, R the sum of the e.
@@ -138,9 +150,9 @@ def _counts(profile: tuple[tuple[int, int], ...], n_max: int) -> tuple[int, ...]
     uniform profile does not grow with r.
     """
     terms = _euler(n_max)
-    table = _power(terms, -sum(e for _, e in profile), n_max)
+    table = _cached_power(terms, -sum(e for _, e in profile), n_max)
     for ell, e in profile:
-        g = _power(terms, e, n_max // ell)
+        g = _cached_power(terms, e, n_max // ell)
         # table[n::-ell] is H(n), H(n - ell), ..., and map stops when g runs out
         table = [sum(map(mul, g, table[n::-ell])) for n in range(n_max + 1)]
     return tuple(table)
@@ -182,20 +194,22 @@ def regular_multipartition_counts(ell: int, r: int, n_max: int) -> CoefficientTa
 
 
 @lru_cache(maxsize=None)
+def _led_by(n: int, part: int, ell: int) -> tuple[tuple[int, ...], ...]:
+    """The ell-regular partitions of n whose largest part is part <= n; each tuple is built here, once."""
+    return tuple((part,) + rest for rest in _at_most(n - part, part, ell))
+
+
+def _at_most(n: int, largest: int, ell: int) -> tuple[tuple[int, ...], ...]:
+    """The ell-regular partitions of n into parts <= largest, in decreasing order of their largest part."""
+    if not n:
+        return ((),)
+    return tuple(p for part in range(min(n, largest), 0, -1) if part % ell for p in _led_by(n, part, ell))
+
+
+@lru_cache(maxsize=None)
 def regular_partitions(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
-    """All ell-regular partitions of n as weakly decreasing tuples."""
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            if part % ell == 0:
-                continue
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    return tuple(rec(n, n))
+    """All ell-regular partitions of n as weakly decreasing tuples, in the order of the recursive enumeration."""
+    return _at_most(n, n, ell)
 
 
 def enumerate_multipartitions(profile: RegularityProfile, n: int) -> int:

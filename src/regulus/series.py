@@ -504,15 +504,19 @@ def euler_E(k: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
 
 
 def theta_quotient(factors, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
-    """prod f(-q^a, -q^b)^e over the (a, b, e) rows of factors."""
-    sides = ([], [])  # numerator, denominator
-    for a, b, e in factors:
-        if e:
-            sides[e < 0].append(power(theta(a, b, order, ring), abs(e)))
-    num, den = (reduce(mul, side) if side else None for side in sides)
-    if den is None:
-        return one(order, ring) if num is None else num
-    return invert(den) if num is None else mul(num, invert(den))
+    """prod f(-q^a, -q^b)^e over the (a, b, e) rows of factors.
+
+    A row of e < 0 is inverted at its own length: 1/f(-q^a, -q^b) = (1/f(-q^(a/g), -q^(b/g)))(q^g), g = gcd(a, b),
+    inverted to order // g and raised to -e there.  The rows of one (a/g, b/g) share one Newton inverse, built for
+    their least g and read by the others as a prefix: each Euler row (k, 2k, e) of a call reads one 1/E_1.
+    """
+    # numerators, then denominators by decreasing g, the smaller inverses first; (0, 0) takes g = 1, for theta to reject
+    rows = sorted([(a, b, math.gcd(a, b) or 1, e) for a, b, e in factors if e], key=lambda row: (row[3] < 0, -row[2]))
+    least = {(a // g, b // g): g for a, b, g, e in rows if e < 0}  # each (a/g, b/g) -> its least g, the last kept
+    inverse = {(a, b): invert(theta(a, b, order // g, ring)) for (a, b), g in least.items()}
+    terms = [power(theta(a, b, order, ring), e) if e > 0
+             else dilate(power(truncate(inverse[a // g, b // g], order // g), -e), g, order) for a, b, g, e in rows]
+    return reduce(mul, terms) if terms else one(order, ring)
 
 
 def dilate(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
@@ -604,8 +608,9 @@ def _factors(d: int) -> list[int]:
     return [(d // e) << k for k in range(e.bit_length()) if e >> k & 1]
 
 
-def _pieces(key: tuple, order: int) -> list:
-    """The (store key, order) pairs a build of key to order reads, the key first.
+@cache
+def _pieces(key: tuple, order: int) -> tuple:
+    """The (store key, order) pairs a build of key to order reads, the key first; a pure function, walked once.
 
     A power of E_1 reads the powers it multiplies; a chain level reads itself and the levels below it, a
     regular key each level of each of its parts, each with the powers of E_1 the level's digits read.
@@ -613,7 +618,7 @@ def _pieces(key: tuple, order: int) -> list:
     reads = [(key, order)]
     if key[0] == "E_1^d":
         _, m, d = key
-        return reads + [read for e in _factors(d) for read in _pieces(("E_1^d", m, e), order)]
+        return tuple(reads + [read for e in _factors(d) for read in _pieces(("E_1^d", m, e), order)])
     if key[0] == "S":
         parts = [(key[1], list(_levels(*key[1:], order)))]
     else:
@@ -623,7 +628,7 @@ def _pieces(key: tuple, order: int) -> list:
         for level, n, digits in levels:
             reads += [(level, n)] if level else []
             reads += [read for d, k in digits for read in _pieces(("E_1^d", q, d), n // k)]
-    return reads
+    return tuple(reads)
 
 
 def plan(reads) -> dict:

@@ -7,8 +7,10 @@ is the report id: ``run_suite`` stamps each report with its key and sorts the
 report by id, so two runs differ only in timing fields.  ``run_suite`` makes
 each selected check once, plans the reads of all their rows
 (``series.planned``), so that the store builds each key once, and then runs
-the same checks.  A check that is only rows, over one case or many, is one
-timed report of ``check_relation`` over all of them.
+the same checks.  Every check but a family's is one timed report of
+``check_relation`` over all its rows, over one case or many: Frobenius, the
+four dissections and both oracle cross-checks too.  A family's rows are
+evaluated in ``families.verify_family``.
 
 One job runs the checks in turn on the calling thread.  With jobs > 1 the
 checks are split into up to jobs shares by the store keys their rows plan
@@ -29,12 +31,10 @@ from collections import Counter
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from . import coefficients as co
-from . import dissections, families, oracle
+from . import dissections, families
 from .report import FAIL, PASS, VACUOUS, VerificationReport, timed
-from .series import Zmod, build_cost, euler_E, plan, planned, power, prebuild
+from .series import build_cost, plan, planned, prebuild
 
 REPORT_VERSION = 1
 
@@ -45,20 +45,11 @@ ENUMERATION_PROFILES = ((2,), (3,), (7,), (2, 5), (3, 3), (5, 7), (3, 3, 3))
 FOUR_STEP_CASES = ((24, 2), (24, 3), (12, 3), (12, 5))
 
 
-@timed
-def check_frobenius(order: int = 1000) -> VerificationReport:
-    """E_{kp} = E_k^p mod p for k in {1,2,3,5,7,11} and p in {2,3,5,7,11}."""
-    report = VerificationReport(id="frobenius", params_swept={"order": order})
-    ks = (1, 2, 3, 5, 7, 11)
-    ps = (2, 3, 5, 7, 11)
-    for k in ks:
-        for p in ps:
-            lhs = euler_E(k * p, order, Zmod(p))
-            rhs = power(euler_E(k, order, Zmod(p)), p)
-            for n in np.flatnonzero(lhs.data != rhs.data)[:1].tolist():
-                report.record(n, {"lhs": lhs[n], "rhs": rhs[n]}, k=k, p=p)
-            report.indices_checked += order + 1
-    return report
+def frobenius_rows(order: int) -> list[co.Relation]:
+    """E_{kp} = E_k^p mod p for k in {1,2,3,5,7,11} and p in {2,3,5,7,11}: one row per pair."""
+    return [co.Relation((co.Term(("theta", ((k * p, 2 * k * p, 1),), order, p), 1, 0),),
+                        (co.Term(("theta", ((k, 2 * k, p),), order, p), 1, 0),), order, modulus=p, numbered=False,
+                        params=(("k", k), ("p", p))) for k in (1, 2, 3, 5, 7, 11) for p in (2, 3, 5, 7, 11)]
 
 
 def oracle_equivalence_rows(n_max: int) -> list[co.Relation]:
@@ -67,19 +58,11 @@ def oracle_equivalence_rows(n_max: int) -> list[co.Relation]:
                         shape="oracle", numbered=False, params=(("ell", ell), ("r", r))) for ell, r in ORACLE_PAIRS]
 
 
-@timed
-def check_oracle_enumeration(n_max: int = 20) -> VerificationReport:
-    """The oracle's recurrence equals literal tuple enumeration on small inputs."""
-    report = VerificationReport(id="oracle.enumeration", params_swept={"n_max": n_max})
-    for ells in ENUMERATION_PROFILES:
-        profile = oracle.RegularityProfile(ells)
-        table = oracle.multipartition_counts(profile, n_max)
-        for n in range(n_max + 1):
-            count = oracle.enumerate_multipartitions(profile, n)
-            if count != table[n]:
-                report.record(n, {"dp": table[n], "enumeration": count}, profile=list(ells))
-            report.indices_checked += 1
-    return report
+def enumeration_rows(n_max: int) -> list[co.Relation]:
+    """The oracle's recurrence equals literal tuple enumeration on small inputs: one row per profile."""
+    return [co.Relation((co.Term(("profile", ells, n_max), 1, 0),), (co.Term(("enumeration", ells, n_max), 1, 0),),
+                        n_max, shape="enumeration", numbered=False, params=(("profile", list(ells)),))
+            for ells in ENUMERATION_PROFILES]
 
 
 def eigenvalue_vanishing_rows(n_max: int) -> list[co.Relation]:
@@ -148,9 +131,9 @@ def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], Che
         return {check_id: make}
 
     checks = {
-        "frobenius": partial(Check, [], partial(check_frobenius, short)),
+        **relations("frobenius", {"order": short}, frobenius_rows, [(short,)]),
         **relations("oracle.equivalence", {"n_max": 300}, oracle_equivalence_rows, [(300,)]),
-        "oracle.enumeration": partial(Check, [], partial(check_oracle_enumeration, 20)),
+        **relations("oracle.enumeration", {"n_max": 20}, enumeration_rows, [(20,)]),
         **relations("vanishing.prime_coefficients", {"p_max": 200}, eigenvalue_vanishing_rows, [(200,)]),
         **sweep("family.thm3.iii.dualcondition", families.get_family("thm3.iii"),
                 partial(_dual_condition_grid, budget), partial(check_thm3_iii_dual_condition, budget)),
@@ -160,7 +143,7 @@ def _checks(budget: families.GridBudget, registry) -> dict[str, Callable[[], Che
                     co.four_step_rows, [(r, p, order) for r, p in FOUR_STEP_CASES]),
     }
     for name in dissections.IDENTITY_IDS:
-        checks[f"identity.{name}"] = partial(Check, [], partial(dissections.verify_dissection, name, short))
+        checks |= relations(f"identity.{name}", {"order": short}, dissections.dissection_rows, [(name, short)])
     for form in co.FORMS.values():
         checks |= relations(f"support.{form.id}", {"mod": form.scale, "residue": form.shift},
                             co.support_rows, [(form, order)])

@@ -9,10 +9,11 @@ import time
 
 from regulus import coefficients as co
 from regulus import families
-from regulus.dissections import IDENTITY_IDS, verify_dissection
+from regulus.dissections import IDENTITY_IDS, dissection_rows
 from regulus.families import GridBudget, default_registry, get_family, verify_family
 from regulus.oracle import RegularityProfile, enumerate_multipartitions, multipartition_counts
-from regulus.suite import FOUR_STEP_CASES, check_frobenius, check_oracle_enumeration, run_suite
+from regulus.report import VerificationReport
+from regulus.suite import FOUR_STEP_CASES, enumeration_rows, frobenius_rows, run_suite
 from test_coefficients import newman_four_step, support_check, vanishing_consequence_check
 
 BUDGET = GridBudget(order=2000, n_max=2000)
@@ -28,7 +29,7 @@ def test_acceptance_1_dissection_identities():
     ok = True
     for name in IDENTITY_IDS:
         start = time.perf_counter()
-        report = verify_dissection(name, 1000)
+        report = co.check_relation(VerificationReport(f"identity.{name}"), *dissection_rows(name, 1000))
         elapsed = time.perf_counter() - start
         ok = ok and report.status == "pass" and elapsed < 10.0
     report_line(1, "four dissection identities, order 1000, < 10 s each", ok)
@@ -36,7 +37,7 @@ def test_acceptance_1_dissection_identities():
 
 def test_acceptance_2_frobenius():
     start = time.perf_counter()
-    report = check_frobenius(1000)
+    report = co.check_relation(VerificationReport("frobenius"), *frobenius_rows(1000))
     elapsed = time.perf_counter() - start
     report_line(
         2,
@@ -47,7 +48,7 @@ def test_acceptance_2_frobenius():
 
 def test_acceptance_3_oracle_equivalence():
     (series_vs_dp,) = run_suite(["oracle.equivalence"], BUDGET)["checks"]
-    dp_vs_enum = check_oracle_enumeration(20)
+    dp_vs_enum = co.check_relation(VerificationReport("oracle.enumeration"), *enumeration_rows(20))
     extra = all(
         enumerate_multipartitions(RegularityProfile(p), n)
         == multipartition_counts(RegularityProfile(p), n)[n]

@@ -150,6 +150,16 @@ def test_fault_injection_reports_first_mismatch(monkeypatch):
     assert report.violations[0]["index"] == 37
 
 
+def test_every_mismatch_is_recorded_in_the_order_of_n(monkeypatch):
+    # +q^41 and -q^37 times the empty product: the right side is off at both, each recorded with both sides
+    lhs, p, terms = IDENTITIES["5diss"]
+    monkeypatch.setitem(dissections.IDENTITIES, "5diss", (lhs, p, terms + ((1, 41, ()), (-1, 37, ()))))
+    report = verify_dissection("5diss", 64)
+    assert report.status == "fail" and report.indices_checked == 65
+    assert report.violations == [{"index": 37, "value": {"lhs": 0, "rhs": -1}, "params": {}},
+                                 {"index": 41, "value": {"lhs": 0, "rhs": 1}, "params": {}}]
+
+
 SIGN_FLIPS = [(name, k) for name, (_, _, terms) in IDENTITIES.items() for k in range(len(terms))]
 
 

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from regulus import coefficients as co
 from regulus import expr
 from regulus import families as fam
 from regulus import suite
@@ -266,7 +267,7 @@ def test_negative_control_wrong_alpha_fails():
 def test_sweep_records_planted_coefficients_in_order(monkeypatch):
     # thm4.9 sweeps 20n + 14 and 20n + 18 mod 10 at t = 0 and 1; 5 is zero mod 5 and 4 is zero mod 2
     planted = {14: 5, 358: 4, 394: 3}
-    real_series, real_counts = fam.cached_regular_series, fam.regular_multipartition_counts
+    real_series, real_counts = co.cached_regular_series, co.regular_multipartition_counts
 
     def planting(ell, r, m, order):
         values = list(real_series(ell, r, m, order).coeffs)
@@ -279,8 +280,8 @@ def test_sweep_records_planted_coefficients_in_order(monkeypatch):
         values[18] += 1  # the series is 0 there, and the oracle now says 1 mod 10
         return SimpleNamespace(values=values)
 
-    monkeypatch.setattr(fam, "cached_regular_series", planting)
-    monkeypatch.setattr(fam, "regular_multipartition_counts", oracle_off_at_18)
+    monkeypatch.setattr(co, "cached_regular_series", planting)
+    monkeypatch.setattr(co, "regular_multipartition_counts", oracle_off_at_18)
     report = verify_family(get_family("thm4.9"), GridBudget(order=400, n_max=400))
     expected = []
     for t in (0, 1):
@@ -350,7 +351,7 @@ def test_thm2_unconditional_part_i(bump):
     assert verify_thm2_unconditional("i", 2, 100).status == "pass"
     assert verify_thm2_unconditional("i", 3, 20).status == "pass"
     # left sides a(16n + 15) at n = 20 and a(81n + 80) at n = 2; neither check reads the other's index
-    bump(fam, "cached_regular_series", 335, 242)
+    bump(co, "cached_regular_series", 335, 242)
     report = verify_thm2_unconditional("i", 2, 100)
     assert report.status == FAIL and lhs_violations(report) == [(335, ["lhs", "rhs"], {"n": 20})]
     report = verify_thm2_unconditional("i", 3, 20)
@@ -359,7 +360,7 @@ def test_thm2_unconditional_part_i(bump):
 
 def test_thm2_unconditional_part_ii(bump):
     assert verify_thm2_unconditional("ii", 3, 3).status == "pass"
-    bump(fam, "cached_regular_series", 1416)  # B(7(81n + 40) + 2) at n = 2
+    bump(co, "cached_regular_series", 1416)  # B(7(81n + 40) + 2) at n = 2
     report = verify_thm2_unconditional("ii", 3, 3)
     assert report.status == FAIL and lhs_violations(report) == [(1416, ["lhs", "rhs"], {"n": 2})]
 
@@ -375,7 +376,7 @@ def _synthetic_part_i(monkeypatch, values):
             coeffs[index] = value
         return series(coeffs, Zmod(modulus))
 
-    monkeypatch.setattr(fam, "cached_regular_series", synthetic)
+    monkeypatch.setattr(co, "cached_regular_series", synthetic)
     return calls
 
 
@@ -391,7 +392,7 @@ def test_thm2_part_i_checks_its_conclusion_at_p19(bump):
     assert report.status == PASS and report.indices_checked == 148
     assert "p=19: conclusion checked at t=1, 2 indices" in report.notes
     assert VACUOUS_NOTE not in report.notes
-    bump(fam, "cached_regular_series", THM2_P19_ORDER)  # s(19^4 + 130320), the conclusion's left side at n = 1
+    bump(co, "cached_regular_series", THM2_P19_ORDER)  # s(19^4 + 130320), the conclusion's left side at n = 1
     report = verify_family(family, budget)
     assert report.status == FAIL
     assert [(v["index"], v["params"]) for v in report.violations] == [(THM2_P19_ORDER, {"n": 1})]
@@ -400,7 +401,7 @@ def test_thm2_part_i_checks_its_conclusion_at_p19(bump):
 def test_thm2_conclusion_passes_on_a_series_satisfying_it(monkeypatch):
     calls = _synthetic_part_i(monkeypatch, {0: 3, 130320: 3, 1: 2, 260641: 2})
     report = verify_thm2_conclusion("i", 19, THM2_P19_ORDER)
-    assert calls == [(5, 6, 5, THM2_P19_ORDER)]
+    assert calls == [(5, 6, 5, THM2_P19_ORDER)] * 2  # each side's term reads s, at the order
     assert report.status == PASS and report.indices_checked == 2 and not report.violations
 
 
@@ -450,14 +451,15 @@ def test_hypothesis_search_part_ii():
 
 def test_hypothesis_search_builds_no_conclusion_past_the_budget(monkeypatch):
     # part ii's first conclusion index at p = 31 is 7 * 461760 + 2 = 3232322, past an order of 10^6
-    real = fam.cached_regular_series
+    real = co.cached_regular_series
 
     def capped(ell, r, modulus, order):
         if order > 10**5:
             raise AssertionError(f"built ({ell}, {r}, {modulus}) to {order}")
         return real(ell, r, modulus, order)
 
-    monkeypatch.setattr(fam, "cached_regular_series", capped)
+    for module in (co, fam):  # the rows read through coefficients.fetch, the hypothesis search here
+        monkeypatch.setattr(module, "cached_regular_series", capped)
     report = verify_family(get_family("thm2.ii"), GridBudget(order=10**6))
     assert "p=31: conclusion out of series budget" in report.notes
     assert report.notes[-1] == VACUOUS_NOTE and report.status != FAIL

@@ -170,6 +170,39 @@ def test_regular_partitions_enumeration_agrees_with_counts():
                 assert all(x % ell for x in lam)
 
 
+def reference_regular_partitions(n, ell):
+    """The recursive generator regular_partitions replaced: each tuple built again wherever it recurs."""
+
+    def rec(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            if part % ell == 0:
+                continue
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    return tuple(rec(n, n))
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_regular_partitions_are_the_generators_tuples_in_its_order(ell):
+    for n in range(21):
+        assert regular_partitions(n, ell) == reference_regular_partitions(n, ell)
+
+
+def test_each_power_of_e1_is_one_miller_pass(monkeypatch, fresh_tables):
+    # B_5^(6) and B_7^(6) to 300 share H = E_1^-6 to 300, which each table passed on its own before
+    passes = Counter()
+    real = oracle._power
+    monkeypatch.setattr(oracle, "_power", lambda terms, alpha, n: passes.update([(alpha, n)]) or real(terms, alpha, n))
+    for ell, r, n_max in [(5, 6, 300), (7, 6, 300), (7, 6, 42), (5, 6, 300)]:
+        regular_multipartition_counts(ell, r, n_max)
+    jacobi = {(3, 300): 1, (3, 42): 1}  # the check of the pentagonal terms, once per n_max
+    assert passes == {**jacobi, (-6, 300): 1, (6, 60): 1, (6, 42): 1, (-6, 42): 1, (6, 6): 1}
+
+
 def test_multipartition_pair_at_two():
     assert multipartition_counts(RegularityProfile((3, 3)), 2)[2] == 5
 
@@ -316,9 +349,11 @@ def fresh_tables():
     """Empty the oracle's caches before and after, so a patched kernel is the one that runs."""
     oracle._euler.cache_clear()
     oracle._counts.cache_clear()
+    oracle._powers.clear()
     yield
     oracle._euler.cache_clear()
     oracle._counts.cache_clear()
+    oracle._powers.clear()
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 26])

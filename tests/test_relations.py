@@ -130,7 +130,7 @@ def reference_verify_thm2_unconditional(part, p, n_max):
     bridge = fam._thm2_bridge(part)
     params = fam._newman(bridge, p)
     m = bridge.ell
-    s = fam.cached_regular_series(bridge.ell, bridge.r, m, bridge.index(p**4 * n_max + params.delta4))
+    s = co.cached_regular_series(bridge.ell, bridge.r, m, bridge.index(p**4 * n_max + params.delta4))
 
     def a(n):
         return bridge.factor * s[bridge.index(n)] % m
@@ -148,7 +148,7 @@ def reference_verify_thm2_conclusion(part, p, order):
     bridge = fam._thm2_bridge(part)
     params = fam._newman(bridge, p)
     m, w2 = bridge.ell, params.w**2
-    s = fam.cached_regular_series(bridge.ell, bridge.r, m, order)
+    s = co.cached_regular_series(bridge.ell, bridge.r, m, order)
     report = VerificationReport(id=f"thm2.{part}.conclusion.p{p}")
     n = 0
     while (index := bridge.index(p**4 * n + params.delta4)) <= order:
@@ -170,7 +170,7 @@ def reference_verify_family(family, budget):
     primes = [p for p in range(2, m) if m % p == 0 and all(p % q for q in range(2, p))]  # none for a prime m
     for pt in grid.points:
         r, last = family.r_value(pt.t), min(budget.order, pt.offset + pt.stride * budget.n_max)
-        s = fam.cached_regular_series(family.ell, r, m, last)
+        s = co.cached_regular_series(family.ell, r, m, last)
         where = {"t": pt.t, "primes": pt.primes, "j": pt.j, "alpha": pt.alpha}
         ns = range((last - pt.offset) // pt.stride + 1)
         for n in ns:
@@ -222,15 +222,28 @@ CASES = [
     ("scaling_congruence_check", ("eq_b312_scale", 2, 100), co, "cached_regular_series", (363,)),
     ("scaling_congruence_check", ("eq_b315_scale", 7, 10), co, "cached_regular_series", (501,)),
     ("scaling_congruence_check", ("eq_b77_scale", 3, 40), co, "cached_regular_series", (329, 35)),  # right side too
-    ("verify_thm2_unconditional", ("i", 2, 100), fam, "cached_regular_series", (335, 242)),
-    ("verify_thm2_unconditional", ("i", 3, 20), fam, "cached_regular_series", (335, 242)),
-    ("verify_thm2_unconditional", ("i", 2, 100), fam, "cached_regular_series", (1,)),  # A = a(d)
-    ("verify_thm2_unconditional", ("ii", 3, 3), fam, "cached_regular_series", (1416, 9)),
-    # 20n + 14 at n = 1 and 20n + 18 at n = 17, at t = 0 and 1: records mod 10, 2 and 5, and the oracle's at 34
-    ("verify_family", (get_family("thm4.9"), GridBudget(400, 400)), fam, "cached_regular_series", (34, 358)),
-    ("verify_family", (get_family("eq30"), GridBudget(400, 400)), fam, "cached_regular_series", (5, 301)),
-    ("verify_family", (get_family("thm5.27"), GridBudget(1000, 1000)), fam, "cached_regular_series", ()),
 ]
+
+
+def families_case(name, args, indices):
+    """A case of a check in families, bumping coefficients.cached_regular_series, through which its rows read.
+
+    Its id keeps the name the case had while families read the series
+    itself: regulus.families-cached_regular_series.
+    """
+    i = len(CASES)
+    CASES.append(pytest.param(name, args, co, "cached_regular_series", indices,
+                              id=f"{name}-args{i}-regulus.families-cached_regular_series-indices{i}"))
+
+
+families_case("verify_thm2_unconditional", ("i", 2, 100), (335, 242))
+families_case("verify_thm2_unconditional", ("i", 3, 20), (335, 242))
+families_case("verify_thm2_unconditional", ("i", 2, 100), (1,))  # A = a(d)
+families_case("verify_thm2_unconditional", ("ii", 3, 3), (1416, 9))
+# 20n + 14 at n = 1 and 20n + 18 at n = 17, at t = 0 and 1: records mod 10, 2 and 5, and the oracle's at 34
+families_case("verify_family", (get_family("thm4.9"), GridBudget(400, 400)), (34, 358))
+families_case("verify_family", (get_family("eq30"), GridBudget(400, 400)), (5, 301))
+families_case("verify_family", (get_family("thm5.27"), GridBudget(1000, 1000)), ())
 
 
 def comparable(report):

@@ -9,7 +9,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from pathlib import Path
 
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regulus.dissections import IDENTITIES
 from regulus.families import default_registry
 from regulus.oracle import regular_multipartition_counts
 from regulus.series import (
@@ -324,6 +325,41 @@ def test_eta_quotient_matches_repeated_products(factors, m):
     ring = Zmod(m) if m else ZZ
     s = theta_quotient([(k, 2 * k, e) for k, e in factors], 60, ring)
     assert s == reference_eta_product(factors, 60, ring)
+
+
+def reference_theta_quotient(factors, order, ring=ZZ):
+    """The product-inverse formula theta_quotient replaced: every denominator row multiplied at full length,
+    then one Newton inverse of that product."""
+    sides = ([], [])  # numerator, denominator
+    for a, b, e in factors:
+        if e:
+            sides[e < 0].append(power(theta(a, b, order, ring), abs(e)))
+    num, den = (reduce(mul, side) if side else None for side in sides)
+    if den is None:
+        return one(order, ring) if num is None else num
+    return invert(den) if num is None else mul(num, invert(den))
+
+
+@pytest.mark.parametrize("name", list(IDENTITIES))
+@pytest.mark.parametrize("m", [0, 5, 7])
+def test_theta_quotient_matches_the_product_inverse_on_every_identity_side(name, m):
+    lhs, _, terms = IDENTITIES[name]
+    ring = Zmod(m) if m else ZZ
+    for factors in [lhs] + [q for _, _, q in terms]:
+        assert theta_quotient(factors, 150, ring) == reference_theta_quotient(factors, 150, ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4), st.integers(-3, 3)), max_size=4),
+    st.sampled_from([0, 5, 7]),
+    st.integers(0, 90),
+)
+def test_theta_quotient_matches_the_product_inverse_on_random_rows(rows, m, order):
+    # (a, b) scaled by g, so that rows of one reduced pair and several g share an inverse
+    factors = [(a * g, b * g, e) for a, b, g, e in rows]
+    ring = Zmod(m) if m else ZZ
+    assert theta_quotient(factors, order, ring) == reference_theta_quotient(factors, order, ring)
 
 
 # --- the counting quotient ---

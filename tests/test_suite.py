@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from regulus import coefficients as co
-from regulus import families, suite
+from regulus import dissections, families, suite
 from regulus.families import GridBudget, default_registry
-from regulus.series import regular_quotient
+from regulus.series import regular_quotient, series
 from regulus.suite import run_suite
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -142,7 +142,8 @@ def test_each_check_makes_its_rows_once(monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: calls.update([name]) or real(*args))
 
-    for module, name in [(co, "newman_rows"), (co, "hecke_rows"), (families, "family_rows"), (families, "sweep_row")]:
+    for module, name in [(co, "newman_rows"), (co, "hecke_rows"), (families, "family_rows"), (families, "sweep_row"),
+                         (suite, "frobenius_rows"), (dissections, "dissection_rows"), (suite, "enumeration_rows")]:
         count(module, name)
     report = run_suite(None, GridBudget(400, 400))
     eigenforms = [form for form in co.FORMS.values() if form.eigenform]
@@ -150,7 +151,9 @@ def test_each_check_makes_its_rows_once(monkeypatch):
     points = sum(c["params_swept"].get("points", 0) for c in report["checks"] if c["id"] in family_checks)
     assert points > 0 and calls == {"newman_rows": len(co.admissible_newman_pairs(13)),
                                     "hecke_rows": len(eigenforms) * len(co.primes_upto(13)),
-                                    "family_rows": len(family_checks), "sweep_row": points}
+                                    "family_rows": len(family_checks), "sweep_row": points,
+                                    "frobenius_rows": 1, "dissection_rows": len(dissections.IDENTITY_IDS),
+                                    "enumeration_rows": 1}
 
 
 def test_the_tracer_patch_points_are_the_attributes_the_work_calls(monkeypatch):
@@ -159,26 +162,36 @@ def test_the_tracer_patch_points_are_the_attributes_the_work_calls(monkeypatch):
     missing = [f"{layer}.{name}" for layer, names in traced.items() for name in names
                if not callable(getattr(importlib.import_module(f"regulus.{layer}"), name, None))]
     assert missing == [] and callable(suite._build_check)
-    # and a bypassed attribute counts nothing: the family sweeps read their series through this one
+    # and a bypassed attribute counts nothing: every row reads its series through coefficients.fetch, which calls
+    # this one, the same function the tracer wraps as families.cached_regular_series
     calls = []
-    real = families.cached_regular_series
+    real = co.cached_regular_series
+    assert real is families.cached_regular_series
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(families, "cached_regular_series", counted)
+    monkeypatch.setattr(co, "cached_regular_series", counted)
     run_suite([cid for cid in suite.default_check_ids() if cid.startswith("family.")], GridBudget(400, 400))
     assert len(calls) > 0
 
 
-def test_frobenius_records_the_first_mismatch_of_each_pair(bump):
-    bump(suite, "power", 7, 9)
-    report = suite.check_frobenius(40)
-    assert report.status == "fail"
+def test_frobenius_records_the_first_mismatch_of_each_pair(monkeypatch):
+    # the right side E_k^p raised by one at 7 and 9: each pair records both, in order of n, with its k and p
+    real = co.theta_quotient
+
+    def bumped(factors, order, ring):
+        s = real(factors, order, ring)
+        return s if factors[0][2] == 1 else series([c + (n in (7, 9)) for n, c in enumerate(s.coeffs)], ring)
+
+    monkeypatch.setattr(co, "theta_quotient", bumped)
+    (report,) = run_suite(["frobenius"], GridBudget(40, 40))["checks"]
+    assert report["status"] == "fail" and report["indices_checked"] == 30 * 41
     pairs = [(k, p) for k in (1, 2, 3, 5, 7, 11) for p in (2, 3, 5, 7, 11)]
-    assert [(v["index"], v["params"]) for v in report.violations] == [(7, {"k": k, "p": p}) for k, p in pairs]
-    assert all(v["value"]["rhs"] == (v["value"]["lhs"] + 1) % p for v, (_, p) in zip(report.violations, pairs))
+    assert [(v["index"], v["params"]) for v in report["violations"]] == [
+        (n, {"k": k, "p": p}) for k, p in pairs for n in (7, 9)]
+    assert all(v["value"]["rhs"] == (v["value"]["lhs"] + 1) % v["params"]["p"] for v in report["violations"])
 
 
 def test_traced_checks_count_every_series_build(builds):
