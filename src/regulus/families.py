@@ -101,7 +101,7 @@ class CongruenceFamily:
 
 @cache
 def _r_value(r_formula: str, t: int) -> int:
-    """r at t, evaluated once per (formula, t): every grid point of a family reads it, twice per run."""
+    """r at t, evaluated once per (formula, t): every grid point of a family reads it, once per run."""
     return expr.evaluate(r_formula, {"t": t})
 
 

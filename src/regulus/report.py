@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 PASS = "pass"
@@ -33,27 +33,13 @@ class VerificationReport:
         return self
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "status": self.status,
-            "params_swept": self.params_swept,
-            "indices_checked": self.indices_checked,
-            "violations": self.violations,
-            "ms": self.ms,
-            "notes": self.notes,
-        }
+        """The fields by name, in their declared order: the report's JSON and the pickles workers send."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            id=d["id"],
-            status=d["status"],
-            params_swept=d["params_swept"],
-            indices_checked=d["indices_checked"],
-            violations=d["violations"],
-            ms=d["ms"],
-            notes=d.get("notes", []),
-        )
+        """The report of to_dict's dict; a field it lacks, as notes in an older report, takes its default."""
+        return cls(**d)
 
 
 def timed(check: Callable[..., VerificationReport]) -> Callable[..., VerificationReport]:

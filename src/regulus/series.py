@@ -90,7 +90,8 @@ order: the key (ell, r, m), then its chain levels by decreasing order, then
 powers of E_1 by decreasing |d|.  A level reads only the levels below it in
 its chain and powers of E_1, a power of E_1 only powers of smaller |d| over
 its ring and of its sign, and no piece reads a key (ell, r, m), so two
-threads never wait on each other in a cycle.
+threads never wait on each other in a cycle.  A thread of the build before
+the fork may still wait on the lock of a piece another one is building.
 
 Every product, over either ring and including the two inside Newton
 inversion, goes through ``_product``: numpy's float FFT, rounded to integers.
@@ -506,17 +507,17 @@ def euler_E(k: int, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
 def theta_quotient(factors, order: int, ring: CoefficientRing = ZZ) -> TruncatedSeries:
     """prod f(-q^a, -q^b)^e over the (a, b, e) rows of factors.
 
-    A row of e < 0 is inverted at its own length: 1/f(-q^a, -q^b) = (1/f(-q^(a/g), -q^(b/g)))(q^g), g = gcd(a, b),
-    inverted to order // g and raised to -e there.  The rows of one (a/g, b/g) share one Newton inverse, built for
-    their least g and read by the others as a prefix: each Euler row (k, 2k, e) of a call reads one 1/E_1.
+    The product of the numerator rows, f^e for e > 0, times one Newton inverse of the product of the
+    denominator rows, f^-e for e < 0.
     """
-    # numerators, then denominators by decreasing g, the smaller inverses first; (0, 0) takes g = 1, for theta to reject
-    rows = sorted([(a, b, math.gcd(a, b) or 1, e) for a, b, e in factors if e], key=lambda row: (row[3] < 0, -row[2]))
-    least = {(a // g, b // g): g for a, b, g, e in rows if e < 0}  # each (a/g, b/g) -> its least g, the last kept
-    inverse = {(a, b): invert(theta(a, b, order // g, ring)) for (a, b), g in least.items()}
-    terms = [power(theta(a, b, order, ring), e) if e > 0
-             else dilate(power(truncate(inverse[a // g, b // g], order // g), -e), g, order) for a, b, g, e in rows]
-    return reduce(mul, terms) if terms else one(order, ring)
+    sides = ([], [])  # numerator, denominator
+    for a, b, e in factors:
+        if e:
+            sides[e < 0].append(power(theta(a, b, order, ring), abs(e)))
+    num, den = (reduce(mul, side) if side else None for side in sides)
+    if den is None:
+        return one(order, ring) if num is None else num
+    return invert(den) if num is None else mul(num, invert(den))
 
 
 def dilate(a: TruncatedSeries, k: int, order: int | None = None) -> TruncatedSeries:
@@ -698,9 +699,11 @@ def _read(key: tuple, order: int) -> TruncatedSeries:
 def prebuild(keys, threads: int) -> None:
     """Build each store key to its target in the plan of the run in progress, on threads.
 
-    A thread takes, of the keys whose pieces among keys are built, the one that heads the costliest chain
-    of builds still to make, a key's build_cost plus that of the costliest chain through the keys that read
-    it.  So the longest chain starts first, and no thread waits on the lock of a piece another builds.
+    The threads take the keys in decreasing chain cost: a key's build_cost plus that of the costliest chain
+    through the keys that read it, so the longest chain starts first.  A piece's chain is at least that of
+    each key that reads it, and a tie goes to the key of fewer pieces, so pieces sort first; a build that
+    reaches a piece another thread is still building waits on that piece's lock.  The first failed build
+    in that order raises here.
     """
     keys = set(keys)
     below = {key: {piece for piece, _ in _pieces(key, _targets[key])} & keys - {key} for key in keys}
@@ -710,28 +713,8 @@ def prebuild(keys, threads: int) -> None:
     def chain(key) -> int:
         return build_cost(key, _targets[key]) + max(map(chain, above[key]), default=0)
 
-    left = sorted(keys, key=chain)  # the next key to build is the last one ready
-    built: set = set()
-    ready = threading.Condition()
-
-    def work():
-        while True:
-            with ready:
-                while left and (key := next((k for k in reversed(left) if below[k] <= built), None)) is None:
-                    ready.wait()
-                if not left:
-                    return
-                left.remove(key)
-            try:
-                _read(key, _targets[key])
-            finally:  # a failed build frees its readers, whose own builds raise the error again
-                with ready:
-                    built.add(key)
-                    ready.notify_all()
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for future in [pool.submit(work) for _ in range(threads)]:
-            future.result()
+        list(pool.map(lambda key: _read(key, _targets[key]), sorted(keys, key=lambda k: (-chain(k), len(below[k])))))
 
 
 def build_cost(key: tuple, order: int) -> int:

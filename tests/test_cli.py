@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,13 @@ def test_verify_family_pass(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["version"] == 1
     assert report["checks"][0]["status"] == "pass"
+
+
+def test_verify_builds_each_store_key_once(builds, capsys):
+    # verify plans its family's reads as the suite does: (5, 6, 5) and its chain are built once, at their targets
+    code, _, _ = run(capsys, "verify", "--family", "thm2.i", "--order", "2000")
+    assert code == EXIT_PASS
+    assert builds and [key for key, count in Counter(key for key, _ in builds).items() if count > 1] == []
 
 
 def test_verify_unknown_family(capsys):

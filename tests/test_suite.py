@@ -96,6 +96,28 @@ def test_jobs_past_the_checks_fork_one_worker_per_check_but_one(monkeypatch):
     assert many == canonical(run_suite(ids, GridBudget(400, 400)))
 
 
+def test_the_prebuild_threads_are_gone_before_the_fork(builds, monkeypatch):
+    # the families at 400 from an empty store: two shares read common keys, built on two pool threads, and
+    # every pool thread has exited by the time a worker is forked
+    before = threading.active_count()
+    counts, shared = [], []
+    real_fork, real_prebuild = os.fork, suite.prebuild
+
+    def fork():
+        counts.append(threading.active_count())
+        return real_fork()
+
+    def prebuild(keys, threads):
+        shared.extend(keys)
+        return real_prebuild(keys, threads)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(suite, "prebuild", prebuild)
+    ids = [f"family.{fid}" for fid in default_registry()]
+    assert suite.suite_status(run_suite(ids, GridBudget(400, 400), jobs=2)) == "pass"
+    assert shared and counts == [before]
+
+
 @pytest.mark.parametrize("where", ["worker", "here"])
 def test_a_check_that_raises_leaves_no_worker_behind(where, monkeypatch):
     # raised in a worker, the error names the check; raised here, it propagates, and the worker, still asleep,
